@@ -155,29 +155,45 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     probs = weighted / np.maximum(denom, DENOM_FLOOR)
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
 
-    for y, x in np.argwhere(labels != pre_labels):
-        pre, post = int(pre_labels[y, x]), int(labels[y, x])
+    # Flip records: values, scores and per-class entries are gathered once;
+    # each distance stays one 1x1 interval_distance_grid call, the count that
+    # perfbench's traced runs check per re-weighting.
+    ys, xs = np.nonzero(labels != pre_labels)
+    pre_ids, post_ids = pre_labels[ys, xs], labels[ys, xs]
+    entries = {cid: graph.entry_for_id(cid) for cid in np.union1d(pre_ids, post_ids).tolist()}
+    columns = {
+        name: (
+            grid[ys, xs].tolist(),
+            parts[name][ys, xs, pre_ids - 1].tolist(),
+            parts[name][ys, xs, post_ids - 1].tolist(),
+            {cid: entry.interval(name) for cid, entry in entries.items()},
+        )
+        for name, grid in used.items()
+    }
+    flips = zip(ys.tolist(), xs.tolist(), pre_ids.tolist(), post_ids.tolist())
+    for k, (y, x, pre, post) in enumerate(flips):
         per_modality = {}
         for name, grid in used.items():
-            record = {"value": float(grid[y, x])}
-            for tag, cid in (("pre", pre), ("post", post)):
-                iv = graph.interval(cid, name)
-                record[f"distance_{tag}"] = float(
-                    interval_distance_grid(grid[y : y + 1, x : x + 1], iv)[0, 0]
-                )
-                record[f"score_{tag}"] = float(parts[name][y, x, cid - 1])
-            per_modality[name] = record
+            values, pre_scores, post_scores, intervals = columns[name]
+            cell = grid[y : y + 1, x : x + 1]
+            per_modality[name] = {
+                "value": values[k],
+                "distance_pre": float(interval_distance_grid(cell, intervals[pre])[0, 0]),
+                "score_pre": pre_scores[k],
+                "distance_post": float(interval_distance_grid(cell, intervals[post])[0, 0]),
+                "score_post": post_scores[k],
+            }
         trace.flips.append(
             {
-                "y": int(y),
-                "x": int(x),
+                "y": y,
+                "x": x,
                 "pre_label": pre,
                 "post_label": post,
-                "pre_category": graph.entry_for_id(pre).category,
-                "post_category": graph.entry_for_id(post).category,
+                "pre_category": entries[pre].category,
+                "post_category": entries[post].category,
                 "modalities": per_modality,
-                "pre_reasoning": graph.entry_for_id(pre).reasoning,
-                "post_reasoning": graph.entry_for_id(post).reasoning,
+                "pre_reasoning": entries[pre].reasoning,
+                "post_reasoning": entries[post].reasoning,
             }
         )
     return probs, labels, trace

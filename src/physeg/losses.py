@@ -11,15 +11,22 @@ at one-hot predictions.
 
 Region-mean comparisons use a small edge tolerance so summation rounding
 on exactly-clipped rasters never registers as an interval violation.
+
+Everything that does not depend on the prediction (labeled pixel indices,
+per-class masks, float64 rasters, interval bounds) is laid out once by
+``prepare_targets``; ``loss_step`` then does only the per-prediction
+arithmetic.  ``total_loss`` is the two in one call; training prepares each
+scene once and reuses its targets on every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .priors import MODALITY_INDEX, PriorGraph
+from .priors import MODALITY_INDEX, Interval, PriorGraph
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
 _SOFT_MASS_FLOOR = 1e-12
@@ -50,8 +57,39 @@ class RegionStats:
         return self.counts == 0
 
 
-def _edge_tol(lo: float, hi: float) -> float:
-    return 1e-9 * max(1.0, abs(lo), abs(hi))
+class _Labels(NamedTuple):
+    """Labeled pixels of a ground-truth mask as flat row-major pixel indices."""
+
+    pixels: np.ndarray  # (N,) flat indices of the labeled pixels
+    channels: np.ndarray  # (N,) their class channel (label - 1)
+    classes: tuple  # (channel, mask over ``pixels``, pixel count) per present class
+
+
+class _Raster(NamedTuple):
+    """One modality's float64 raster and its per-channel (lo, hi, edge tol) bounds."""
+
+    name: str
+    values: np.ndarray | None  # (H, W); None where only the bounds are needed
+    bounds: object  # channel -> (lo, hi, tol)
+
+
+@dataclass(frozen=True)
+class LossTargets:
+    """Everything the joint objective needs that does not depend on the prediction.
+
+    Built by ``prepare_targets``, which checks the scene once; ``loss_step``
+    then does only the arithmetic that depends on the prediction.
+    """
+
+    shape: tuple  # (H, W, C) of the predictions scored against these targets
+    labels: _Labels
+    features: np.ndarray  # (H, W, D) float64
+    rasters: tuple  # _Raster per supplied modality, in modality order
+    categories: tuple  # class names for the hinge diagnostics
+
+
+def _bounds(interval: Interval) -> tuple:
+    return interval.lo, interval.hi, interval.edge_tol
 
 
 def _check_pred(pred) -> np.ndarray:
@@ -61,8 +99,8 @@ def _check_pred(pred) -> np.ndarray:
     return pred
 
 
-def _check_aligned(pred, gt=None, features=None, rasters=None):
-    h, w, _ = pred.shape
+def _check_aligned(shape, gt=None, features=None, rasters=None):
+    h, w = shape[:2]
     if gt is not None and np.asarray(gt).shape != (h, w):
         raise ValueError(
             f"ground-truth mask shape {np.asarray(gt).shape} does not match prediction {(h, w)}"
@@ -80,6 +118,89 @@ def _check_aligned(pred, gt=None, features=None, rasters=None):
             )
 
 
+def _label_targets(gt, num_classes: int) -> _Labels:
+    gt = np.asarray(gt)
+    if gt.max(initial=0) > num_classes:
+        raise ValueError(f"ground truth contains class {int(gt.max())} > C={num_classes}")
+    pixels = np.flatnonzero(gt > 0)
+    channels = gt.ravel()[pixels] - 1
+    classes = []
+    for ch in np.unique(channels):
+        in_class = channels == ch
+        classes.append((int(ch), in_class, int(in_class.sum())))
+    return _Labels(pixels, channels, tuple(classes))
+
+
+def _raster_targets(rasters, graph: PriorGraph, num_classes: int) -> tuple:
+    names = sorted(rasters, key=lambda m: MODALITY_INDEX[m])
+    if names and graph.num_classes < num_classes:
+        raise ValueError(
+            f"prediction has {num_classes} channels but the graph defines {graph.num_classes} classes"
+        )
+    return tuple(
+        _Raster(
+            name,
+            np.asarray(rasters[name], dtype=np.float64),
+            tuple(_bounds(graph.interval(ch + 1, name)) for ch in range(num_classes)),
+        )
+        for name in names
+    )
+
+
+def prepare_targets(gt, features, rasters, graph: PriorGraph, shape) -> LossTargets:
+    """Check one scene against predictions of ``shape`` (H, W, C) and lay out its targets.
+
+    Raises ValueError when the mask, features or rasters do not align with
+    the prediction grid, when the mask holds a class above C, or when the
+    graph defines fewer than C classes while rasters are supplied.
+    """
+    h, w, c = (int(n) for n in shape)
+    rasters = rasters or {}
+    _check_aligned((h, w), gt=gt, features=features, rasters=rasters)
+    labels = _label_targets(gt, c)
+    features = np.asarray(features, dtype=np.float64)
+    return LossTargets(
+        shape=(h, w, c),
+        labels=labels,
+        features=features,
+        rasters=_raster_targets(rasters, graph, c),
+        categories=graph.categories,
+    )
+
+
+def _seg_loss(pred, labels: _Labels, alpha: float, dice_as_loss: bool = True):
+    h, w, c = pred.shape
+    grad = np.zeros((h, w, c))
+    n_lab = len(labels.pixels)
+    if n_lab == 0:
+        return 0.0, grad
+    flat_pred = pred.reshape(h * w, c)
+    flat_grad = grad.reshape(h * w, c)
+
+    p_true = flat_pred[labels.pixels, labels.channels]
+    clipped = np.clip(p_true, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    ce = float(-np.log(clipped).mean())
+    interior = (p_true > CLAMP_EPS) & (p_true < 1.0 - CLAMP_EPS)
+    # labeled pixels are distinct, so one assignment is the whole accumulation
+    flat_grad[labels.pixels, labels.channels] = np.where(interior, -1.0 / (n_lab * clipped), 0.0)
+
+    dice_value = 0.0
+    if alpha != 0.0:
+        n_present = len(labels.classes)
+        dice_sum = 0.0
+        for ch, in_class, count in labels.classes:
+            p_lab = flat_pred[labels.pixels, ch]
+            inter = float(p_lab[in_class].sum())
+            union = float(p_lab.sum()) + float(count)
+            dice_sum += 2.0 * inter / union
+            coeff = 2.0 / (union * union)
+            d_dice = np.where(in_class, coeff * (union - inter), -coeff * inter)
+            flat_grad[labels.pixels, ch] -= alpha * (d_dice / n_present)
+        mean_dice = dice_sum / n_present
+        dice_value = 1.0 - mean_dice if dice_as_loss else -mean_dice
+    return ce + alpha * dice_value, grad
+
+
 def seg_loss(pred, gt, alpha: float = 1.0, dice_as_loss: bool = True):
     """Cross-entropy + alpha * (1 - soft Dice) over labeled pixels.
 
@@ -89,54 +210,37 @@ def seg_loss(pred, gt, alpha: float = 1.0, dice_as_loss: bool = True):
     a constant but leaves gradients unchanged.
     """
     pred = _check_pred(pred)
-    gt = np.asarray(gt)
-    _check_aligned(pred, gt=gt)
+    _check_aligned(pred.shape, gt=gt)
+    return _seg_loss(pred, _label_targets(gt, pred.shape[2]), alpha, dice_as_loss)
+
+
+def _region_stats(pred, features, rasters) -> RegionStats:
     h, w, c = pred.shape
-    if gt.max(initial=0) > c:
-        raise ValueError(f"ground truth contains class {int(gt.max())} > C={c}")
+    region = np.argmax(pred, axis=2).astype(np.int32) + 1
 
-    grad = np.zeros_like(pred)
-    labeled = gt > 0
-    n_lab = int(labeled.sum())
-    if n_lab == 0:
-        return 0.0, grad
+    flat = region.ravel() - 1
+    counts = np.bincount(flat, minlength=c).astype(np.int64)
+    safe = np.maximum(counts, 1)
 
-    rows, cols = np.nonzero(labeled)
-    chan = gt[rows, cols] - 1
-    p_true = pred[rows, cols, chan]
-    clipped = np.clip(p_true, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    ce = float(-np.log(clipped).mean())
-    interior = (p_true > CLAMP_EPS) & (p_true < 1.0 - CLAMP_EPS)
-    g_true = np.where(interior, -1.0 / (n_lab * clipped), 0.0)
-    np.add.at(grad, (rows, cols, chan), g_true)
+    d = features.shape[2]
+    flat_features = features.reshape(h * w, d)
+    feat_sums = np.zeros((c, d))
+    for k in range(d):
+        feat_sums[:, k] = np.bincount(flat, weights=flat_features[:, k], minlength=c)
+    feature_means = feat_sums / safe[:, None]
+    feature_means[counts == 0] = 0.0
 
-    dice_value = 0.0
-    if alpha != 0.0:
-        present = np.unique(gt[labeled])
-        n_present = len(present)
-        dice_sum = 0.0
-        dice_grad = np.zeros_like(pred)
-        for cid in present:
-            ch = cid - 1
-            g_mask = gt == cid
-            inter = float(pred[g_mask, ch].sum())
-            p_sum = float(pred[labeled, ch].sum())
-            g_sum = float(g_mask.sum())
-            union = p_sum + g_sum
-            dice_c = 2.0 * inter / union
-            dice_sum += dice_c
-            coeff = 2.0 / (union * union)
-            d_dice = np.where(g_mask, coeff * (union - inter), 0.0)
-            d_dice = np.where(labeled & ~g_mask, -coeff * inter, d_dice)
-            dice_grad[:, :, ch] -= d_dice / n_present
-        mean_dice = dice_sum / n_present
-        if dice_as_loss:
-            dice_value = 1.0 - mean_dice
-            grad += alpha * dice_grad
-        else:
-            dice_value = -mean_dice
-            grad += alpha * dice_grad
-    return ce + alpha * dice_value, grad
+    raster_means = {}
+    for name, values, _ in rasters:
+        means = np.bincount(flat, weights=values.ravel(), minlength=c) / safe
+        means[counts == 0] = 0.0
+        raster_means[name] = means
+    return RegionStats(
+        counts=counts,
+        feature_means=feature_means,
+        raster_means=raster_means,
+        region_map=region,
+    )
 
 
 def region_stats(pred, features, rasters=None) -> RegionStats:
@@ -148,32 +252,21 @@ def region_stats(pred, features, rasters=None) -> RegionStats:
     pred = _check_pred(pred)
     features = np.asarray(features, dtype=np.float64)
     rasters = rasters or {}
-    _check_aligned(pred, features=features, rasters=rasters)
-    h, w, c = pred.shape
-    region = np.argmax(pred, axis=2).astype(np.int32) + 1
+    _check_aligned(pred.shape, features=features, rasters=rasters)
+    grids = [
+        _Raster(name, np.asarray(rasters[name], dtype=np.float64), None)
+        for name in sorted(rasters, key=lambda m: MODALITY_INDEX.get(m, 99))
+    ]
+    return _region_stats(pred, features, grids)
 
-    flat = region.ravel() - 1
-    counts = np.bincount(flat, minlength=c).astype(np.int64)
-    safe = np.maximum(counts, 1)
 
-    d = features.shape[2]
-    feat_sums = np.zeros((c, d))
-    np.add.at(feat_sums, flat, features.reshape(-1, d))
-    feature_means = feat_sums / safe[:, None]
-    feature_means[counts == 0] = 0.0
-
-    raster_means = {}
-    for name in sorted(rasters, key=lambda m: MODALITY_INDEX.get(m, 99)):
-        sums = np.bincount(flat, weights=np.asarray(rasters[name], dtype=np.float64).ravel(), minlength=c)
-        means = sums / safe
-        means[counts == 0] = 0.0
-        raster_means[name] = means
-    return RegionStats(
-        counts=counts,
-        feature_means=feature_means,
-        raster_means=raster_means,
-        region_map=region,
-    )
+def _region_loss(stats: RegionStats, features: np.ndarray) -> float:
+    diff = features - stats.feature_means[stats.region_map - 1]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    inv = np.zeros(len(stats.counts))
+    nonempty = stats.counts > 0
+    inv[nonempty] = 1.0 / stats.counts[nonempty]
+    return float((sq * inv[stats.region_map - 1]).sum())
 
 
 def region_loss(stats: RegionStats, features, pred):
@@ -183,19 +276,11 @@ def region_loss(stats: RegionStats, features, pred):
     gradient w.r.t. the prediction is identically zero (returned as such).
     """
     pred = _check_pred(pred)
-    features = np.asarray(features, dtype=np.float64)
-    diff = features - stats.feature_means[stats.region_map - 1]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    inv = np.zeros(len(stats.counts))
-    nonempty = stats.counts > 0
-    inv[nonempty] = 1.0 / stats.counts[nonempty]
-    value = float((sq * inv[stats.region_map - 1]).sum())
-    return value, np.zeros_like(pred)
+    return _region_loss(stats, np.asarray(features, dtype=np.float64)), np.zeros_like(pred)
 
 
-def _hinge_sq(mean: float, lo: float, hi: float):
+def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
     """Squared interval hinge and its derivative w.r.t. the mean."""
-    tol = _edge_tol(lo, hi)
     over = mean - hi
     under = lo - mean
     term = 0.0
@@ -209,6 +294,33 @@ def _hinge_sq(mean: float, lo: float, hi: float):
     return term, deriv
 
 
+def _phys_loss(stats: RegionStats, rasters, categories, diagnostics: bool):
+    terms = []
+    total = 0.0
+    nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
+    for name, _, bounds in rasters:
+        means = stats.raster_means[name]
+        for ch in nonempty:
+            mean = float(means[ch])
+            lo, hi, tol = bounds[ch]
+            term, _ = _hinge_sq(mean, lo, hi, tol)
+            total += term
+            if diagnostics:
+                terms.append(
+                    {
+                        "class_id": ch + 1,
+                        "category": categories[ch],
+                        "modality": name,
+                        "mean": mean,
+                        "lo": lo,
+                        "hi": hi,
+                        "term": term,
+                    }
+                )
+    value = total / len(rasters) if rasters else 0.0
+    return value, terms
+
+
 def phys_loss(stats: RegionStats, graph: PriorGraph, modalities=None):
     """Interval hinge on hard-region means, averaged over modalities.
 
@@ -217,30 +329,36 @@ def phys_loss(stats: RegionStats, graph: PriorGraph, modalities=None):
     """
     if modalities is None:
         modalities = tuple(stats.raster_means)
-    modalities = sorted(modalities, key=lambda m: MODALITY_INDEX[m])
-    diagnostics = []
+    nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
+    rasters = [
+        _Raster(name, None, {ch: _bounds(graph.interval(ch + 1, name)) for ch in nonempty})
+        for name in sorted(modalities, key=lambda m: MODALITY_INDEX[m])
+    ]
+    return _phys_loss(stats, rasters, graph.categories, diagnostics=True)
+
+
+def _phys_loss_soft(pred, rasters):
+    """(value, gradient or None when no hinge is active) of the soft hinge."""
+    if not rasters:
+        return 0.0, None
+    h, w, c = pred.shape
+    grad = None
+    mass = pred.sum(axis=(0, 1))  # (C,)
     total = 0.0
-    for name in modalities:
-        means = stats.raster_means[name]
-        for cid in range(1, len(stats.counts) + 1):
-            if stats.counts[cid - 1] == 0:
+    for _, values, bounds in rasters:
+        weighted = np.einsum("ijc,ij->c", pred, values)
+        for ch in range(c):
+            if mass[ch] < _SOFT_MASS_FLOOR:
                 continue
-            iv = graph.interval(cid, name)
-            term, _ = _hinge_sq(float(means[cid - 1]), iv.lo, iv.hi)
+            mean = float(weighted[ch] / mass[ch])
+            term, deriv = _hinge_sq(mean, *bounds[ch])
             total += term
-            diagnostics.append(
-                {
-                    "class_id": cid,
-                    "category": graph.entry_for_id(cid).category,
-                    "modality": name,
-                    "mean": float(means[cid - 1]),
-                    "lo": iv.lo,
-                    "hi": iv.hi,
-                    "term": term,
-                }
-            )
-    value = total / len(modalities) if modalities else 0.0
-    return value, diagnostics
+            if deriv != 0.0:
+                if grad is None:
+                    grad = np.zeros((h, w, c))
+                grad[:, :, ch] += deriv * (values - mean) / mass[ch]
+    m = len(rasters)
+    return total / m, None if grad is None else grad / m
 
 
 def phys_loss_soft(pred, rasters, graph: PriorGraph):
@@ -252,32 +370,39 @@ def phys_loss_soft(pred, rasters, graph: PriorGraph):
     """
     pred = _check_pred(pred)
     rasters = rasters or {}
-    _check_aligned(pred, rasters=rasters)
-    grad = np.zeros_like(pred)
-    modalities = sorted(rasters, key=lambda m: MODALITY_INDEX[m])
-    if not modalities:
-        return 0.0, grad
-    c = pred.shape[2]
-    if graph.num_classes < c:
-        raise ValueError(
-            f"prediction has {c} channels but the graph defines {graph.num_classes} classes"
-        )
-    mass = pred.sum(axis=(0, 1))  # (C,)
-    total = 0.0
-    for name in modalities:
-        values = np.asarray(rasters[name], dtype=np.float64)
-        weighted = np.einsum("ijc,ij->c", pred, values)
-        for ch in range(c):
-            if mass[ch] < _SOFT_MASS_FLOOR:
-                continue
-            mean = float(weighted[ch] / mass[ch])
-            iv = graph.interval(ch + 1, name)
-            term, deriv = _hinge_sq(mean, iv.lo, iv.hi)
-            total += term
-            if deriv != 0.0:
-                grad[:, :, ch] += deriv * (values - mean) / mass[ch]
-    m = len(modalities)
-    return total / m, grad / m
+    _check_aligned(pred.shape, rasters=rasters)
+    value, grad = _phys_loss_soft(pred, _raster_targets(rasters, graph, pred.shape[2]))
+    return value, np.zeros_like(pred) if grad is None else grad
+
+
+def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights(), diagnostics: bool = False):
+    """Weighted joint objective of one prediction against prepared targets.
+
+    Returns (total, components, gradient w.r.t. pred) like ``total_loss``;
+    the per-(class, modality) hinge records under ``phys_terms`` are built
+    only when ``diagnostics`` is set.
+    """
+    pred = _check_pred(pred)
+    if pred.shape != targets.shape:
+        raise ValueError(f"prediction shape {pred.shape} does not match the targets {targets.shape}")
+    seg, grad = _seg_loss(pred, targets.labels, weights.alpha)
+    stats = _region_stats(pred, targets.features, targets.rasters)
+    region = _region_loss(stats, targets.features)
+    phys_soft, grad_phys = _phys_loss_soft(pred, targets.rasters)
+    phys_hard, terms = _phys_loss(stats, targets.rasters, targets.categories, diagnostics)
+    total = seg + weights.lambda1 * region + weights.lambda2 * phys_soft
+    if grad_phys is not None:
+        grad = grad + weights.lambda2 * grad_phys
+    components = {
+        "seg": seg,
+        "region": region,
+        "phys": phys_soft,
+        "phys_argmax": phys_hard,
+        "total": total,
+    }
+    if diagnostics:
+        components["phys_terms"] = terms
+    return total, components, grad
 
 
 def total_loss(pred, gt, features, rasters, graph: PriorGraph, weights: LossWeights = LossWeights()):
@@ -286,24 +411,9 @@ def total_loss(pred, gt, features, rasters, graph: PriorGraph, weights: LossWeig
     The ``phys`` component (and the returned gradient) use the
     probability-weighted hinge; ``phys_argmax`` reports the hard-region value
     of the same hinge alongside per-(class, modality) diagnostics.
-    Returns (total, components, gradient w.r.t. pred).
+    Returns (total, components, gradient w.r.t. pred).  Equivalent to
+    ``loss_step`` with diagnostics on targets prepared for this one call.
     """
     pred = _check_pred(pred)
-    rasters = rasters or {}
-    _check_aligned(pred, gt=gt, features=features, rasters=rasters)
-    seg, grad = seg_loss(pred, gt, weights.alpha)
-    stats = region_stats(pred, features, rasters)
-    region, _ = region_loss(stats, features, pred)
-    phys_soft, grad_phys = phys_loss_soft(pred, rasters, graph)
-    phys_hard, diagnostics = phys_loss(stats, graph)
-    total = seg + weights.lambda1 * region + weights.lambda2 * phys_soft
-    grad = grad + weights.lambda2 * grad_phys
-    components = {
-        "seg": seg,
-        "region": region,
-        "phys": phys_soft,
-        "phys_argmax": phys_hard,
-        "total": total,
-        "phys_terms": diagnostics,
-    }
-    return total, components, grad
+    targets = prepare_targets(gt, features, rasters, graph, pred.shape)
+    return loss_step(pred, targets, weights, diagnostics=True)

@@ -77,10 +77,6 @@ def miou(pred, gt, num_classes: int, ignore_background: bool = True) -> IoURepor
     return miou_from_confusion(conf, include_background=not ignore_background)
 
 
-def _edge_tol(lo: float, hi: float) -> float:
-    return 1e-9 * max(1.0, abs(lo), abs(hi))
-
-
 def plausibility_rate(labels, rasters, graph: PriorGraph):
     """Fraction of labeled regions whose mean physical value is inside its interval.
 
@@ -104,8 +100,7 @@ def plausibility_rate(labels, rasters, graph: PriorGraph):
         for cid in present:
             iv = graph.interval(cid, name)
             mean = float(values[labels == cid].mean())
-            tol = _edge_tol(iv.lo, iv.hi)
-            inside = (iv.lo - tol) <= mean <= (iv.hi + tol)
+            inside = (iv.lo - iv.edge_tol) <= mean <= (iv.hi + iv.edge_tol)
             breakdown[cid][name] = {"mean": mean, "lo": iv.lo, "hi": iv.hi, "inside": inside}
             inside_count += inside
         fractions.append(inside_count / len(present))

@@ -97,6 +97,11 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
+    @property
+    def edge_tol(self) -> float:
+        """Slack for comparing region means to the endpoints (absorbs summation rounding)."""
+        return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
+
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossWeights, total_loss
+from .losses import LossWeights, loss_step, prepare_targets, total_loss
 from .priors import MODALITIES, PriorGraph
 
 PROB_FLOOR = 1e-6  # lower clamp for refined probabilities
@@ -136,7 +136,7 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
     return np.concatenate([features, coarse, phys], axis=2)
 
 
-def zero_phys_channels(z: np.ndarray, num_classes: int) -> np.ndarray:
+def zero_phys_channels(z: np.ndarray) -> np.ndarray:
     """Copy of a joint tensor with the physical channel slots zeroed."""
     out = z.copy()
     out[:, :, -len(MODALITIES):] = 0.0
@@ -160,7 +160,10 @@ def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> Refi
 def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray):
     h, w, _ = z.shape
     flat_z = z.reshape(h * w, -1)
-    hidden = np.tanh(flat_z @ params.w1.T + params.b1)
+    # bias and tanh in place: one (N, hidden) buffer instead of two
+    hidden = flat_z @ params.w1.T
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
     squash = np.tanh(hidden @ params.w2.T + params.b2)
     dy = params.residual_scale * squash
     raw = coarse.reshape(h * w, -1) + dy
@@ -177,8 +180,11 @@ def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
     g_pre2 = g_dy * params.residual_scale * (1.0 - squash * squash)
     g_w2 = g_pre2.T @ hidden
     g_b2 = g_pre2.sum(axis=0)
-    g_hidden = g_pre2 @ params.w2
-    g_pre1 = g_hidden * (1.0 - hidden * hidden)
+    # 1 - hidden^2 in place: one (N, hidden) temporary instead of two
+    tanh_grad = hidden * hidden
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    g_pre1 = g_pre2 @ params.w2
+    g_pre1 *= tanh_grad
     g_w1 = g_pre1.T @ flat_z
     g_b1 = g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -209,8 +215,9 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     """Seeded gradient descent on the joint objective over a list of Scenes.
 
     Returns (params, history); history holds per-update mean loss components
-    with keys step, seg, region, phys, phys_argmax, total.  Raises
-    TrainingError (carrying the last finite state) if the loss goes
+    with keys step, seg, region, phys, phys_argmax, total.  Each scene is
+    checked and its loss targets prepared once, before the first step.
+    Raises TrainingError (carrying the last finite state) if the loss goes
     non-finite.
     """
     if not dataset:
@@ -221,7 +228,11 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     params = init_params(feature_dim, c, config)
 
     z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
-    z_dropped = [zero_phys_channels(z, c) for z in z_full]
+    z_dropped = [zero_phys_channels(z) for z in z_full]
+    targets = [
+        prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
+        for s, z in zip(scenes, z_full)
+    ]
     drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed), 1])))
     batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed), 2])))
 
@@ -244,9 +255,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                 drop = drop_rng.random() < config.modality_dropout_prob
                 z = z_dropped[idx] if drop else z_full[idx]
                 y1, _, cache = _forward(params, z, scene.coarse)
-                total, comps, grad_pred = total_loss(
-                    y1, scene.labels, scene.features, scene.rasters, graph, config.weights
-                )
+                total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
                     raise TrainingError(
                         f"loss became non-finite at epoch {epoch}",

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from physeg.inference import AttenuationConfig, RefinementTrace, attenuation, infer, reweight
-from physeg.priors import Interval, PriorEntry, PriorGraph, interval_distance
+from physeg.inference import (
+    AttenuationConfig,
+    RefinementTrace,
+    _attenuation_grids,
+    attenuation,
+    infer,
+    reweight,
+)
+from physeg.priors import Interval, PriorEntry, PriorGraph, interval_distance, interval_distance_grid
 from physeg.refiner import TrainConfig, init_params
 
 
@@ -246,6 +253,56 @@ class TestInfer:
         expected = {tuple(map(int, yx)) for yx in np.argwhere(out_labels != pre_labels)}
         assert flipped == expected
         assert expected  # the SAR prior must flip at least some ambiguous pixels
+
+
+def test_trace_matches_per_pixel_reference():
+    graph = PriorGraph(
+        tuple(
+            entry(name, ndvi, dem, sar, f"reasoning for {name}")
+            for name, ndvi, dem, sar in (
+                ("a", (0.3, 0.7), (0.0, 50.0), (-6.0, 2.0)),
+                ("b", (-0.5, -0.1), (0.0, 50.0), (-18.0, -10.0)),
+                ("c", (0.0, 0.2), (50.0, 100.0), (-9.0, -4.0)),
+            )
+        )
+    )
+    rng = np.random.default_rng(21)
+    h, w = 6, 7
+    refined = rng.uniform(1e-6, 1.0, size=(h, w, 3))
+    rasters = {"DEM": rng.uniform(-20, 150, size=(h, w)), "SAR": rng.uniform(-25, 5, size=(h, w))}
+    config = AttenuationConfig(available=("SAR", "DEM"))
+    _, labels, trace = reweight(refined, rasters, graph, config)
+    _, parts = _attenuation_grids(rasters, graph, config, 3)
+
+    pre_labels = refined.argmax(axis=2) + 1
+    expected = RefinementTrace()
+    for y, x in np.argwhere(labels != pre_labels):
+        pre, post = int(pre_labels[y, x]), int(labels[y, x])
+        per_modality = {}
+        for name in config.available:
+            record = {"value": float(rasters[name][y, x])}
+            for tag, cid in (("pre", pre), ("post", post)):
+                iv = graph.entry_for_id(cid).interval(name)
+                cell = rasters[name][y : y + 1, x : x + 1]
+                record[f"distance_{tag}"] = float(interval_distance_grid(cell, iv)[0, 0])
+                record[f"score_{tag}"] = float(parts[name][y, x, cid - 1])
+            per_modality[name] = record
+        expected.flips.append(
+            {
+                "y": int(y),
+                "x": int(x),
+                "pre_label": pre,
+                "post_label": post,
+                "pre_category": graph.entry_for_id(pre).category,
+                "post_category": graph.entry_for_id(post).category,
+                "modalities": per_modality,
+                "pre_reasoning": graph.entry_for_id(pre).reasoning,
+                "post_reasoning": graph.entry_for_id(post).reasoning,
+            }
+        )
+    assert len(expected.flips) >= 5
+    assert trace.to_jsonl() == expected.to_jsonl()
+    assert trace.flips == expected.flips
 
 
 def test_trace_jsonl_empty():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from fdcheck import assert_grad_close, central_difference
 
 from physeg.losses import (
     LossWeights,
+    loss_step,
     phys_loss,
     phys_loss_soft,
+    prepare_targets,
     region_loss,
     region_stats,
     seg_loss,
@@ -307,6 +310,32 @@ class TestTotalLoss:
             lambda p: total_loss(p, gt, features, rasters, graph3, w)[0], pred
         )
         assert_grad_close(grad, numeric)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("gt", (3, 4), "ground-truth mask shape (3, 4) does not match prediction (4, 4)"),
+            ("features", (4, 3, 2), "feature map shape (4, 3, 2) does not match prediction (4, 4)"),
+            ("rasters", (4, 3), "raster 'NDVI' shape (4, 3) does not match prediction (4, 4)"),
+        ],
+    )
+    def test_misaligned_inputs_keep_their_messages(self, graph3, field, bad, message):
+        rng = np.random.default_rng(12)
+        pred, gt, features = random_instance(rng, h=4, w=4)
+        inputs = {"gt": gt, "features": features, "rasters": {"NDVI": np.zeros((4, 4))}}
+        inputs[field] = {"NDVI": np.zeros(bad)} if field == "rasters" else np.zeros(bad)
+        args = (inputs["gt"], inputs["features"], inputs["rasters"], graph3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            total_loss(pred, *args)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prepare_targets(*args, pred.shape)
+
+    def test_step_rejects_prediction_of_another_shape(self, graph3):
+        rng = np.random.default_rng(13)
+        pred, gt, features = random_instance(rng, h=4, w=4)
+        targets = prepare_targets(gt, features, {}, graph3, pred.shape)
+        with pytest.raises(ValueError, match="does not match the targets"):
+            loss_step(pred[:, :3], targets)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from fdcheck import assert_grad_close, central_difference
 
+from physeg import benchmark
 from physeg.losses import LossWeights, total_loss
 from physeg.priors import Interval, PriorEntry, PriorGraph
 from physeg.refiner import (
@@ -146,7 +149,7 @@ class TestRefine:
         params = init_params(2, 3, TrainConfig(seed=5))
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
         z_absent = assemble_joint(features, coarse, {}, graph3)
-        z_zeroed = zero_phys_channels(assemble_joint(features, coarse, rasters, graph3), 3)
+        z_zeroed = zero_phys_channels(assemble_joint(features, coarse, rasters, graph3))
         y_absent, _ = refine(params, z_absent, coarse)
         y_zeroed, _ = refine(params, z_zeroed, coarse)
         assert y_absent.tobytes() == y_zeroed.tobytes()
@@ -214,6 +217,95 @@ class TestTrain:
     def test_empty_dataset_rejected(self, graph3):
         with pytest.raises(ValueError):
             train([], graph3, TrainConfig())
+
+    def test_misaligned_ground_truth_rejected_before_training(self, graph3):
+        scenes = make_dataset(graph3, seed=2, n=2)
+        bad = scenes[1]
+        scenes[1] = Scene(bad.features, bad.coarse, bad.rasters, bad.labels[:-1])
+        with pytest.raises(
+            ValueError,
+            match=re.escape("ground-truth mask shape (11, 12) does not match prediction (12, 12)"),
+        ):
+            train(scenes, graph3, TrainConfig(epochs=1))
+
+
+def demo_dataset(size=32, seed=0):
+    """The demo benchmark's scenes in memory, seeded as ``build_demo`` seeds them."""
+    graph = benchmark.demo_graph()
+    scenes = []
+    for k in range(3):
+        labels = benchmark.demo_labels(k, size=size)
+        rasters = synthesize_scene(
+            labels, graph, {"NDVI", "DEM", "SAR"}, SynthConfig(seed=seed * 1000 + k)
+        )
+        features, coarse = mock_backbone(
+            labels, graph, (benchmark.AMBIGUOUS_PAIR,), seed=seed * 1000 + 500 + k
+        )
+        scenes.append(Scene(features, coarse, rasters, labels))
+    return graph, scenes
+
+
+def reference_train(dataset, graph, config):
+    """``train`` written out step by step, scoring every step with public ``total_loss``."""
+    from physeg.refiner import _backward, _forward
+
+    params = init_params(dataset[0].features.shape[2], graph.num_classes, config)
+    z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in dataset]
+    z_dropped = [zero_phys_channels(z) for z in z_full]
+    drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
+    batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 2])))
+    n = len(dataset)
+    batch = n if config.batch_size == 0 else min(config.batch_size, n)
+    history = []
+    for _ in range(config.epochs):
+        order = np.arange(n) if batch == n else batch_rng.permutation(n)
+        for start in range(0, n, batch):
+            chunk = order[start : start + batch]
+            names = ("w1", "b1", "w2", "b2")
+            grads = [np.zeros_like(getattr(params, name)) for name in names]
+            sums = dict.fromkeys(("seg", "region", "phys", "phys_argmax", "total"), 0.0)
+            for idx in chunk:
+                scene = dataset[idx]
+                drop = drop_rng.random() < config.modality_dropout_prob
+                y1, _, cache = _forward(params, z_dropped[idx] if drop else z_full[idx], scene.coarse)
+                _, comps, grad_pred = total_loss(
+                    y1, scene.labels, scene.features, scene.rasters, graph, config.weights
+                )
+                for acc, g in zip(grads, _backward(params, cache, grad_pred)):
+                    acc += g
+                for key in sums:
+                    sums[key] += comps[key]
+            lr = config.learning_rate / len(chunk)
+            for name, g in zip(names, grads):
+                setattr(params, name, getattr(params, name) - lr * g)
+            record = {key: value / len(chunk) for key, value in sums.items()}
+            record["step"] = len(history)
+            history.append(record)
+    return params, history
+
+
+@pytest.mark.parametrize("batch_size", [0, 2])
+def test_train_is_bitwise_the_total_loss_reference(batch_size):
+    # train() prepares each scene's loss targets once; a stale or mixed-up
+    # target would show up as a parameter or history difference here
+    graph, scenes = demo_dataset()
+    config = TrainConfig(
+        seed=3,
+        epochs=20,
+        batch_size=batch_size,
+        weights=LossWeights(alpha=1.0, lambda1=0.05, lambda2=0.4),
+        modality_dropout_prob=0.5,
+        residual_scale=0.3,
+    )
+    params, history = train(scenes, graph, config)
+    ref_params, ref_history = reference_train(scenes, graph, config)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes()
+    def as_bits(hist):
+        return [{key: float(value).hex() for key, value in rec.items()} for rec in hist]
+
+    assert as_bits(history) == as_bits(ref_history)
+    assert any(rec["phys"] > 0.0 for rec in history)  # the hinge gradient took part
 
 
 class TestComposedGradient:
