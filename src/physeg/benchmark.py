@@ -13,6 +13,7 @@ inference / ablation commands.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -35,6 +36,7 @@ DEMO_EPOCHS = 500
 DEMO_LEARNING_RATE = 0.05
 DEMO_DROPOUT = 0.25
 DEMO_RESIDUAL_SCALE = 0.3
+DEMO_PHYS_LAMBDA2 = 0.40
 
 
 def demo_graph() -> PriorGraph:
@@ -167,12 +169,27 @@ def load_manifest(demo_dir):
     return graph, scenes, manifest
 
 
-def _aggregate_miou(label_pairs, num_classes):
-    total = None
-    for pred, gt in label_pairs:
-        conf = confusion_counts(pred, gt, num_classes)
-        total = conf if total is None else total + conf
-    return miou_from_confusion(total)
+def demo_train_config(seed, epochs, learning_rate, lambda2) -> TrainConfig:
+    """Training settings of the demo ablation for one physics-loss weight."""
+    return TrainConfig(
+        seed=seed,
+        epochs=epochs,
+        learning_rate=learning_rate,
+        weights=LossWeights(alpha=1.0, lambda1=0.05, lambda2=lambda2),
+        modality_dropout_prob=DEMO_DROPOUT,
+        residual_scale=DEMO_RESIDUAL_SCALE,
+    )
+
+
+# one row per component of the paper's ablation, each adding to the row above:
+# (name, synthetic training, interval re-weighting, physics loss)
+LADDER = (
+    ("baseline", False, False, False),
+    ("+synth-training", True, False, False),
+    ("+pckg-reweight", True, True, False),
+    ("+phys-loss", True, True, True),
+)
+_LADDER_KEYS = ("name", "use_synth_data", "use_pckg_reweight", "use_phys_loss")
 
 
 def evaluate_rows(
@@ -184,108 +201,45 @@ def evaluate_rows(
     learning_rate=DEMO_LEARNING_RATE,
     baseline_only=False,
 ):
-    """Run the four-row ablation ladder; returns the table as a dict.
+    """Run the ablation ladder (``LADDER``, or its baseline row alone); returns the table.
 
-    Rows: coarse baseline / + training on synthetic physical data /
-    + interval re-weighting at inference / + physics-consistency loss.
-    With ``baseline_only`` the table holds just the coarse baseline row.
+    The refiner trains once per physics-loss setting, on first use: twice for
+    the full ladder and not at all with ``baseline_only``.
     """
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
-    num_classes = graph.num_classes
+    gating = AttenuationConfig(available=available)
 
-    def train_with(lambda2):
-        config = TrainConfig(
-            seed=seed,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            weights=LossWeights(alpha=1.0, lambda1=0.05, lambda2=lambda2),
-            modality_dropout_prob=DEMO_DROPOUT,
-            residual_scale=DEMO_RESIDUAL_SCALE,
-        )
-        params, history = train(scenes, graph, config)
-        return params, history
+    @functools.cache
+    def trained(phys_loss):
+        lambda2 = DEMO_PHYS_LAMBDA2 if phys_loss else 0.0
+        return train(scenes, graph, demo_train_config(seed, epochs, learning_rate, lambda2))[0]
 
-    def run_inference(params, reweight_on):
+    def predict(scene, synth, reweight, phys_loss):
+        if not synth:
+            return (scene.coarse.argmax(axis=2) + 1).astype(np.int32)
         # rows without re-weighting still refine in visual-physical mode: the
         # available rasters populate the joint tensor, only the interval
         # gating at the output is toggled
-        pairs = []
-        for scene in scenes:
-            rasters = {m: scene.rasters[m] for m in available}
-            if reweight_on:
-                config = AttenuationConfig(available=available)
-                labels, _, _ = infer(
-                    params, scene.features, scene.coarse, rasters, graph, config
-                )
-            else:
-                z = assemble_joint(scene.features, scene.coarse, rasters, graph)
-                refined, _ = refine(params, z, scene.coarse)
-                labels = (refined.argmax(axis=2) + 1).astype(np.int32)
-            pairs.append((labels, scene.labels))
-        return pairs
+        rasters = {m: scene.rasters[m] for m in available}
+        params = trained(phys_loss)
+        if reweight:
+            return infer(params, scene.features, scene.coarse, rasters, graph, gating)[0]
+        z = assemble_joint(scene.features, scene.coarse, rasters, graph)
+        refined, _ = refine(params, z, scene.coarse)
+        return (refined.argmax(axis=2) + 1).astype(np.int32)
 
     rows = []
-
-    baseline_pairs = [
-        ((scene.coarse.argmax(axis=2) + 1).astype(np.int32), scene.labels)
-        for scene in scenes
-    ]
-    rows.append(
-        {
-            "name": "baseline",
-            "use_synth_data": False,
-            "use_pckg_reweight": False,
-            "use_phys_loss": False,
-            "miou": _aggregate_miou(baseline_pairs, num_classes).miou,
-        }
-    )
-    if baseline_only:
-        rows[0]["delta"] = 0.0
-        return {
-            "rows": rows,
-            "ordering_ok": True,
-            "seed": seed,
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-        }
-
-    params_nophys, _ = train_with(lambda2=0.0)
-    rows.append(
-        {
-            "name": "+synth-training",
-            "use_synth_data": True,
-            "use_pckg_reweight": False,
-            "use_phys_loss": False,
-            "miou": _aggregate_miou(run_inference(params_nophys, False), num_classes).miou,
-        }
-    )
-    rows.append(
-        {
-            "name": "+pckg-reweight",
-            "use_synth_data": True,
-            "use_pckg_reweight": True,
-            "use_phys_loss": False,
-            "miou": _aggregate_miou(run_inference(params_nophys, True), num_classes).miou,
-        }
-    )
-
-    params_phys, _ = train_with(lambda2=0.40)
-    rows.append(
-        {
-            "name": "+phys-loss",
-            "use_synth_data": True,
-            "use_pckg_reweight": True,
-            "use_phys_loss": True,
-            "miou": _aggregate_miou(run_inference(params_phys, True), num_classes).miou,
-        }
-    )
-
-    for k, row in enumerate(rows):
-        row["delta"] = 0.0 if k == 0 else row["miou"] - rows[k - 1]["miou"]
-    ordering_ok = all(rows[k]["miou"] < rows[k + 1]["miou"] for k in range(len(rows) - 1))
+    for entry in LADDER[:1] if baseline_only else LADDER:
+        row = dict(zip(_LADDER_KEYS, entry))
+        conf = sum(
+            confusion_counts(predict(s, *entry[1:]), s.labels, graph.num_classes) for s in scenes
+        )
+        row["miou"] = miou_from_confusion(conf).miou
+        row["delta"] = row["miou"] - rows[-1]["miou"] if rows else 0.0
+        rows.append(row)
     return {
         "rows": rows,
-        "ordering_ok": ordering_ok,
+        "ordering_ok": all(a["miou"] < b["miou"] for a, b in zip(rows, rows[1:])),
         "seed": seed,
         "epochs": epochs,
         "learning_rate": learning_rate,

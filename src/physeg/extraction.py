@@ -22,13 +22,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .priors import (
-    ENTRY_FIELDS,
-    PriorEntry,
-    PriorError,
-    PriorGraph,
-    entry_from_json_obj,
-)
+from .priors import PriorEntry, PriorError, PriorGraph, entry_from_json_obj
 
 PROMPT_TEMPLATE_ID = "v1"
 
@@ -77,9 +71,7 @@ class EmptyGraphError(ExtractionError):
 
 @dataclass(frozen=True)
 class PromptSpec:
-    category_vocab: str = ""
     instruction_template_id: str = PROMPT_TEMPLATE_ID
-    required_fields: tuple = ENTRY_FIELDS
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def build_prompt(vocab: str, spec: PromptSpec | None = None) -> str:
     """Render the extraction prompt for one category phrase."""
     if not vocab or not vocab.strip():
         raise ValueError("category phrase must be non-empty")
-    spec = spec or PromptSpec(category_vocab=vocab)
+    spec = spec or PromptSpec()
     if spec.instruction_template_id != PROMPT_TEMPLATE_ID:
         raise ValueError(f"unknown prompt template {spec.instruction_template_id!r}")
     return PROMPT_TEMPLATE_V1.format(category=vocab.strip())
@@ -202,7 +194,7 @@ def extract_entry(vocab: str, provider: ProviderConfig, transport=None):
     failure and ExtractionError (carrying the raw responses) when no attempt
     validates.
     """
-    base_prompt = build_prompt(vocab, PromptSpec(category_vocab=vocab))
+    base_prompt = build_prompt(vocab)
     prompt = base_prompt
     raw_responses = []
     last_error = None
@@ -290,11 +282,8 @@ def extract_graph(vocab_list, provider: ProviderConfig, transport=None):
                 None,
             )
 
-    if provider.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=provider.parallelism) as pool:
-            results = list(pool.map(attempt, terms))
-    else:
-        results = [attempt(term) for term in terms]
+    with ThreadPoolExecutor(max_workers=provider.parallelism) as pool:
+        results = list(pool.map(attempt, terms))
 
     report = ExtractionReport(terms=[rec for rec, _ in results])
     entries = [entry for _, entry in results if entry is not None]

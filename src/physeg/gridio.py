@@ -7,7 +7,8 @@ Floats are written with repr so files are byte-stable and round-trip exactly.
 
 Parameter format (PSPARAMS): header ``PSPARAMS v1 <D> <C> <M> <H>`` followed
 by the fusion matrix, fusion bias, head matrix, head bias and residual scale,
-row-major ASCII.
+row-major ASCII.  FEAT, PROB and PSPARAMS values must be finite; modality
+rasters may hold nan or inf.
 """
 
 from __future__ import annotations
@@ -18,55 +19,72 @@ from .priors import MODALITIES
 
 GRID_KINDS = MODALITIES + ("LABEL", "PROB", "FEAT")
 _PLANAR_KINDS = ("PROB", "FEAT")
+_HISTORY_COLUMNS = ("seg", "region", "phys", "total")
 
 
 class GridFormatError(ValueError):
     """Raised for malformed grid or parameter files."""
 
 
-def _fmt_row(row) -> str:
-    return " ".join(repr(float(v)) for v in row)
+def _format_row(row: np.ndarray, sep: str = " ") -> str:
+    """One row of an int64 or float64 array; repr round-trips doubles exactly."""
+    return sep.join(map(repr, row.tolist()))
+
+
+def _write_lines(path, header: str, rows) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
+def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
+    """Header tokens and the non-blank value lines of a file whose line 1 starts with magic."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith(magic):
+        raise GridFormatError(f"{path}: missing {magic.strip()} header")
+    return lines[0].split(), [ln for ln in lines[1:] if ln.strip()]
+
+
+def _parse_block(path, lines, width: int, dtype, finite: bool) -> np.ndarray:
+    """Parse value lines into a (len(lines), width) array of dtype.
+
+    Each line must hold exactly ``width`` tokens that parse as dtype, and with
+    ``finite`` no value may be nan or inf.  Every failure raises
+    GridFormatError naming the file.
+    """
+    rows = [ln.split() for ln in lines]
+    for row in rows:
+        if len(row) != width:
+            raise GridFormatError(f"{path}: expected {width} values per row, got {len(row)}")
+    try:
+        block = np.array(rows, dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError) as exc:
+        raise GridFormatError(f"{path}: malformed value: {exc}") from exc
+    if finite and not np.isfinite(block).all():
+        raise GridFormatError(f"{path}: non-finite value where finite values are required")
+    return block
 
 
 def write_grid(path, kind: str, values: np.ndarray) -> None:
     """Write a LABEL (H,W int), modality (H,W float) or PROB/FEAT (H,W,C) grid."""
     if kind not in GRID_KINDS:
         raise GridFormatError(f"unknown grid kind {kind!r}")
-    arr = np.asarray(values)
-    lines = []
-    if kind in _PLANAR_KINDS:
-        if arr.ndim != 3:
-            raise GridFormatError(f"{kind} grids need a (H, W, C) array, got shape {arr.shape}")
+    planar = kind in _PLANAR_KINDS
+    arr = np.asarray(values, dtype=np.int64 if kind == "LABEL" else np.float64)
+    if arr.ndim != (3 if planar else 2):
+        layout = "(H, W, C)" if planar else "(H, W)"
+        raise GridFormatError(f"{kind} grids need a {layout} array, got shape {arr.shape}")
+    header = " ".join(["PGRD", kind, *map(str, arr.shape)])
+    if planar:
         h, w, c = arr.shape
-        lines.append(f"PGRD {kind} {h} {w} {c}")
-        for plane in range(c):
-            for i in range(h):
-                lines.append(_fmt_row(arr[i, :, plane]))
-    elif kind == "LABEL":
-        if arr.ndim != 2:
-            raise GridFormatError(f"LABEL grids need a (H, W) array, got shape {arr.shape}")
-        h, w = arr.shape
-        lines.append(f"PGRD LABEL {h} {w}")
-        for i in range(h):
-            lines.append(" ".join(str(int(v)) for v in arr[i]))
-    else:
-        if arr.ndim != 2:
-            raise GridFormatError(f"{kind} grids need a (H, W) array, got shape {arr.shape}")
-        h, w = arr.shape
-        lines.append(f"PGRD {kind} {h} {w}")
-        for i in range(h):
-            lines.append(_fmt_row(arr[i]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        arr = np.moveaxis(arr, 2, 0).reshape(c * h, w)
+    _write_lines(path, header, (_format_row(row) for row in arr))
 
 
 def read_grid(path) -> tuple[str, np.ndarray]:
     """Read a PGRD file; returns (kind, array)."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("PGRD "):
-        raise GridFormatError(f"{path}: missing PGRD header")
-    head = lines[0].split()
+    head, body = _read_lines(path, "PGRD ")
     kind = head[1] if len(head) > 1 else ""
     if kind not in GRID_KINDS:
         raise GridFormatError(f"{path}: unknown grid kind {kind!r}")
@@ -80,20 +98,14 @@ def read_grid(path) -> tuple[str, np.ndarray]:
         raise GridFormatError(f"{path}: non-integer dimension in header") from exc
     h, w = dims[0], dims[1]
     c = dims[2] if planar else 1
-    body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != h * c:
         raise GridFormatError(f"{path}: expected {h * c} value rows, got {len(body)}")
+    # features and probabilities must be finite; a raster may mark "not measured"
     dtype = np.int32 if kind == "LABEL" else np.float64
-    rows = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != w:
-            raise GridFormatError(f"{path}: expected {w} values per row, got {len(parts)}")
-        rows.append(parts)
-    flat = np.array(rows, dtype=dtype)
+    block = _parse_block(path, body, w, dtype, finite=planar)
     if planar:
-        return kind, np.ascontiguousarray(flat.reshape(c, h, w).transpose(1, 2, 0))
-    return kind, flat.reshape(h, w)
+        return kind, np.ascontiguousarray(block.reshape(c, h, w).transpose(1, 2, 0))
+    return kind, block
 
 
 def read_grid_as(path, kind: str) -> np.ndarray:
@@ -111,58 +123,40 @@ def write_params(path, params) -> None:
     d = din - c - m
     if d < 0:
         raise GridFormatError(f"inconsistent parameter shapes: fused width {din} < C+M")
-    lines = [f"PSPARAMS v1 {d} {c} {m} {hidden}"]
-    for row in params.w1:
-        lines.append(_fmt_row(row))
-    lines.append(_fmt_row(params.b1))
-    for row in params.w2:
-        lines.append(_fmt_row(row))
-    lines.append(_fmt_row(params.b2))
-    lines.append(repr(float(params.residual_scale)))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    blocks = (params.w1, params.b1, params.w2, params.b2, params.residual_scale)
+    rows = (
+        _format_row(row)
+        for block in blocks
+        for row in np.atleast_2d(np.asarray(block, dtype=np.float64))
+    )
+    _write_lines(path, f"PSPARAMS v1 {d} {c} {m} {hidden}", rows)
 
 
 def read_params(path):
     """Read a PSPARAMS v1 file; returns a refiner.RefinerParams."""
     from .refiner import RefinerParams
 
-    with open(path, encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("PSPARAMS v1 "):
-        raise GridFormatError(f"{path}: missing PSPARAMS v1 header")
+    head, body = _read_lines(path, "PSPARAMS v1 ")
     try:
-        d, c, m, hidden = (int(t) for t in lines[0].split()[2:])
+        d, c, m, hidden = (int(t) for t in head[2:])
     except ValueError as exc:
         raise GridFormatError(f"{path}: malformed header") from exc
-    din = d + c + m
-    expect = hidden + 1 + c + 1 + 1
-    if len(lines) - 1 != expect:
-        raise GridFormatError(f"{path}: expected {expect} value rows, got {len(lines) - 1}")
-    cursor = 1
-
-    def take(n, width):
-        nonlocal cursor
-        block = lines[cursor : cursor + n]
+    shapes = ((hidden, d + c + m), (1, hidden), (c, hidden), (1, c), (1, 1))
+    expect = sum(n for n, _ in shapes)
+    if len(body) != expect:
+        raise GridFormatError(f"{path}: expected {expect} value rows, got {len(body)}")
+    blocks, cursor = [], 0
+    for n, width in shapes:
+        blocks.append(_parse_block(path, body[cursor : cursor + n], width, np.float64, finite=True))
         cursor += n
-        arr = np.array([ln.split() for ln in block], dtype=np.float64)
-        if arr.shape != (n, width):
-            raise GridFormatError(f"{path}: block shape {arr.shape} != {(n, width)}")
-        return arr
-
-    w1 = take(hidden, din)
-    b1 = take(1, hidden)[0]
-    w2 = take(c, hidden)
-    b2 = take(1, c)[0]
-    scale = float(lines[cursor])
-    return RefinerParams(w1=w1, b1=b1, w2=w2, b2=b2, residual_scale=scale)
+    w1, b1, w2, b2, scale = blocks
+    return RefinerParams(w1=w1, b1=b1[0], w2=w2, b2=b2[0], residual_scale=float(scale[0, 0]))
 
 
 def write_history_csv(path, history) -> None:
     """Write per-step loss components as CSV (step, seg, region, phys, total)."""
-    lines = ["step,seg,region,phys,total"]
-    for k, rec in enumerate(history):
-        cells = ",".join(repr(float(rec[key])) for key in ("seg", "region", "phys", "total"))
-        lines.append(f"{k},{cells}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.array(
+        [[rec[key] for key in _HISTORY_COLUMNS] for rec in history], dtype=np.float64
+    ).reshape(-1, len(_HISTORY_COLUMNS))
+    rows = (f"{k},{_format_row(row, ',')}" for k, row in enumerate(table))
+    _write_lines(path, ",".join(("step",) + _HISTORY_COLUMNS), rows)

@@ -168,7 +168,7 @@ def prepare_targets(gt, features, rasters, graph: PriorGraph, shape) -> LossTarg
     )
 
 
-def _seg_loss(pred, labels: _Labels, alpha: float, dice_as_loss: bool = True):
+def _seg_loss(pred, labels: _Labels, alpha: float):
     h, w, c = pred.shape
     grad = np.zeros((h, w, c))
     n_lab = len(labels.pixels)
@@ -197,21 +197,19 @@ def _seg_loss(pred, labels: _Labels, alpha: float, dice_as_loss: bool = True):
             d_dice = np.where(in_class, coeff * (union - inter), -coeff * inter)
             flat_grad[labels.pixels, ch] -= alpha * (d_dice / n_present)
         mean_dice = dice_sum / n_present
-        dice_value = 1.0 - mean_dice if dice_as_loss else -mean_dice
+        dice_value = 1.0 - mean_dice
     return ce + alpha * dice_value, grad
 
 
-def seg_loss(pred, gt, alpha: float = 1.0, dice_as_loss: bool = True):
+def seg_loss(pred, gt, alpha: float = 1.0):
     """Cross-entropy + alpha * (1 - soft Dice) over labeled pixels.
 
     Returns (value, gradient w.r.t. pred).  Dice averages the per-class soft
-    overlap over classes present in the ground truth; ``dice_as_loss=False``
-    flips the Dice term to a reward (-coefficient), which shifts the value by
-    a constant but leaves gradients unchanged.
+    overlap over classes present in the ground truth.
     """
     pred = _check_pred(pred)
     _check_aligned(pred.shape, gt=gt)
-    return _seg_loss(pred, _label_targets(gt, pred.shape[2]), alpha, dice_as_loss)
+    return _seg_loss(pred, _label_targets(gt, pred.shape[2]), alpha)
 
 
 def _region_stats(pred, features, rasters) -> RegionStats:

@@ -105,10 +105,6 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def distance(self, value: float) -> float:
-        """Point-to-interval distance: 0 inside, nearest-endpoint distance outside."""
-        return interval_distance(value, self)
-
     def as_pair(self) -> list[float]:
         return [self.lo, self.hi]
 

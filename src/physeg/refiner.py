@@ -240,15 +240,14 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
     history = []
     last_good = params.copy()
+    # updated in place, so these stay the live parameter arrays
+    arrays = (params.w1, params.b1, params.w2, params.b2)
 
     for epoch in range(config.epochs):
         order = np.arange(n) if batch == n else batch_rng.permutation(n)
         for start in range(0, n, batch):
             chunk = order[start : start + batch]
-            g_w1 = np.zeros_like(params.w1)
-            g_b1 = np.zeros_like(params.b1)
-            g_w2 = np.zeros_like(params.w2)
-            g_b2 = np.zeros_like(params.b2)
+            grads = [np.zeros_like(a) for a in arrays]
             comps_sum = {"seg": 0.0, "region": 0.0, "phys": 0.0, "phys_argmax": 0.0, "total": 0.0}
             for idx in chunk:
                 scene = scenes[idx]
@@ -262,25 +261,15 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                         params=last_good,
                         history=history,
                     )
-                dw1, db1, dw2, db2 = _backward(params, cache, grad_pred)
-                g_w1 += dw1
-                g_b1 += db1
-                g_w2 += dw2
-                g_b2 += db2
+                for g, d in zip(grads, _backward(params, cache, grad_pred)):
+                    g += d
                 for key in comps_sum:
                     comps_sum[key] += comps[key]
             k = len(chunk)
             lr = config.learning_rate / k
-            params.w1 -= lr * g_w1
-            params.b1 -= lr * g_b1
-            params.w2 -= lr * g_w2
-            params.b2 -= lr * g_b2
-            if not (
-                np.all(np.isfinite(params.w1))
-                and np.all(np.isfinite(params.b1))
-                and np.all(np.isfinite(params.w2))
-                and np.all(np.isfinite(params.b2))
-            ):
+            for a, g in zip(arrays, grads):
+                a -= lr * g
+            if not all(np.all(np.isfinite(a)) for a in arrays):
                 raise TrainingError(
                     f"parameters became non-finite at epoch {epoch}",
                     params=last_good,

@@ -9,7 +9,7 @@ sub-seeds so each modality is independently reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class SynthConfig:
     seed: int = 0
     noise_model: str = "truncated_gaussian"  # or "uniform"
     smoothing_radius: int = 1
-    background_fill: dict = field(default_factory=lambda: dict(DEFAULT_BACKGROUND))
 
     def __post_init__(self):
         if self.noise_model not in ("truncated_gaussian", "uniform"):
@@ -64,7 +63,7 @@ def _check_labels(mask: np.ndarray, graph: PriorGraph) -> np.ndarray:
 
 
 def _interval_grids(labels, graph, modality, fill):
-    """Per-pixel lo/hi/mid/std lookup grids for the given modality."""
+    """Per-pixel interval lo/hi grids for the given modality; background takes fill."""
     c = graph.num_classes
     lo = np.full(c + 1, fill, dtype=np.float64)
     hi = np.full(c + 1, fill, dtype=np.float64)
@@ -83,12 +82,12 @@ def synthesize_raster(
     """Generate one modality raster, pixel-aligned with the mask.
 
     Labeled pixels end up inside their class interval exactly (values are
-    re-clipped after smoothing); background pixels take the configured fill.
+    re-clipped after smoothing); background pixels take ``DEFAULT_BACKGROUND``.
     """
     labels = _check_labels(mask, graph)
     if modality not in MODALITY_INDEX:
         raise ValueError(f"unknown modality {modality!r}")
-    fill = float(config.background_fill.get(modality, DEFAULT_BACKGROUND[modality]))
+    fill = DEFAULT_BACKGROUND[modality]
     lo, hi = _interval_grids(labels, graph, modality, fill)
 
     seq = np.random.SeedSequence([int(config.seed), MODALITY_INDEX[modality]])

@@ -56,13 +56,8 @@ def demo(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(demo):
-    config = TrainConfig(
-        seed=0,
-        epochs=benchmark.DEMO_EPOCHS,
-        learning_rate=benchmark.DEMO_LEARNING_RATE,
-        weights=LossWeights(alpha=1.0, lambda1=0.05, lambda2=0.40),
-        modality_dropout_prob=benchmark.DEMO_DROPOUT,
-        residual_scale=benchmark.DEMO_RESIDUAL_SCALE,
+    config = benchmark.demo_train_config(
+        0, benchmark.DEMO_EPOCHS, benchmark.DEMO_LEARNING_RATE, benchmark.DEMO_PHYS_LAMBDA2
     )
     start = time.monotonic()
     params, history = train(demo["scenes"], demo["graph"], config)

@@ -287,6 +287,32 @@ class TestTrainRefineEval:
         assert code == 1
         assert "lst" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("bad_input", ["params", "features"])
+    def test_non_finite_input_exit_1(self, pipeline_dir, capsys, bad_input):
+        demo = pipeline_dir / "demo"
+        paths = {"params": pipeline_dir / "params.psp", "features": demo / "scene_0.features.pgrd"}
+        lines = paths[bad_input].read_text().splitlines()
+        lines[1] = "nan " + lines[1].split(" ", 1)[1]  # first value after the header
+        bad = pipeline_dir / f"nan_{paths[bad_input].name}"
+        bad.write_text("\n".join(lines) + "\n")
+        paths[bad_input] = bad
+        out = pipeline_dir / f"nan_{bad_input}_out"
+        code, _, err = run(
+            capsys,
+            "refine",
+            "--params", str(paths["params"]),
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(paths["features"]),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
+            "--out", str(out),
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "GridFormatError"
+        assert str(bad) in payload["message"]
+        assert not out.exists()
+
 
 class TestAblate:
     def test_four_rows_and_artifacts(self, tmp_path, capsys):
