@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .priors import PriorEntry, PriorError, PriorGraph, entry_from_json_obj
@@ -112,6 +109,8 @@ def fixture_filename(term: str) -> str:
 
 def _post_chat(endpoint: str, prompt: str, config: ProviderConfig) -> str:
     """One chat-completion POST; returns the raw assistant text."""
+    import urllib.request  # loads http.client, ssl and email: only live extraction needs them
+
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
@@ -139,7 +138,7 @@ def _fetch_response(term: str, prompt: str, config: ProviderConfig, transport=No
     send = transport or _post_chat
     try:
         return send(config.endpoint, prompt, config)
-    except (urllib.error.URLError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, json.JSONDecodeError) as exc:  # urllib's URLError is an OSError
         raise TransportError(f"provider request failed for {term!r}: {exc}") from exc
 
 
@@ -281,6 +280,8 @@ def extract_graph(vocab_list, provider: ProviderConfig, transport=None):
                 },
                 None,
             )
+
+    from concurrent.futures import ThreadPoolExecutor  # only extraction starts threads
 
     with ThreadPoolExecutor(max_workers=provider.parallelism) as pool:
         results = list(pool.map(attempt, terms))

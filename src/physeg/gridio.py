@@ -8,10 +8,13 @@ Floats are written with repr so files are byte-stable and round-trip exactly.
 Parameter format (PSPARAMS): header ``PSPARAMS v1 <D> <C> <M> <H>`` followed
 by the fusion matrix, fusion bias, head matrix, head bias and residual scale,
 row-major ASCII.  FEAT, PROB and PSPARAMS values must be finite; modality
-rasters may hold nan or inf.
+rasters may hold nan or inf.  Readers take any whitespace between values and
+skip blank lines.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from .priors import MODALITIES
 GRID_KINDS = MODALITIES + ("LABEL", "PROB", "FEAT")
 _PLANAR_KINDS = ("PROB", "FEAT")
 _HISTORY_COLUMNS = ("seg", "region", "phys", "total")
+# str.splitlines() ends a line at these; np.loadtxt reads them as spaces
+_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 class GridFormatError(ValueError):
@@ -39,8 +44,11 @@ def _write_lines(path, header: str, rows) -> None:
 
 def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
     """Header tokens and the non-blank value lines of a file whose line 1 starts with magic."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path}: not an ASCII file: {exc}") from exc
     if not lines or not lines[0].startswith(magic):
         raise GridFormatError(f"{path}: missing {magic.strip()} header")
     return lines[0].split(), [ln for ln in lines[1:] if ln.strip()]
@@ -82,9 +90,8 @@ def write_grid(path, kind: str, values: np.ndarray) -> None:
     _write_lines(path, header, (_format_row(row) for row in arr))
 
 
-def read_grid(path) -> tuple[str, np.ndarray]:
-    """Read a PGRD file; returns (kind, array)."""
-    head, body = _read_lines(path, "PGRD ")
+def _grid_layout(path, head: list[str]) -> tuple[str, int, int, int]:
+    """Kind, H, W and C (1 for single-plane kinds) from PGRD header tokens."""
     kind = head[1] if len(head) > 1 else ""
     if kind not in GRID_KINDS:
         raise GridFormatError(f"{path}: unknown grid kind {kind!r}")
@@ -96,14 +103,58 @@ def read_grid(path) -> tuple[str, np.ndarray]:
         dims = [int(t) for t in head[2:]]
     except ValueError as exc:
         raise GridFormatError(f"{path}: non-integer dimension in header") from exc
-    h, w = dims[0], dims[1]
-    c = dims[2] if planar else 1
-    if len(body) != h * c:
-        raise GridFormatError(f"{path}: expected {h * c} value rows, got {len(body)}")
-    # features and probabilities must be finite; a raster may mark "not measured"
-    dtype = np.int32 if kind == "LABEL" else np.float64
-    block = _parse_block(path, body, w, dtype, finite=planar)
-    if planar:
+    return kind, dims[0], dims[1], dims[2] if planar else 1
+
+
+def _plain_lines(fh):
+    """The lines of fh, failing on any that str.splitlines() would split further."""
+    for line in fh:
+        if any(ch in line for ch in _SPLITLINES_ONLY_BREAKS):
+            raise ValueError("line break other than a newline")
+        yield line
+
+
+def _read_grid_fast(path):
+    """(kind, H, W, C, block) from one np.loadtxt pass over the file, or None.
+
+    None on any failure, warnings included; read_grid then runs the checked
+    parse, which alone decides what is accepted and what an error says.
+    Where both accept a file they give the same values bit for bit.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = _plain_lines(fh)
+            head = next(lines)
+            if not head.startswith("PGRD "):
+                return None
+            kind, h, w, c = _grid_layout(path, head.split())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = np.loadtxt(lines, dtype=_grid_dtype(kind), comments=None, ndmin=2)
+    except Exception:  # the checked parse reports the failure, or accepts the file
+        return None
+    if block.shape != (h * c, w) or (kind in _PLANAR_KINDS and not np.isfinite(block).all()):
+        return None
+    return kind, h, w, c, block
+
+
+def _grid_dtype(kind: str):
+    return np.int32 if kind == "LABEL" else np.float64
+
+
+def read_grid(path) -> tuple[str, np.ndarray]:
+    """Read a PGRD file; returns (kind, array)."""
+    fast = _read_grid_fast(path)
+    if fast is not None:
+        kind, h, w, c, block = fast
+    else:
+        head, body = _read_lines(path, "PGRD ")
+        kind, h, w, c = _grid_layout(path, head)
+        if len(body) != h * c:
+            raise GridFormatError(f"{path}: expected {h * c} value rows, got {len(body)}")
+        # features and probabilities must be finite; a raster may mark "not measured"
+        block = _parse_block(path, body, w, _grid_dtype(kind), finite=kind in _PLANAR_KINDS)
+    if kind in _PLANAR_KINDS:
         return kind, np.ascontiguousarray(block.reshape(c, h, w).transpose(1, 2, 0))
     return kind, block
 

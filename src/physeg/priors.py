@@ -335,8 +335,16 @@ def serialize_pckg(graph: PriorGraph) -> str:
 
 
 def load_graph(path) -> PriorGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pckg(fh.read())
+    """Read and parse a graph file; a file that is not JSON fails naming its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PriorParseError(f"{path}: not a UTF-8 file: {exc}") from exc
+    try:
+        return parse_pckg(document)
+    except PriorParseError as exc:
+        raise PriorParseError(f"{path}: {exc}") from exc
 
 
 def save_graph(graph: PriorGraph, path) -> None:

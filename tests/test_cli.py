@@ -158,6 +158,40 @@ class TestSynthCommands:
         assert code == 1
         assert "9" in json.loads(err)["message"]
 
+    def test_non_ascii_labels_exit_1_naming_file(self, tmp_path, capsys):
+        demo = tmp_path / "demo"
+        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
+        labels = tmp_path / "labels.pgrd"
+        labels.write_bytes("PGRD LABEL 1 2\n1 \u00e9\n".encode("utf-8"))
+        code, _, err = run(
+            capsys,
+            "synth",
+            "--pckg", str(demo / "pckg.json"),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "GridFormatError"
+        assert str(labels) in payload["message"]
+
+    @pytest.mark.parametrize("document", ["", "not json", "\u00e9"])
+    def test_unreadable_graph_exit_1_naming_file(self, tmp_path, capsys, document):
+        graph = tmp_path / "graph.json"
+        graph.write_bytes(document.encode("latin-1"))
+        write_grid(tmp_path / "labels.pgrd", "LABEL", np.ones((2, 2), dtype=np.int32))
+        code, _, err = run(
+            capsys,
+            "synth",
+            "--pckg", str(graph),
+            "--labels", str(tmp_path / "labels.pgrd"),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "PriorParseError"
+        assert str(graph) in payload["message"]
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
 
 import pytest
 
+from physeg.cli import main
 from physeg.extraction import (
     EmptyGraphError,
     ExtractionError,
     PromptSpec,
     ProviderConfig,
     TransportError,
+    _post_chat,
     build_prompt,
     extract_entry,
     extract_graph,
@@ -144,6 +151,88 @@ class TestLiveTransport:
         with pytest.raises(ExtractionError):
             extract_entry("water", self._live(retries=1), transport=transport)
         assert len(calls) == 2
+
+
+class _CannedResponse:
+    def __init__(self, body):
+        self._body = body
+
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestUrllibTransport:
+    """The live path through _post_chat, with urllib.request.urlopen replaced."""
+
+    def _live(self, retries=0):
+        return ProviderConfig(
+            mode="live", endpoint="https://llm.example/v1/chat", max_retries=retries
+        )
+
+    def test_post_chat_returns_assistant_text(self, monkeypatch):
+        sent = []
+
+        def urlopen(request, timeout):
+            sent.append((request, timeout))
+            reply = {"choices": [{"message": {"role": "assistant", "content": "canned"}}]}
+            return _CannedResponse(json.dumps(reply).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("PHYSEG_LLM_API_KEY", "k123")
+        assert _post_chat("https://llm.example/v1/chat", "the prompt", self._live()) == "canned"
+        (request, timeout), = sent
+        assert request.full_url == "https://llm.example/v1/chat"
+        assert timeout == 30.0
+        assert request.get_header("Authorization") == "Bearer k123"
+        payload = json.loads(request.data)
+        assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
+        assert payload["temperature"] == 0
+
+    def test_url_error_becomes_transport_error(self, monkeypatch):
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(1)
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(TransportError, match="connection refused"):
+            extract_entry("water", self._live(retries=1))
+        assert len(calls) == 2
+
+    def test_url_error_exits_3_from_cli(self, monkeypatch, tmp_path, capsys):
+        def urlopen(request, timeout):
+            raise urllib.error.URLError("no route to host")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        code = main([
+            "pckg", "extract", "--vocab", "water", "--live",
+            "--endpoint", "https://llm.example/v1/chat", "--retries", "0",
+            "--out", str(tmp_path / "graph.json"),
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "TransportError"
+
+
+def test_cli_import_leaves_network_and_thread_pool_modules_unloaded():
+    # refine, eval and synth processes should not pay for http.client, ssl or email
+    probe = (
+        "import sys, physeg.cli; "
+        "print([m for m in ('urllib.request', 'http.client', 'concurrent.futures')"
+        " if m in sys.modules])"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestExtractGraph:

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from physeg import gridio
 from physeg.gridio import (
+    GRID_KINDS,
     GridFormatError,
     read_grid,
     read_grid_as,
@@ -140,3 +148,106 @@ def test_malformed_params_rejected_with_path(tmp_path, line, text, match):
     with pytest.raises(GridFormatError, match=match) as info:
         read_params(path)
     assert str(path) in str(info.value)
+
+
+def test_non_ascii_grid_rejected_with_path(tmp_path):
+    path = tmp_path / "labels.pgrd"
+    path.write_bytes("PGRD LABEL 1 2\n1 \u00e9\n".encode("utf-8"))
+    with pytest.raises(GridFormatError, match="not an ASCII file") as info:
+        read_grid(path)
+    assert str(path) in str(info.value)
+
+
+def test_non_ascii_params_rejected_with_path(tmp_path):
+    path = tmp_path / "weights.psp"
+    write_params(path, init_params(1, 2, TrainConfig(seed=1, hidden=2)))
+    path.write_bytes(path.read_bytes().replace(b"\n", " \u00e9\n".encode("utf-8"), 2))
+    with pytest.raises(GridFormatError, match="not an ASCII file") as info:
+        read_params(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("LABEL", np.array([[0, -3], [7, 2147483647]])),
+        ("SAR", np.array([[np.nan, -np.inf], [-0.0, 5e-324]])),
+        ("PROB", np.full((2, 2, 3), 0.25)),
+        ("FEAT", np.arange(12.0).reshape(1, 3, 4) * 1e300),
+    ],
+)
+def test_written_grids_take_the_loadtxt_path(tmp_path, kind, values):
+    path = tmp_path / "grid.pgrd"
+    write_grid(path, kind, values)
+    assert gridio._read_grid_fast(path) is not None
+    assert read_grid_as(path, kind).tobytes() == values.astype(gridio._grid_dtype(kind)).tobytes()
+
+
+# Tokens either parser may meet: every special float, integers written as
+# floats, signs, underscores and junk, so both the loadtxt pass and its
+# fallback are exercised.
+_SPECIAL_TOKENS = (
+    "nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-0.0", "0.0", "5e-324",
+    "2.2250738585072014e-308", "1e300", "-1e300", "1e400", "+1", "-1", "1_0", "1.0",
+    "0010", "2147483647", "2147483648", "1e", "x", "#", "1,5", "0x10",
+)
+_PLAIN_SPACE = (" ", "  ", "\t", " \t ", "\x1f")  # whitespace inside one line for both parsers
+_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")  # end a line for str.splitlines() only
+
+
+@st.composite
+def _grid_texts(draw):
+    """PGRD text for any kind: half well-formed, half with ragged rows, junk and odd breaks."""
+    kind = draw(st.sampled_from(GRID_KINDS))
+    planar = kind in ("PROB", "FEAT")
+    h, w = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    c = draw(st.integers(1, 2)) if planar else 1
+    messy = draw(st.booleans())
+    if kind == "LABEL":
+        token = st.integers(-(2**31), 2**31 - 1).map(str)
+    else:
+        token = st.floats(allow_nan=not planar, allow_infinity=not planar).map(repr)
+    space = st.sampled_from(_PLAIN_SPACE)
+    if messy:
+        token = st.one_of(
+            token,
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(_SPECIAL_TOKENS),
+        )
+        space = st.sampled_from(_PLAIN_SPACE + _LINE_BREAKS)
+    dims = [h, w, c] if planar else [h, w]
+    if messy and draw(st.integers(0, 9)) == 0:
+        dims = dims[:-1]  # a short header
+    pad = st.sampled_from(("", " ", "\t"))  # leading and trailing
+    lines = []
+    for _ in range(max(h * c + (draw(st.integers(-1, 1)) if messy else 0), 0)):
+        width = w + (draw(st.sampled_from((0, 0, -1, 1))) if messy else 0)
+        row = draw(space).join(draw(st.lists(token, min_size=width, max_size=width)))
+        lines.append(draw(pad) + row + draw(pad))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(("",) + _PLAIN_SPACE)) + draw(space))  # blank
+    newline = draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    header = " ".join(["PGRD", kind, *map(str, dims)])
+    return newline.join([header, *lines]) + draw(st.sampled_from(("", newline)))
+
+
+def _outcome(path):
+    try:
+        kind, arr = read_grid(path)
+    except GridFormatError as exc:
+        return "error", str(exc)
+    return kind, arr.dtype.str, arr.shape, arr.flags.c_contiguous, arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_texts())
+def test_loadtxt_path_matches_checked_parse_property(text):
+    # the one-pass loadtxt read must return exactly what the token-by-token
+    # parse returns, or fall back to it and raise the same error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.pgrd"
+        path.write_bytes(text.encode("ascii"))
+        got = _outcome(path)
+        with mock.patch.object(gridio, "_read_grid_fast", return_value=None):
+            want = _outcome(path)
+    assert got == want
