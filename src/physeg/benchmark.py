@@ -175,7 +175,7 @@ def demo_train_config(seed, epochs, learning_rate, lambda2) -> TrainConfig:
         seed=seed,
         epochs=epochs,
         learning_rate=learning_rate,
-        weights=LossWeights(alpha=1.0, lambda1=0.05, lambda2=lambda2),
+        weights=LossWeights(lambda2=lambda2),
         modality_dropout_prob=DEMO_DROPOUT,
         residual_scale=DEMO_RESIDUAL_SCALE,
     )

@@ -14,6 +14,7 @@ error, 3 transport (LLM provider) error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,7 +23,7 @@ import warnings
 
 from . import __version__, benchmark
 from .extraction import ExtractionError, ProviderConfig, TransportError, extract_graph
-from .gridio import GridFormatError, read_grid_as, read_params, write_grid, write_history_csv, write_params
+from .gridio import read_grid_as, read_params, write_grid, write_history_csv, write_params
 from .inference import AttenuationConfig, infer
 from .losses import LossWeights
 from .metrics import miou, plausibility_rate, reliability
@@ -46,14 +47,56 @@ def _load_config_file(path):
     return config
 
 
-def _resolve(args, config, key, default):
+def _resolve(args, config, key, default=None):
     """Explicit CLI flag wins, then the config file, then the default."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    if value is None:
+        value = config.get(key)
+    return default if value is None else value
+
+
+# One table per config dataclass: flag / config-file key -> the field it sets.
+# The dataclass owns each default, and the type of that default is the type of
+# the flag and the cast of a config-file value.
+PROVIDER_SETTINGS = {
+    "endpoint": "endpoint",
+    "fixtures": "fixture_dir",
+    "timeout": "request_timeout",
+    "retries": "max_retries",
+    "model": "model",
+    "parallelism": "parallelism",
+}
+SYNTH_SETTINGS = {"seed": "seed", "noise": "noise_model", "smoothing": "smoothing_radius"}
+TRAIN_SETTINGS = {
+    "seed": "seed",
+    "lr": "learning_rate",
+    "epochs": "epochs",
+    "batch_size": "batch_size",
+    "dropout": "modality_dropout_prob",
+    "hidden": "hidden",
+    "residual_scale": "residual_scale",
+}
+LOSS_SETTINGS = {"alpha": "alpha", "lambda1": "lambda1", "lambda2": "lambda2"}
+ATTENUATION_SETTINGS = {"sigma_rel": "sigma_rel", "tau_rel": "tau_rel"}
+
+
+def _field_defaults(cls, table):
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: defaults[name] for key, name in table.items()}
+
+
+def _add_settings(parser, cls, table):
+    for key, default in _field_defaults(cls, table).items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
+
+
+def _settings(cls, table, args, config, **fixed):
+    """Build ``cls`` from its setting table; returns (instance, {key: value})."""
+    resolved = {
+        key: type(default)(_resolve(args, config, key, default))
+        for key, default in _field_defaults(cls, table).items()
+    }
+    return cls(**{table[key]: value for key, value in resolved.items()}, **fixed), resolved
 
 
 def _provenance(argv, seed, resolved):
@@ -135,14 +178,8 @@ def cmd_pckg_extract(args, argv):
         terms = [t.strip() for t in args.vocab.split(",") if t.strip()]
     else:
         raise ValueError("pckg extract needs --vocab or --vocab-file")
-    provider = ProviderConfig(
-        mode="live" if args.live else "fixture",
-        endpoint=_resolve(args, config, "endpoint", "") or "",
-        fixture_dir=_resolve(args, config, "fixtures", "") or "",
-        request_timeout=float(_resolve(args, config, "timeout", 30.0)),
-        max_retries=int(_resolve(args, config, "retries", 2)),
-        model=_resolve(args, config, "model", "gpt-4o"),
-        parallelism=int(_resolve(args, config, "parallelism", 1)),
+    provider, _ = _settings(
+        ProviderConfig, PROVIDER_SETTINGS, args, config, mode="live" if args.live else "fixture"
     )
     graph, report = extract_graph(terms, provider)
     save_graph(graph, args.out)
@@ -163,7 +200,8 @@ def cmd_pckg_extract(args, argv):
 
 def cmd_synth(args, argv):
     config = _load_config_file(args.config)
-    seed = int(_resolve(args, config, "seed", 0))
+    synth_config, resolved = _settings(SynthConfig, SYNTH_SETTINGS, args, config)
+    seed = synth_config.seed
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -183,19 +221,9 @@ def cmd_synth(args, argv):
     graph = load_graph(args.pckg)
     labels = read_grid_as(args.labels, "LABEL")
     modalities = _parse_modalities(
-        _resolve(args, config, "modalities", None), default=MODALITIES
+        _resolve(args, config, "modalities"), default=MODALITIES
     )
-    synth_config = SynthConfig(
-        seed=seed,
-        noise_model=_resolve(args, config, "noise", "truncated_gaussian"),
-        smoothing_radius=int(_resolve(args, config, "smoothing", 1)),
-    )
-    resolved = {
-        "seed": seed,
-        "noise": synth_config.noise_model,
-        "smoothing": synth_config.smoothing_radius,
-        "modalities": list(modalities),
-    }
+    resolved["modalities"] = list(modalities)
     provenance = _provenance(argv, seed, resolved)
     rasters = synthesize_scene(labels, graph, modalities, synth_config)
     written = {}
@@ -229,36 +257,11 @@ def _scenes_from_args(args):
 def cmd_train(args, argv):
     config = _load_config_file(args.config)
     graph, scenes, _ = _scenes_from_args(args)
-    seed = int(_resolve(args, config, "seed", 0))
-    train_config = TrainConfig(
-        seed=seed,
-        learning_rate=float(_resolve(args, config, "lr", 0.05)),
-        epochs=int(_resolve(args, config, "epochs", 200)),
-        batch_size=int(_resolve(args, config, "batch_size", 0)),
-        weights=LossWeights(
-            alpha=float(_resolve(args, config, "alpha", 1.0)),
-            lambda1=float(_resolve(args, config, "lambda1", 0.05)),
-            lambda2=float(_resolve(args, config, "lambda2", 0.40)),
-        ),
-        modality_dropout_prob=float(_resolve(args, config, "dropout", 0.5)),
-        hidden=int(_resolve(args, config, "hidden", 32)),
-        residual_scale=float(_resolve(args, config, "residual_scale", 0.5)),
-    )
+    weights, loss_settings = _settings(LossWeights, LOSS_SETTINGS, args, config)
+    train_config, resolved = _settings(TrainConfig, TRAIN_SETTINGS, args, config, weights=weights)
     params, history = train(scenes, graph, train_config)
-    resolved = {
-        "seed": seed,
-        "lr": train_config.learning_rate,
-        "epochs": train_config.epochs,
-        "batch_size": train_config.batch_size,
-        "alpha": train_config.weights.alpha,
-        "lambda1": train_config.weights.lambda1,
-        "lambda2": train_config.weights.lambda2,
-        "dropout": train_config.modality_dropout_prob,
-        "hidden": train_config.hidden,
-        "residual_scale": train_config.residual_scale,
-        "scenes": len(scenes),
-    }
-    provenance = _provenance(argv, seed, resolved)
+    resolved.update(loss_settings, scenes=len(scenes))
+    provenance = _provenance(argv, train_config.seed, resolved)
     write_params(args.out, params)
     _write_sidecar(args.out, provenance)
     if args.history:
@@ -299,23 +302,14 @@ def cmd_refine(args, argv):
         available = ()
     else:
         available = _parse_modalities(
-            _resolve(args, config, "available", None), default=tuple(sorted(rasters))
+            _resolve(args, config, "available"), default=tuple(sorted(rasters))
         )
-    att_config = AttenuationConfig(
-        available=available,
-        sigma_rel=float(_resolve(args, config, "sigma_rel", 0.5)),
-        tau_rel=float(_resolve(args, config, "tau_rel", 2.0)),
+    att_config, resolved = _settings(
+        AttenuationConfig, ATTENUATION_SETTINGS, args, config, available=available
     )
     labels, probs, trace = infer(params, features, coarse, rasters, graph, att_config)
-    seed = int(_resolve(args, config, "seed", 0))
-    resolved = {
-        "mode": mode,
-        "available": list(available),
-        "sigma_rel": att_config.sigma_rel,
-        "tau_rel": att_config.tau_rel,
-        "seed": seed,
-    }
-    provenance = _provenance(argv, seed, resolved)
+    resolved.update(mode=mode, available=list(available))
+    provenance = _provenance(argv, None, resolved)
     os.makedirs(args.out, exist_ok=True)
     labels_path = os.path.join(args.out, "labels.pgrd")
     probs_path = os.path.join(args.out, "probs.pgrd")
@@ -336,7 +330,6 @@ def cmd_refine(args, argv):
 
 
 def cmd_eval(args, argv):
-    config = _load_config_file(args.config)
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")
@@ -430,13 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract = pckg_sub.add_parser("extract", help="extract a graph from vocabulary terms")
     extract.add_argument("--vocab")
     extract.add_argument("--vocab-file")
-    extract.add_argument("--fixtures")
     extract.add_argument("--live", action="store_true")
-    extract.add_argument("--endpoint")
-    extract.add_argument("--model")
-    extract.add_argument("--retries", type=int)
-    extract.add_argument("--parallelism", type=int)
-    extract.add_argument("--timeout", type=float)
+    _add_settings(extract, ProviderConfig, PROVIDER_SETTINGS)
     extract.add_argument("--out", required=True)
     extract.add_argument("--report")
     extract.add_argument("--config")
@@ -449,9 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--pckg")
     synth.add_argument("--labels")
     synth.add_argument("--modalities")
-    synth.add_argument("--noise")
-    synth.add_argument("--smoothing", type=int)
-    synth.add_argument("--seed", type=int)
+    _add_settings(synth, SynthConfig, SYNTH_SETTINGS)
     synth.add_argument("--config")
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
@@ -463,16 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--features")
     train_p.add_argument("--coarse")
     train_p.add_argument("--rasters")
-    train_p.add_argument("--seed", type=int)
-    train_p.add_argument("--lr", type=float)
-    train_p.add_argument("--epochs", type=int)
-    train_p.add_argument("--batch-size", dest="batch_size", type=int)
-    train_p.add_argument("--alpha", type=float)
-    train_p.add_argument("--lambda1", type=float)
-    train_p.add_argument("--lambda2", type=float)
-    train_p.add_argument("--dropout", type=float)
-    train_p.add_argument("--hidden", type=int)
-    train_p.add_argument("--residual-scale", dest="residual_scale", type=float)
+    _add_settings(train_p, TrainConfig, TRAIN_SETTINGS)
+    _add_settings(train_p, LossWeights, LOSS_SETTINGS)
     train_p.add_argument("--history")
     train_p.add_argument("--losses")
     train_p.add_argument("--config")
@@ -487,9 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     refine_p.add_argument("--rasters")
     refine_p.add_argument("--mode", choices=("visual", "physical"))
     refine_p.add_argument("--available")
-    refine_p.add_argument("--sigma-rel", dest="sigma_rel", type=float)
-    refine_p.add_argument("--tau-rel", dest="tau_rel", type=float)
-    refine_p.add_argument("--seed", type=int)
+    _add_settings(refine_p, AttenuationConfig, ATTENUATION_SETTINGS)
     refine_p.add_argument("--config")
     refine_p.add_argument("--out", required=True)
     refine_p.set_defaults(func=cmd_refine)
@@ -504,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--modality")
     eval_p.add_argument("--include-background", action="store_true")
     eval_p.add_argument("--csv")
-    eval_p.add_argument("--config")
     eval_p.add_argument("--out")
     eval_p.set_defaults(func=cmd_eval)
 
@@ -531,15 +506,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_TRANSPORT, exc)
     except (TrainingError, ArithmeticError) as exc:
         return _fail(EXIT_RUNTIME, exc)
-    except (
-        PriorError,
-        ExtractionError,
-        GridFormatError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (PriorError, ExtractionError, ValueError, KeyError, OSError) as exc:
         return _fail(EXIT_INPUT, exc)
     except Exception as exc:  # anything else is a runtime failure
         return _fail(EXIT_RUNTIME, exc)

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 from .priors import PriorEntry, PriorError, PriorGraph, entry_from_json_obj
 
-PROMPT_TEMPLATE_ID = "v1"
-
 PROMPT_TEMPLATE_V1 = """\
 You are a remote-sensing analyst. For the land-cover category phrase below,
 derive physically plausible measurement ranges.
@@ -67,11 +65,6 @@ class EmptyGraphError(ExtractionError):
 
 
 @dataclass(frozen=True)
-class PromptSpec:
-    instruction_template_id: str = PROMPT_TEMPLATE_ID
-
-
-@dataclass(frozen=True)
 class ProviderConfig:
     mode: str = "fixture"  # "fixture" or "live"
     endpoint: str = ""
@@ -93,13 +86,10 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0 and parallelism >= 1")
 
 
-def build_prompt(vocab: str, spec: PromptSpec | None = None) -> str:
+def build_prompt(vocab: str) -> str:
     """Render the extraction prompt for one category phrase."""
     if not vocab or not vocab.strip():
         raise ValueError("category phrase must be non-empty")
-    spec = spec or PromptSpec()
-    if spec.instruction_template_id != PROMPT_TEMPLATE_ID:
-        raise ValueError(f"unknown prompt template {spec.instruction_template_id!r}")
     return PROMPT_TEMPLATE_V1.format(category=vocab.strip())
 
 
@@ -143,39 +133,18 @@ def _fetch_response(term: str, prompt: str, config: ProviderConfig, transport=No
 
 
 def _extract_json_object(text: str) -> dict:
-    """Pull the first balanced JSON object out of a possibly chatty response."""
+    """Decode the first JSON object in a possibly chatty response."""
     start = text.find("{")
     if start < 0:
         raise ValueError("response contains no JSON object")
-    depth = 0
-    in_string = False
-    escaped = False
-    for pos in range(start, len(text)):
-        ch = text[pos]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return json.loads(text[start : pos + 1])
-    raise ValueError("response contains an unterminated JSON object")
+    return json.JSONDecoder().raw_decode(text, start)[0]
 
 
 def parse_response(term: str, text: str) -> PriorEntry:
     """Validate one raw response into an entry whose category matches the term."""
     try:
         obj = _extract_json_object(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise PriorError(f"unparseable response: {exc}") from exc
     entry = entry_from_json_obj(obj, where=f"term {term!r}")
     if entry.category.strip() != term.strip():

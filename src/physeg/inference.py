@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, interval_distance_grid
+from .priors import PriorGraph, interval_distance_grid, modality_order
 from .refiner import RefinerParams, assemble_joint, refine
 
 DENOM_FLOOR = 1e-12
@@ -43,9 +43,7 @@ class AttenuationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "available", tuple(self.available))
-        for name in self.available:
-            if name not in MODALITY_INDEX:
-                raise ValueError(f"unknown modality {name!r} in available set")
+        modality_order(self.available)  # raises ValueError on an unknown name
         if self.sigma_rel <= 0 or self.tau_rel <= 0:
             raise ValueError("sigma_rel and tau_rel must be > 0")
         for table, label in ((self.sigma_abs, "sigma"), (self.tau_abs, "tau")):
@@ -93,7 +91,7 @@ def _attenuation_grids(rasters, graph, config, num_classes):
     shape = next(iter(rasters.values())).shape
     scores = np.ones(shape + (num_classes,))
     parts = {}
-    for name in sorted(config.available, key=lambda m: MODALITY_INDEX[m]):
+    for name in modality_order(config.available):
         values = np.asarray(rasters[name], dtype=np.float64)
         per_mod = np.empty(shape + (num_classes,))
         for ch in range(num_classes):

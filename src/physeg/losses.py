@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .priors import MODALITY_INDEX, Interval, PriorGraph
+from .priors import Interval, PriorGraph, modality_order
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
 _SOFT_MASS_FLOOR = 1e-12
@@ -132,7 +132,7 @@ def _label_targets(gt, num_classes: int) -> _Labels:
 
 
 def _raster_targets(rasters, graph: PriorGraph, num_classes: int) -> tuple:
-    names = sorted(rasters, key=lambda m: MODALITY_INDEX[m])
+    names = modality_order(rasters)
     if names and graph.num_classes < num_classes:
         raise ValueError(
             f"prediction has {num_classes} channels but the graph defines {graph.num_classes} classes"
@@ -253,7 +253,7 @@ def region_stats(pred, features, rasters=None) -> RegionStats:
     _check_aligned(pred.shape, features=features, rasters=rasters)
     grids = [
         _Raster(name, np.asarray(rasters[name], dtype=np.float64), None)
-        for name in sorted(rasters, key=lambda m: MODALITY_INDEX.get(m, 99))
+        for name in modality_order(rasters)
     ]
     return _region_stats(pred, features, grids)
 
@@ -330,7 +330,7 @@ def phys_loss(stats: RegionStats, graph: PriorGraph, modalities=None):
     nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
     rasters = [
         _Raster(name, None, {ch: _bounds(graph.interval(ch + 1, name)) for ch in nonempty})
-        for name in sorted(modalities, key=lambda m: MODALITY_INDEX[m])
+        for name in modality_order(modalities)
     ]
     return _phys_loss(stats, rasters, graph.categories, diagnostics=True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .priors import MODALITY_INDEX, PriorGraph
+from .priors import PriorGraph, modality_order
 
 
 @dataclass
@@ -87,7 +87,7 @@ def plausibility_rate(labels, rasters, graph: PriorGraph):
     present = [int(c) for c in np.unique(labels) if c != 0]
     for cid in present:
         graph.entry_for_id(cid)  # raises PriorLookupError on unknown labels
-    modalities = sorted(rasters, key=lambda m: MODALITY_INDEX[m])
+    modalities = modality_order(rasters)
     breakdown = {cid: {} for cid in present}
     if not present or not modalities:
         return 1.0, breakdown

@@ -41,9 +41,6 @@ ENTRY_FIELDS = (
     FIELD_REASONING,
 )
 
-RANGE_FIELDS = {"NDVI": FIELD_NDVI, "DEM": FIELD_DEM, "SAR": FIELD_SAR}
-
-
 class PriorError(Exception):
     """Base class for knowledge-graph errors."""
 
@@ -66,6 +63,15 @@ class PriorLookupError(PriorError):
 
 class EmptyGraphWarning(UserWarning):
     """Emitted when a parsed graph contains zero entries."""
+
+
+def modality_order(names) -> list[str]:
+    """The given modality names in ``MODALITIES`` order; any other name is a ValueError."""
+    names = list(names)
+    for name in names:
+        if name not in MODALITY_INDEX:
+            raise ValueError(f"unknown modality {name!r}")
+    return sorted(names, key=MODALITY_INDEX.get)
 
 
 def _quantize(x: float) -> float:
@@ -335,7 +341,7 @@ def serialize_pckg(graph: PriorGraph) -> str:
 
 
 def load_graph(path) -> PriorGraph:
-    """Read and parse a graph file; a file that is not JSON fails naming its path."""
+    """Read and parse a graph file; any parse, schema or validation error names its path."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = fh.read()
@@ -343,8 +349,8 @@ def load_graph(path) -> PriorGraph:
         raise PriorParseError(f"{path}: not a UTF-8 file: {exc}") from exc
     try:
         return parse_pckg(document)
-    except PriorParseError as exc:
-        raise PriorParseError(f"{path}: {exc}") from exc
+    except PriorError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_graph(graph: PriorGraph, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import MODALITY_INDEX, PriorGraph
+from .priors import MODALITY_INDEX, PriorGraph, modality_order
 
 DEFAULT_BACKGROUND = {"NDVI": 0.0, "DEM": 0.0, "SAR": -30.0}
 
@@ -117,6 +117,6 @@ def synthesize_scene(
 ) -> dict[str, np.ndarray]:
     """Generate one raster per requested modality, all pixel-aligned."""
     out = {}
-    for modality in sorted(modalities, key=lambda m: MODALITY_INDEX[m]):
+    for modality in modality_order(modalities):
         out[modality] = synthesize_raster(mask, graph, modality, config)
     return out

@@ -6,9 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from physeg import cli
 from physeg.cli import main
+from physeg.extraction import ProviderConfig
 from physeg.gridio import read_grid_as, write_grid
+from physeg.inference import AttenuationConfig
 from physeg.priors import load_graph
+from physeg.refiner import TrainConfig
+from physeg.synth import SynthConfig
 
 
 def run(capsys, *argv):
@@ -175,8 +180,18 @@ class TestSynthCommands:
         assert payload["error"] == "GridFormatError"
         assert str(labels) in payload["message"]
 
-    @pytest.mark.parametrize("document", ["", "not json", "\u00e9"])
-    def test_unreadable_graph_exit_1_naming_file(self, tmp_path, capsys, document):
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ("", "PriorParseError"),
+            ("not json", "PriorParseError"),
+            ("\u00e9", "PriorParseError"),
+            (json.dumps([{"Category": "water"}]), "PriorSchemaError"),
+            (json.dumps([dict(VALID_ENTRY, **{"NDVI Range": [0.6, 0.2]})]), "PriorValidationError"),
+        ],
+        ids=["", "not json", "\u00e9", "missing field", "inverted interval"],
+    )
+    def test_unreadable_graph_exit_1_naming_file(self, tmp_path, capsys, document, error):
         graph = tmp_path / "graph.json"
         graph.write_bytes(document.encode("latin-1"))
         write_grid(tmp_path / "labels.pgrd", "LABEL", np.ones((2, 2), dtype=np.int32))
@@ -189,7 +204,7 @@ class TestSynthCommands:
         )
         assert code == 1
         payload = json.loads(err)
-        assert payload["error"] == "PriorParseError"
+        assert payload["error"] == error
         assert str(graph) in payload["message"]
 
 
@@ -398,3 +413,107 @@ def test_config_file_overridden_by_flags(tmp_path, capsys):
     assert main(base + ["--seed", "2", "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() != out_b.read_bytes()
+
+
+class _Captured(Exception):
+    """Stops a command once its callee has received the config object."""
+
+
+# one non-default value per setting-table key, per command
+_NON_DEFAULT = {
+    "pckg extract": {
+        "endpoint": "http://localhost:9/v1",
+        "fixtures": "fixtures-b",
+        "timeout": 12.5,
+        "retries": 4,
+        "model": "model-b",
+        "parallelism": 3,
+    },
+    "synth": {"seed": 7, "noise": "uniform", "smoothing": 2},
+    "train": {
+        "seed": 7,
+        "lr": 0.01,
+        "epochs": 3,
+        "batch_size": 2,
+        "dropout": 0.25,
+        "hidden": 8,
+        "residual_scale": 0.3,
+        "alpha": 0.5,
+        "lambda1": 0.1,
+        "lambda2": 0.2,
+    },
+    "refine": {"sigma_rel": 0.7, "tau_rel": 3.0},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NON_DEFAULT))
+def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monkeypatch, command):
+    demo = pipeline_dir / "demo"
+    base, callee, position, tables, expected_default = {
+        "pckg extract": (
+            ["pckg", "extract", "--vocab", "water", "--out", str(tmp_path / "g.json")],
+            "extract_graph",
+            1,
+            [cli.PROVIDER_SETTINGS],
+            # fixture mode needs a fixture directory, so the bare run names one
+            ProviderConfig(fixture_dir="fixtures-a"),
+        ),
+        "synth": (
+            [
+                "synth",
+                "--pckg", str(demo / "pckg.json"),
+                "--labels", str(demo / "scene_0.labels.pgrd"),
+                "--out", str(tmp_path / "s"),
+            ],
+            "synthesize_scene",
+            3,
+            [cli.SYNTH_SETTINGS],
+            SynthConfig(),
+        ),
+        "train": (
+            ["train", "--manifest", str(demo / "manifest.json"), "--out", str(tmp_path / "p.psp")],
+            "train",
+            2,
+            [cli.TRAIN_SETTINGS, cli.LOSS_SETTINGS],
+            TrainConfig(),
+        ),
+        "refine": (
+            [
+                "refine",
+                "--params", str(pipeline_dir / "params.psp"),
+                "--pckg", str(demo / "pckg.json"),
+                "--features", str(demo / "scene_0.features.pgrd"),
+                "--coarse", str(demo / "scene_0.coarse.pgrd"),
+                "--out", str(tmp_path / "r"),
+            ],
+            "infer",
+            5,
+            [cli.ATTENUATION_SETTINGS],
+            AttenuationConfig(),
+        ),
+    }[command]
+    values = _NON_DEFAULT[command]
+    assert set(values) == {key for table in tables for key in table}
+    captured = []
+
+    def fake(*args):
+        captured.append(args[position])
+        raise _Captured
+
+    monkeypatch.setattr(cli, callee, fake)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    bare = ["--fixtures", "fixtures-a"] if command == "pckg extract" else []
+    for extra in (["--config", str(config)], flags, bare):
+        assert main(base + extra) == cli.EXIT_RUNTIME
+    from_file, from_flags, from_neither = captured
+    assert from_file == from_flags
+    assert from_neither == expected_default
+
+    def table_fields(obj):
+        objs = [obj, obj.weights] if command == "train" else [obj]
+        return [getattr(o, name) for o, table in zip(objs, tables) for name in table.values()]
+
+    for set_value, default in zip(table_fields(from_file), table_fields(from_neither)):
+        assert set_value != default

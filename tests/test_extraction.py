@@ -13,7 +13,6 @@ from physeg.cli import main
 from physeg.extraction import (
     EmptyGraphError,
     ExtractionError,
-    PromptSpec,
     ProviderConfig,
     TransportError,
     _post_chat,
@@ -69,10 +68,6 @@ class TestPrompt:
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             build_prompt("   ")
-
-    def test_unknown_template_rejected(self):
-        with pytest.raises(ValueError):
-            build_prompt("x", PromptSpec(instruction_template_id="v999"))
 
 
 class TestExtractEntry:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physeg.inference import AttenuationConfig
+from physeg.losses import phys_loss, prepare_targets, region_stats, total_loss
+from physeg.metrics import plausibility_rate
 from physeg.priors import (
     EmptyGraphWarning,
     Interval,
@@ -16,9 +20,11 @@ from physeg.priors import (
     PriorSchemaError,
     PriorValidationError,
     interval_distance,
+    modality_order,
     parse_pckg,
     serialize_pckg,
 )
+from physeg.synth import SynthConfig, synthesize_scene
 
 WATER_OBJ = {
     "Category": "water",
@@ -275,3 +281,41 @@ class TestLookup:
         graph = parse_pckg(json.dumps([WATER_OBJ]))
         with pytest.raises(PriorLookupError):
             graph.interval(1, "LST")
+
+
+def test_modality_order_follows_modalities():
+    assert modality_order({"SAR": 0, "NDVI": 0}) == ["NDVI", "SAR"]
+    assert modality_order(("DEM", "SAR", "NDVI")) == ["NDVI", "DEM", "SAR"]
+
+
+_GRID = np.ones((2, 2), dtype=np.int32)
+_PRED = np.ones((2, 2, 1))
+_FEATURES = np.zeros((2, 2, 1))
+_RASTERS = {"SAR": np.full((2, 2), -20.0), "LST": np.zeros((2, 2))}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: total_loss(_PRED, _GRID, _FEATURES, _RASTERS, g),
+        lambda g: prepare_targets(_GRID, _FEATURES, _RASTERS, g, _PRED.shape),
+        lambda g: region_stats(_PRED, _FEATURES, _RASTERS),
+        lambda g: phys_loss(region_stats(_PRED, _FEATURES), g, ("SAR", "LST")),
+        lambda g: plausibility_rate(_GRID, _RASTERS, g),
+        lambda g: synthesize_scene(_GRID, g, ("SAR", "LST"), SynthConfig()),
+        lambda g: AttenuationConfig(available=("SAR", "LST")),
+    ],
+    ids=[
+        "total_loss",
+        "prepare_targets",
+        "region_stats",
+        "phys_loss",
+        "plausibility_rate",
+        "synthesize_scene",
+        "attenuation_config",
+    ],
+)
+def test_unknown_modality_rejected(call):
+    graph = parse_pckg(json.dumps([WATER_OBJ]))
+    with pytest.raises(ValueError, match="unknown modality 'LST'"):
+        call(graph)
