@@ -25,9 +25,9 @@ from . import __version__, benchmark
 from .extraction import ExtractionError, ProviderConfig, TransportError, extract_graph
 from .gridio import read_grid_as, read_params, write_grid, write_history_csv, write_params
 from .inference import AttenuationConfig, infer
-from .losses import LossWeights
+from .losses import COMPONENTS, LossWeights
 from .metrics import miou, plausibility_rate, reliability
-from .priors import MODALITIES, EmptyGraphWarning, PriorError, load_graph, save_graph
+from .priors import MODALITIES, EmptyGraphWarning, PriorError, load_graph, modality_order, save_graph
 from .refiner import Scene, TrainConfig, TrainingError, evaluate_losses, train
 from .synth import SynthConfig, synthesize_scene
 
@@ -125,10 +125,11 @@ def _parse_rasters(raw):
         if "=" not in item:
             raise ValueError(f"raster argument {item!r} must look like sar=PATH")
         key, path = item.split("=", 1)
-        name = key.strip().upper()
-        if name not in MODALITIES:
-            raise ValueError(f"unknown raster modality {key!r}")
-        table[name] = path.strip()
+        table[key.strip().upper()] = path.strip()
+    try:
+        modality_order(table)
+    except ValueError as exc:
+        raise ValueError(f"raster argument {raw!r}: {exc}") from None
     return table
 
 
@@ -140,9 +141,7 @@ def _parse_modalities(raw, default=()):
     if raw is None:
         return tuple(default)
     names = [part.strip().upper() for part in raw.split(",") if part.strip()]
-    for name in names:
-        if name not in MODALITIES:
-            raise ValueError(f"unknown modality {name!r}")
+    modality_order(names)  # checks the names; the user's order reaches provenance
     return tuple(names)
 
 
@@ -198,8 +197,16 @@ def cmd_pckg_extract(args, argv):
     return EXIT_OK
 
 
+# synth settings that only the mask path reads; the demo builds its own scenes
+_MASK_ONLY_SETTINGS = ("pckg", "labels", "modalities", "noise", "smoothing")
+
+
 def cmd_synth(args, argv):
     config = _load_config_file(args.config)
+    if args.demo:
+        unused = [key for key in _MASK_ONLY_SETTINGS if _resolve(args, config, key) is not None]
+        if unused:
+            raise ValueError(f"synth --demo does not use {', '.join(unused)}")
     synth_config, resolved = _settings(SynthConfig, SYNTH_SETTINGS, args, config)
     seed = synth_config.seed
     out_dir = args.out
@@ -272,18 +279,8 @@ def cmd_train(args, argv):
         payload = dict(final)
         payload["provenance"] = provenance
         _write_json(args.losses, payload)
-    print(
-        json.dumps(
-            {
-                "steps": len(history),
-                "seg": final["seg"],
-                "region": final["region"],
-                "phys": final["phys"],
-                "total": final["total"],
-            },
-            sort_keys=True,
-        )
-    )
+    summary = {key: final[key] for key in COMPONENTS}
+    print(json.dumps(dict(summary, steps=len(history)), sort_keys=True))
     return EXIT_OK
 
 

@@ -18,11 +18,11 @@ import warnings
 
 import numpy as np
 
+from .losses import COMPONENTS
 from .priors import MODALITIES
 
 GRID_KINDS = MODALITIES + ("LABEL", "PROB", "FEAT")
 _PLANAR_KINDS = ("PROB", "FEAT")
-_HISTORY_COLUMNS = ("seg", "region", "phys", "total")
 # str.splitlines() ends a line at these; np.loadtxt reads them as spaces
 _SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
@@ -205,9 +205,9 @@ def read_params(path):
 
 
 def write_history_csv(path, history) -> None:
-    """Write per-step loss components as CSV (step, seg, region, phys, total)."""
+    """Write per-step loss components as CSV (step, then ``losses.COMPONENTS``)."""
     table = np.array(
-        [[rec[key] for key in _HISTORY_COLUMNS] for rec in history], dtype=np.float64
-    ).reshape(-1, len(_HISTORY_COLUMNS))
+        [[rec[key] for key in COMPONENTS] for rec in history], dtype=np.float64
+    ).reshape(-1, len(COMPONENTS))
     rows = (f"{k},{_format_row(row, ',')}" for k, row in enumerate(table))
-    _write_lines(path, ",".join(("step",) + _HISTORY_COLUMNS), rows)
+    _write_lines(path, ",".join(("step",) + COMPONENTS), rows)

@@ -14,9 +14,10 @@ on exactly-clipped rasters never registers as an interval violation.
 
 Everything that does not depend on the prediction (labeled pixel indices,
 per-class masks, float64 rasters, interval bounds) is laid out once by
-``prepare_targets``; ``loss_step`` then does only the per-prediction
-arithmetic.  ``total_loss`` is the two in one call; training prepares each
-scene once and reuses its targets on every step.
+``prepare_targets``; ``loss_step`` then computes only the trained objective,
+keyed by ``COMPONENTS``.  Training prepares each scene once and reuses its
+targets on every step.  ``total_loss`` is the report: the two in one call,
+plus the hard-region hinge and its per-(class, modality) records.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .priors import Interval, PriorGraph, modality_order
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
+COMPONENTS = ("seg", "region", "phys", "total")  # what ``loss_step`` returns and training records
 _SOFT_MASS_FLOOR = 1e-12
 
 
@@ -85,7 +87,7 @@ class LossTargets:
     labels: _Labels
     features: np.ndarray  # (H, W, D) float64
     rasters: tuple  # _Raster per supplied modality, in modality order
-    categories: tuple  # class names for the hinge diagnostics
+    categories: tuple  # class names for the hinge records of ``total_loss``
 
 
 def _bounds(interval: Interval) -> tuple:
@@ -292,7 +294,7 @@ def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
     return term, deriv
 
 
-def _phys_loss(stats: RegionStats, rasters, categories, diagnostics: bool):
+def _phys_loss(stats: RegionStats, rasters, categories):
     terms = []
     total = 0.0
     nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
@@ -303,18 +305,17 @@ def _phys_loss(stats: RegionStats, rasters, categories, diagnostics: bool):
             lo, hi, tol = bounds[ch]
             term, _ = _hinge_sq(mean, lo, hi, tol)
             total += term
-            if diagnostics:
-                terms.append(
-                    {
-                        "class_id": ch + 1,
-                        "category": categories[ch],
-                        "modality": name,
-                        "mean": mean,
-                        "lo": lo,
-                        "hi": hi,
-                        "term": term,
-                    }
-                )
+            terms.append(
+                {
+                    "class_id": ch + 1,
+                    "category": categories[ch],
+                    "modality": name,
+                    "mean": mean,
+                    "lo": lo,
+                    "hi": hi,
+                    "term": term,
+                }
+            )
     value = total / len(rasters) if rasters else 0.0
     return value, terms
 
@@ -332,7 +333,7 @@ def phys_loss(stats: RegionStats, graph: PriorGraph, modalities=None):
         _Raster(name, None, {ch: _bounds(graph.interval(ch + 1, name)) for ch in nonempty})
         for name in modality_order(modalities)
     ]
-    return _phys_loss(stats, rasters, graph.categories, diagnostics=True)
+    return _phys_loss(stats, rasters, graph.categories)
 
 
 def _phys_loss_soft(pred, rasters):
@@ -373,45 +374,38 @@ def phys_loss_soft(pred, rasters, graph: PriorGraph):
     return value, np.zeros_like(pred) if grad is None else grad
 
 
-def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights(), diagnostics: bool = False):
+def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
     """Weighted joint objective of one prediction against prepared targets.
 
-    Returns (total, components, gradient w.r.t. pred) like ``total_loss``;
-    the per-(class, modality) hinge records under ``phys_terms`` are built
-    only when ``diagnostics`` is set.
+    Returns (total, components keyed by ``COMPONENTS``, gradient w.r.t. pred);
+    ``phys`` is the probability-weighted hinge, the one that is trained.
     """
     pred = _check_pred(pred)
     if pred.shape != targets.shape:
         raise ValueError(f"prediction shape {pred.shape} does not match the targets {targets.shape}")
     seg, grad = _seg_loss(pred, targets.labels, weights.alpha)
-    stats = _region_stats(pred, targets.features, targets.rasters)
-    region = _region_loss(stats, targets.features)
-    phys_soft, grad_phys = _phys_loss_soft(pred, targets.rasters)
-    phys_hard, terms = _phys_loss(stats, targets.rasters, targets.categories, diagnostics)
-    total = seg + weights.lambda1 * region + weights.lambda2 * phys_soft
+    region = _region_loss(_region_stats(pred, targets.features, ()), targets.features)
+    phys, grad_phys = _phys_loss_soft(pred, targets.rasters)
+    total = seg + weights.lambda1 * region + weights.lambda2 * phys
     if grad_phys is not None:
         grad = grad + weights.lambda2 * grad_phys
-    components = {
-        "seg": seg,
-        "region": region,
-        "phys": phys_soft,
-        "phys_argmax": phys_hard,
-        "total": total,
-    }
-    if diagnostics:
-        components["phys_terms"] = terms
-    return total, components, grad
+    return total, dict(zip(COMPONENTS, (seg, region, phys, total))), grad
 
 
 def total_loss(pred, gt, features, rasters, graph: PriorGraph, weights: LossWeights = LossWeights()):
-    """Weighted joint objective: seg + lambda1 * region + lambda2 * phys.
+    """Loss report: seg + lambda1 * region + lambda2 * phys, with the hard-region hinge.
 
-    The ``phys`` component (and the returned gradient) use the
-    probability-weighted hinge; ``phys_argmax`` reports the hard-region value
-    of the same hinge alongside per-(class, modality) diagnostics.
-    Returns (total, components, gradient w.r.t. pred).  Equivalent to
-    ``loss_step`` with diagnostics on targets prepared for this one call.
+    Returns (total, components, gradient w.r.t. pred).  The total, the
+    ``COMPONENTS`` and the gradient are those of ``loss_step`` on targets
+    prepared for this one call.  The report adds ``phys_argmax``, the same
+    hinge on hard argmax regions, and ``phys_terms``, its per-(class,
+    modality) records; neither is computed during training.
     """
     pred = _check_pred(pred)
     targets = prepare_targets(gt, features, rasters, graph, pred.shape)
-    return loss_step(pred, targets, weights, diagnostics=True)
+    total, components, grad = loss_step(pred, targets, weights)
+    stats = _region_stats(pred, targets.features, targets.rasters)
+    components["phys_argmax"], components["phys_terms"] = _phys_loss(
+        stats, targets.rasters, targets.categories
+    )
+    return total, components, grad

@@ -108,9 +108,6 @@ class Interval:
         """Slack for comparing region means to the endpoints (absorbs summation rounding)."""
         return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def as_pair(self) -> list[float]:
         return [self.lo, self.hi]
 

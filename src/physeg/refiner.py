@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossWeights, loss_step, prepare_targets, total_loss
-from .priors import MODALITIES, PriorGraph
+from .losses import COMPONENTS, LossWeights, loss_step, prepare_targets, total_loss
+from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, modality_order
 
 PROB_FLOOR = 1e-6  # lower clamp for refined probabilities
+FEATURE_NOISE = 0.3  # std of the Gaussian noise on mock backbone features
+COARSE_NOISE = 0.02  # std of the Gaussian noise on mock coarse probabilities
 
 
 class NumericError(ArithmeticError):
@@ -121,18 +123,13 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
             f"{graph.num_classes} classes"
         )
     rasters = rasters or {}
-    unknown = set(rasters) - set(MODALITIES)
-    if unknown:
-        raise ValueError(f"unknown raster modalities {sorted(unknown)}")
     phys = np.zeros((h, w, len(MODALITIES)))
-    for k, name in enumerate(MODALITIES):
-        if name not in rasters:
-            continue
+    for name in modality_order(rasters):
         grid = np.asarray(rasters[name], dtype=np.float64)
         if grid.shape != (h, w):
             raise ValueError(f"raster {name!r} shape {grid.shape} does not match {(h, w)}")
         mu, sigma = graph.modality_stats(name)
-        phys[:, :, k] = (grid - mu) / sigma
+        phys[:, :, MODALITY_INDEX[name]] = (grid - mu) / sigma
     return np.concatenate([features, coarse, phys], axis=2)
 
 
@@ -214,11 +211,13 @@ def refine(params: RefinerParams, z: np.ndarray, coarse: np.ndarray):
 def train(dataset, graph: PriorGraph, config: TrainConfig):
     """Seeded gradient descent on the joint objective over a list of Scenes.
 
-    Returns (params, history); history holds per-update mean loss components
-    with keys step, seg, region, phys, phys_argmax, total.  Each scene is
-    checked and its loss targets prepared once, before the first step.
-    Raises TrainingError (carrying the last finite state) if the loss goes
-    non-finite.
+    Returns (params, history); history holds one record per update: its
+    ``step`` index and the mean of each of ``losses.COMPONENTS`` over the
+    update's scenes.  Each step computes only the trained objective
+    (``loss_step``); the hard-region hinge is in ``evaluate_losses``.  Each
+    scene is checked and its loss targets prepared once, before the first
+    step.  Raises TrainingError (carrying the last finite state) if the loss
+    goes non-finite.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -248,7 +247,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
         for start in range(0, n, batch):
             chunk = order[start : start + batch]
             grads = [np.zeros_like(a) for a in arrays]
-            comps_sum = {"seg": 0.0, "region": 0.0, "phys": 0.0, "phys_argmax": 0.0, "total": 0.0}
+            comps_sum = dict.fromkeys(COMPONENTS, 0.0)
             for idx in chunk:
                 scene = scenes[idx]
                 drop = drop_rng.random() < config.modality_dropout_prob
@@ -285,12 +284,12 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
 def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: LossWeights = LossWeights()):
     """Mean loss components of fixed parameters over a dataset (no dropout).
 
-    Returns the component breakdown with per-scene hinge diagnostics under
-    ``phys_terms``.
+    Returns the means of ``losses.COMPONENTS`` and of the hard-region hinge
+    ``phys_argmax``, with per-scene hinge records under ``phys_terms``.
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    totals = {"seg": 0.0, "region": 0.0, "phys": 0.0, "phys_argmax": 0.0, "total": 0.0}
+    totals = dict.fromkeys(COMPONENTS + ("phys_argmax",), 0.0)
     terms = []
     for scene in dataset:
         z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
@@ -311,9 +310,6 @@ def mock_backbone(
     graph: PriorGraph,
     ambiguity_pairs=(),
     seed: int = 0,
-    feature_dim: int | None = None,
-    coarse_noise: float = 0.02,
-    feature_noise: float = 0.3,
 ):
     """Stand-in for a frozen backbone: noisy features and a coarse probability map.
 
@@ -323,7 +319,6 @@ def mock_backbone(
     """
     labels = np.asarray(labels)
     c = graph.num_classes
-    d = feature_dim or c
     effective = np.arange(c + 1)
     for pair in ambiguity_pairs:
         if len(pair) != 2:
@@ -337,10 +332,10 @@ def mock_backbone(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 3])))
     h, w = labels.shape
 
-    directions = np.zeros((c + 1, d))
+    directions = np.zeros((c + 1, c))
     for cid in range(1, c + 1):
-        directions[cid, (effective[cid] - 1) % d] = 1.0
-    features = directions[labels] + rng.normal(scale=feature_noise, size=(h, w, d))
+        directions[cid, effective[cid] - 1] = 1.0
+    features = directions[labels] + rng.normal(scale=FEATURE_NOISE, size=(h, w, c))
 
     base = np.full((h, w, c), 0.02)
     pair_members = {m for pair in ambiguity_pairs for m in pair}
@@ -355,6 +350,6 @@ def mock_backbone(
         else:
             base[mask, cid - 1] += 0.90
     base[labels == 0] = 1.0 / c
-    coarse = np.clip(base + rng.normal(scale=coarse_noise, size=base.shape), 1e-4, None)
+    coarse = np.clip(base + rng.normal(scale=COARSE_NOISE, size=base.shape), 1e-4, None)
     coarse = coarse / coarse.sum(axis=2, keepdims=True)
     return features, coarse

@@ -85,8 +85,7 @@ def synthesize_raster(
     re-clipped after smoothing); background pixels take ``DEFAULT_BACKGROUND``.
     """
     labels = _check_labels(mask, graph)
-    if modality not in MODALITY_INDEX:
-        raise ValueError(f"unknown modality {modality!r}")
+    modality_order([modality])  # raises ValueError on an unknown name
     fill = DEFAULT_BACKGROUND[modality]
     lo, hi = _interval_grids(labels, graph, modality, fill)
 

@@ -125,6 +125,28 @@ class TestSynthCommands:
             if name != "manifest.json":
                 assert bytes_a[name] == bytes_b[name], name
 
+    @pytest.mark.parametrize(
+        "flags, config, unused",
+        [
+            (["--noise", "uniform"], {}, "noise"),
+            (["--smoothing", "3"], {}, "smoothing"),
+            (["--modalities", "SAR"], {}, "modalities"),
+            (["--pckg", "missing.json", "--labels", "missing.pgrd"], {}, "pckg, labels"),
+            ([], {"noise": "uniform", "smoothing": 3}, "noise, smoothing"),
+            ([], {"modalities": "SAR", "seed": 2}, "modalities"),
+        ],
+        ids=["noise", "smoothing", "modalities", "pckg-labels", "config-noise-smoothing", "config-modalities"],
+    )
+    def test_demo_rejects_mask_settings(self, tmp_path, capsys, flags, config, unused):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["synth", "--demo", "--out", str(tmp_path / "demo"), "--config", str(path)]
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["message"] == f"synth --demo does not use {unused}"
+        assert not (tmp_path / "demo").exists()
+
     def test_synth_from_mask(self, tmp_path, capsys):
         demo = tmp_path / "demo"
         run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")

@@ -24,7 +24,8 @@ from physeg.priors import (
     parse_pckg,
     serialize_pckg,
 )
-from physeg.synth import SynthConfig, synthesize_scene
+from physeg.refiner import assemble_joint
+from physeg.synth import SynthConfig, synthesize_raster, synthesize_scene
 
 WATER_OBJ = {
     "Category": "water",
@@ -303,6 +304,8 @@ _RASTERS = {"SAR": np.full((2, 2), -20.0), "LST": np.zeros((2, 2))}
         lambda g: phys_loss(region_stats(_PRED, _FEATURES), g, ("SAR", "LST")),
         lambda g: plausibility_rate(_GRID, _RASTERS, g),
         lambda g: synthesize_scene(_GRID, g, ("SAR", "LST"), SynthConfig()),
+        lambda g: synthesize_raster(_GRID, g, "LST", SynthConfig()),
+        lambda g: assemble_joint(_FEATURES, _PRED, _RASTERS, g),
         lambda g: AttenuationConfig(available=("SAR", "LST")),
     ],
     ids=[
@@ -312,6 +315,8 @@ _RASTERS = {"SAR": np.full((2, 2), -20.0), "LST": np.zeros((2, 2))}
         "phys_loss",
         "plausibility_rate",
         "synthesize_scene",
+        "synthesize_raster",
+        "assemble_joint",
         "attenuation_config",
     ],
 )

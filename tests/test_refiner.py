@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from fdcheck import assert_grad_close, central_difference
 
-from physeg import benchmark
-from physeg.losses import LossWeights, total_loss
+from physeg import benchmark, losses
+from physeg.losses import (
+    COMPONENTS,
+    LossWeights,
+    loss_step,
+    phys_loss,
+    prepare_targets,
+    region_stats,
+    total_loss,
+)
 from physeg.priors import Interval, PriorEntry, PriorGraph
 from physeg.refiner import (
     RefinerParams,
@@ -15,6 +23,7 @@ from physeg.refiner import (
     TrainConfig,
     TrainingError,
     assemble_joint,
+    evaluate_losses,
     init_params,
     mock_backbone,
     refine,
@@ -263,7 +272,7 @@ def reference_train(dataset, graph, config):
             chunk = order[start : start + batch]
             names = ("w1", "b1", "w2", "b2")
             grads = [np.zeros_like(getattr(params, name)) for name in names]
-            sums = dict.fromkeys(("seg", "region", "phys", "phys_argmax", "total"), 0.0)
+            sums = dict.fromkeys(("seg", "region", "phys", "total"), 0.0)
             for idx in chunk:
                 scene = dataset[idx]
                 drop = drop_rng.random() < config.modality_dropout_prob
@@ -306,6 +315,67 @@ def test_train_is_bitwise_the_total_loss_reference(batch_size):
 
     assert as_bits(history) == as_bits(ref_history)
     assert any(rec["phys"] > 0.0 for rec in history)  # the hinge gradient took part
+
+
+def test_history_records_hold_step_and_components():
+    graph, scenes = demo_dataset()
+    _, history = train(scenes, graph, TrainConfig(epochs=2))
+    assert [set(rec) for rec in history] == [{"step", *COMPONENTS}] * len(history)
+
+
+def test_train_steps_skip_the_hard_hinge_and_raster_means(monkeypatch):
+    graph, scenes = demo_dataset()
+    hard_region_stats = losses._region_stats
+
+    def no_hard_hinge(*args):
+        raise AssertionError("the hard-region hinge ran")
+
+    def no_raster_means(pred, features, rasters):
+        assert not rasters, "raster means were computed"
+        return hard_region_stats(pred, features, rasters)
+
+    monkeypatch.setattr(losses, "_phys_loss", no_hard_hinge)
+    monkeypatch.setattr(losses, "_region_stats", no_raster_means)
+    params, _ = train(scenes, graph, TrainConfig(epochs=2))
+    # the report does both, so the patches are live
+    with pytest.raises(AssertionError, match="raster means"):
+        evaluate_losses(params, scenes, graph)
+
+
+def demo_prediction(scene):
+    """A trained refiner's prediction on one 32x32 demo scene, with its graph and scene."""
+    graph, scenes = demo_dataset()
+    params, _ = train(scenes, graph, TrainConfig(epochs=5))
+    scene = scenes[scene]
+    z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
+    pred, _ = refine(params, z, scene.coarse)
+    return pred, graph, scene
+
+
+@pytest.mark.parametrize("scene", range(3))
+def test_loss_step_is_bitwise_the_total_loss_report(scene):
+    pred, graph, scene = demo_prediction(scene)
+    weights = LossWeights(alpha=0.5, lambda1=0.5, lambda2=0.4)
+    targets = prepare_targets(scene.labels, scene.features, scene.rasters, graph, pred.shape)
+    step_total, step_comps, step_grad = loss_step(pred, targets, weights)
+    total, comps, grad = total_loss(
+        pred, scene.labels, scene.features, scene.rasters, graph, weights
+    )
+    assert tuple(step_comps) == COMPONENTS
+    assert step_comps["phys"] > 0.0
+    assert [float(v).hex() for v in (step_total, *step_comps.values())] == [
+        float(v).hex() for v in (total, *(comps[key] for key in COMPONENTS))
+    ]
+    assert step_grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("scene", range(3))
+def test_total_loss_reports_the_hard_region_hinge(scene):
+    pred, graph, scene = demo_prediction(scene)
+    _, comps, _ = total_loss(pred, scene.labels, scene.features, scene.rasters, graph)
+    stats = region_stats(pred, scene.features, scene.rasters)
+    assert (comps["phys_argmax"], comps["phys_terms"]) == phys_loss(stats, graph)
+    assert comps["phys_terms"]
 
 
 class TestComposedGradient:
