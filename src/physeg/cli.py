@@ -319,7 +319,7 @@ def cmd_refine(args, argv):
         _write_sidecar(path, provenance)
     print(
         json.dumps(
-            {"flips": len(trace.flips), "warnings": len(trace.warnings), "out": args.out},
+            {"flips": len(trace), "warnings": len(trace.warnings), "out": args.out},
             sort_keys=True,
         )
     )

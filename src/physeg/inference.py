@@ -7,14 +7,18 @@ product of attenuations and renormalized.  With no modalities available the
 attenuation is identically 1 and the refined probabilities are simply
 renormalized (visual-only mode).  Every pixel whose argmax label changes is
 recorded in a trace carrying distances, attenuations and the knowledge-graph
-reasoning for the classes involved.
+reasoning for the classes involved.  The trace is kept as columns (one list
+per field); per-flip record dicts are built only when ``trace.flips`` is
+read, and ``to_jsonl`` encodes the columns straight to the bytes a
+per-record ``json.dumps(record, sort_keys=True)`` would give.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,18 +66,106 @@ class AttenuationConfig:
         return tau, sigma
 
 
+# Per-modality columns of a flip, in the key order of a ``flips`` record.
+FLIP_FIELDS = ("value", "distance_pre", "score_pre", "distance_post", "score_post")
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(column) -> list[str]:
+    """``json.dumps`` text of each number in ``column``: repr, or NaN/Infinity."""
+    text = list(map(float.__repr__, column))
+    if "nan" in text or "inf" in text or "-inf" in text:
+        text = [_JSON_NON_FINITE.get(t, t) for t in text]
+    return text
+
+
 @dataclass
 class RefinementTrace:
-    """Per-pixel records of argmax flips caused by re-weighting, plus warnings."""
+    """Argmax flips caused by re-weighting, stored as columns, plus warnings.
 
-    flips: list = field(default_factory=list)
+    ``ys``, ``xs``, ``pre_labels`` and ``post_labels`` hold one entry per flip.
+    ``modalities`` maps each modality, in the order re-weighting used it, to
+    its ``FLIP_FIELDS`` columns; ``classes`` maps every class id a flip names
+    to its (category, reasoning).  ``flips`` builds one record dict per flip
+    on first read and keeps it; ``len(trace)`` is the flip count.
+    """
+
+    ys: list = field(default_factory=list)
+    xs: list = field(default_factory=list)
+    pre_labels: list = field(default_factory=list)
+    post_labels: list = field(default_factory=list)
+    modalities: dict = field(default_factory=dict)
+    classes: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    @cached_property
+    def flips(self) -> list:
+        """One dict per flip: pixel, both labels and classes, per-modality values."""
+        per_modality = {
+            name: list(zip(*(cols[f] for f in FLIP_FIELDS)))
+            for name, cols in self.modalities.items()
+        }
+        flips = zip(self.ys, self.xs, self.pre_labels, self.post_labels)
+        return [
+            {
+                "y": y,
+                "x": x,
+                "pre_label": pre,
+                "post_label": post,
+                "pre_category": self.classes[pre][0],
+                "post_category": self.classes[post][0],
+                "modalities": {
+                    name: dict(zip(FLIP_FIELDS, rows[k])) for name, rows in per_modality.items()
+                },
+                "pre_reasoning": self.classes[pre][1],
+                "post_reasoning": self.classes[post][1],
+            }
+            for k, (y, x, pre, post) in enumerate(flips)
+        ]
+
     def to_jsonl(self) -> str:
-        lines = [json.dumps(rec, sort_keys=True) for rec in self.flips]
-        for msg in self.warnings:
-            lines.append(json.dumps({"warning": msg}, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """``json.dumps(record, sort_keys=True)`` per flip, then per warning, one a line.
+
+        Each column is encoded once and each (pre, post) class pair's text
+        once; every line is then one ``%`` format over the encoded columns.
+        """
+        names = sorted(self.modalities)
+        keys = sorted(FLIP_FIELDS)
+        columns = [
+            _json_numbers(self.modalities[name][key]) for name in names for key in keys
+        ]
+        block = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
+        template = (
+            '{"modalities": {'
+            + ", ".join(f"{encode_basestring_ascii(name)}: {block}" for name in names)
+            + '}, %s, "x": %s, "y": %s}\n'
+        )
+        pairs = list(zip(self.pre_labels, self.post_labels))
+        pair_text = {pair: self._pair_json(*pair) for pair in set(pairs)}
+        columns.append([pair_text[pair] for pair in pairs])
+        columns.append(list(map(int.__repr__, self.xs)))
+        columns.append(list(map(int.__repr__, self.ys)))
+        lines = [template % row for row in zip(*columns)]
+        lines += ['{"warning": %s}\n' % encode_basestring_ascii(msg) for msg in self.warnings]
+        return "".join(lines)
+
+    def _pair_json(self, pre: int, post: int) -> str:
+        """The sorted record keys between ``modalities`` and ``x`` for one class pair."""
+        (pre_category, pre_reasoning), (post_category, post_reasoning) = (
+            self.classes[pre],
+            self.classes[post],
+        )
+        return (
+            f'"post_category": {encode_basestring_ascii(post_category)}, '
+            f'"post_label": {post!r}, '
+            f'"post_reasoning": {encode_basestring_ascii(post_reasoning)}, '
+            f'"pre_category": {encode_basestring_ascii(pre_category)}, '
+            f'"pre_label": {pre!r}, '
+            f'"pre_reasoning": {encode_basestring_ascii(pre_reasoning)}'
+        )
 
 
 def attenuation(d: float, tau: float, sigma: float) -> float:
@@ -153,47 +245,33 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     probs = weighted / np.maximum(denom, DENOM_FLOOR)
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
 
-    # Flip records: values, scores and per-class entries are gathered once;
-    # each distance stays one 1x1 interval_distance_grid call, the count that
-    # perfbench's traced runs check per re-weighting.
+    # Flip columns: values and scores are gathered once and each class entry
+    # is resolved once.  Each distance stays one 1x1 interval_distance_grid
+    # call through this module's name: perfbench's traced runs patch it and
+    # check m * (C + 2 * flips) calls per re-weighting.
     ys, xs = np.nonzero(labels != pre_labels)
     pre_ids, post_ids = pre_labels[ys, xs], labels[ys, xs]
+    trace.ys, trace.xs = ys.tolist(), xs.tolist()
+    trace.pre_labels, trace.post_labels = pre_ids.tolist(), post_ids.tolist()
     entries = {cid: graph.entry_for_id(cid) for cid in np.union1d(pre_ids, post_ids).tolist()}
-    columns = {
-        name: (
-            grid[ys, xs].tolist(),
-            parts[name][ys, xs, pre_ids - 1].tolist(),
-            parts[name][ys, xs, post_ids - 1].tolist(),
-            {cid: entry.interval(name) for cid, entry in entries.items()},
-        )
-        for name, grid in used.items()
-    }
-    flips = zip(ys.tolist(), xs.tolist(), pre_ids.tolist(), post_ids.tolist())
-    for k, (y, x, pre, post) in enumerate(flips):
-        per_modality = {}
-        for name, grid in used.items():
-            values, pre_scores, post_scores, intervals = columns[name]
-            cell = grid[y : y + 1, x : x + 1]
-            per_modality[name] = {
-                "value": values[k],
-                "distance_pre": float(interval_distance_grid(cell, intervals[pre])[0, 0]),
-                "score_pre": pre_scores[k],
-                "distance_post": float(interval_distance_grid(cell, intervals[post])[0, 0]),
-                "score_post": post_scores[k],
-            }
-        trace.flips.append(
-            {
-                "y": y,
-                "x": x,
-                "pre_label": pre,
-                "post_label": post,
-                "pre_category": entries[pre].category,
-                "post_category": entries[post].category,
-                "modalities": per_modality,
-                "pre_reasoning": entries[pre].reasoning,
-                "post_reasoning": entries[post].reasoning,
-            }
-        )
+    trace.classes = {cid: (entry.category, entry.reasoning) for cid, entry in entries.items()}
+    for name, grid in used.items():
+        intervals = {cid: entry.interval(name) for cid, entry in entries.items()}
+        values = grid[ys, xs]
+        cells = values.reshape(-1, 1, 1)  # iterates as one 1x1 grid per flip
+        trace.modalities[name] = {
+            "value": values.tolist(),
+            "distance_pre": [
+                interval_distance_grid(cell, intervals[cid]).item()
+                for cell, cid in zip(cells, trace.pre_labels)
+            ],
+            "score_pre": parts[name][ys, xs, pre_ids - 1].tolist(),
+            "distance_post": [
+                interval_distance_grid(cell, intervals[cid]).item()
+                for cell, cid in zip(cells, trace.post_labels)
+            ],
+            "score_post": parts[name][ys, xs, post_ids - 1].tolist(),
+        }
     return probs, labels, trace
 
 

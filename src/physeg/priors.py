@@ -66,11 +66,16 @@ class EmptyGraphWarning(UserWarning):
 
 
 def modality_order(names) -> list[str]:
-    """The given modality names in ``MODALITIES`` order; any other name is a ValueError."""
+    """The given modality names in ``MODALITIES`` order.
+
+    An unknown name, or a name given twice, is a ValueError.
+    """
     names = list(names)
-    for name in names:
+    for k, name in enumerate(names):
         if name not in MODALITY_INDEX:
             raise ValueError(f"unknown modality {name!r}")
+        if name in names[:k]:
+            raise ValueError(f"modality {name!r} named more than once")
     return sorted(names, key=MODALITY_INDEX.get)
 
 

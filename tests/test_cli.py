@@ -170,6 +170,23 @@ class TestSynthCommands:
             assert vals.min() >= iv.lo and vals.max() <= iv.hi
         assert not (out / "dem.pgrd").exists()
 
+    def test_repeated_modality_exit_1(self, tmp_path, capsys):
+        demo = tmp_path / "demo"
+        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
+        out = tmp_path / "rasters"
+        code, stdout, err = run(
+            capsys,
+            "synth",
+            "--pckg", str(demo / "pckg.json"),
+            "--labels", str(demo / "scene_0.labels.pgrd"),
+            "--modalities", "SAR,SAR",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == "modality 'SAR' named more than once"
+        assert not (out / "sar.pgrd").exists()
+
     def test_bad_labels_class_exit_1(self, tmp_path, capsys):
         demo = tmp_path / "demo"
         run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
@@ -357,6 +374,25 @@ class TestTrainRefineEval:
         )
         assert code == 1
         assert "lst" in json.loads(err)["message"]
+
+    def test_repeated_available_modality_exit_1(self, pipeline_dir, capsys):
+        demo = pipeline_dir / "demo"
+        out = pipeline_dir / "sar_twice"
+        code, stdout, err = run(
+            capsys,
+            "refine",
+            "--params", str(pipeline_dir / "params.psp"),
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(demo / "scene_0.features.pgrd"),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
+            "--available", "SAR,SAR",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == "modality 'SAR' named more than once"
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad_input", ["params", "features"])
     def test_non_finite_input_exit_1(self, pipeline_dir, capsys, bad_input):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physeg.inference import (
+    FLIP_FIELDS,
     AttenuationConfig,
     RefinementTrace,
     _attenuation_grids,
@@ -13,7 +17,14 @@ from physeg.inference import (
     infer,
     reweight,
 )
-from physeg.priors import Interval, PriorEntry, PriorGraph, interval_distance, interval_distance_grid
+from physeg.priors import (
+    MODALITIES,
+    Interval,
+    PriorEntry,
+    PriorGraph,
+    interval_distance,
+    interval_distance_grid,
+)
 from physeg.refiner import TrainConfig, init_params
 
 
@@ -275,7 +286,7 @@ def test_trace_matches_per_pixel_reference():
     _, parts = _attenuation_grids(rasters, graph, config, 3)
 
     pre_labels = refined.argmax(axis=2) + 1
-    expected = RefinementTrace()
+    expected = []
     for y, x in np.argwhere(labels != pre_labels):
         pre, post = int(pre_labels[y, x]), int(labels[y, x])
         per_modality = {}
@@ -287,7 +298,7 @@ def test_trace_matches_per_pixel_reference():
                 record[f"distance_{tag}"] = float(interval_distance_grid(cell, iv)[0, 0])
                 record[f"score_{tag}"] = float(parts[name][y, x, cid - 1])
             per_modality[name] = record
-        expected.flips.append(
+        expected.append(
             {
                 "y": int(y),
                 "x": int(x),
@@ -300,10 +311,57 @@ def test_trace_matches_per_pixel_reference():
                 "post_reasoning": graph.entry_for_id(post).reasoning,
             }
         )
-    assert len(expected.flips) >= 5
-    assert trace.to_jsonl() == expected.to_jsonl()
-    assert trace.flips == expected.flips
+    assert len(expected) >= 5
+    assert len(trace) == len(expected)
+    assert trace.flips == expected
+    assert json.dumps(trace.flips) == json.dumps(expected)  # the same key order too
+    assert trace.flips is trace.flips  # built once, then kept
+    assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
 def test_trace_jsonl_empty():
     assert RefinementTrace().to_jsonl() == ""
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300, 1e16, 0.1]
+    ),
+)
+_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ['"quoted"', "back\\slash", "\x00\x1f\x7f", "caf\u00e9 \u6c34 \U0001f30a", "100%s", ""]
+    ),
+)
+
+
+@st.composite
+def _columnar_traces(draw):
+    num_classes = draw(st.integers(1, 4))  # some ids may be named by no flip
+    classes = {cid: (draw(_TEXT), draw(_TEXT)) for cid in range(1, num_classes + 1)}
+    n = draw(st.integers(0, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    ids = st.integers(1, num_classes)  # few ids: (pre, post) pairs repeat
+    names = draw(st.permutations(MODALITIES))[: draw(st.integers(0, 3))]
+    return RefinementTrace(
+        ys=column(st.integers(0, 10**6)),
+        xs=column(st.integers(0, 10**6)),
+        pre_labels=column(ids),
+        post_labels=column(ids),
+        modalities={name: {key: column(_NUMBERS) for key in FLIP_FIELDS} for name in names},
+        classes=classes,
+        warnings=draw(st.lists(_TEXT, max_size=3)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_columnar_traces())
+def test_to_jsonl_is_json_dumps_of_each_record_property(trace):
+    records = trace.flips + [{"warning": msg} for msg in trace.warnings]
+    assert len(trace) == len(trace.flips)
+    assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)

@@ -324,3 +324,19 @@ def test_unknown_modality_rejected(call):
     graph = parse_pckg(json.dumps([WATER_OBJ]))
     with pytest.raises(ValueError, match="unknown modality 'LST'"):
         call(graph)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: modality_order(("SAR", "NDVI", "SAR")),
+        lambda g: phys_loss(region_stats(_PRED, _FEATURES), g, ("SAR", "SAR")),
+        lambda g: synthesize_scene(_GRID, g, ("SAR", "SAR"), SynthConfig()),
+        lambda g: AttenuationConfig(available=("SAR", "SAR")),
+    ],
+    ids=["modality_order", "phys_loss", "synthesize_scene", "attenuation_config"],
+)
+def test_repeated_modality_rejected(call):
+    graph = parse_pckg(json.dumps([WATER_OBJ]))
+    with pytest.raises(ValueError, match="modality 'SAR' named more than once"):
+        call(graph)
