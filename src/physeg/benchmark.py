@@ -13,7 +13,6 @@ inference / ablation commands.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 
@@ -192,6 +191,11 @@ LADDER = (
 _LADDER_KEYS = ("name", "use_synth_data", "use_pckg_reweight", "use_phys_loss")
 
 
+def _train_head(scenes, graph, config):
+    """Refiner parameters of one ladder head; module-level so a worker process can run it."""
+    return train(scenes, graph, config)[0]
+
+
 def evaluate_rows(
     graph,
     scenes,
@@ -203,16 +207,33 @@ def evaluate_rows(
 ):
     """Run the ablation ladder (``LADDER``, or its baseline row alone); returns the table.
 
-    The refiner trains once per physics-loss setting, on first use: twice for
-    the full ladder and not at all with ``baseline_only``.
+    The refiner trains once per physics-loss setting, both heads up front and
+    side by side: this process trains the head without the physics loss while
+    one worker process trains the head with it.  Each head is one seeded
+    ``train`` call, so the table does not depend on where it ran.  With
+    ``baseline_only`` nothing trains and no worker starts.  An exception in
+    the worker is raised here with its class and message.
     """
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
+    ladder = LADDER[:1] if baseline_only else LADDER
 
-    @functools.cache
-    def trained(phys_loss):
-        lambda2 = DEMO_PHYS_LAMBDA2 if phys_loss else 0.0
-        return train(scenes, graph, demo_train_config(seed, epochs, learning_rate, lambda2))[0]
+    heads = {}
+    if not baseline_only:
+        # imported here: `import physeg.cli` must not load concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            phys = pool.submit(
+                _train_head,
+                scenes,
+                graph,
+                demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2),
+            )
+            heads[False] = _train_head(
+                scenes, graph, demo_train_config(seed, epochs, learning_rate, 0.0)
+            )
+            heads[True] = phys.result()
 
     def predict(scene, synth, reweight, phys_loss):
         if not synth:
@@ -221,7 +242,7 @@ def evaluate_rows(
         # available rasters populate the joint tensor, only the interval
         # gating at the output is toggled
         rasters = {m: scene.rasters[m] for m in available}
-        params = trained(phys_loss)
+        params = heads[phys_loss]
         if reweight:
             return infer(params, scene.features, scene.coarse, rasters, graph, gating)[0]
         z = assemble_joint(scene.features, scene.coarse, rasters, graph)
@@ -229,7 +250,7 @@ def evaluate_rows(
         return (refined.argmax(axis=2) + 1).astype(np.int32)
 
     rows = []
-    for entry in LADDER[:1] if baseline_only else LADDER:
+    for entry in ladder:
         row = dict(zip(_LADDER_KEYS, entry))
         conf = sum(
             confusion_counts(predict(s, *entry[1:]), s.labels, graph.num_classes) for s in scenes

@@ -210,7 +210,6 @@ def cmd_synth(args, argv):
     synth_config, resolved = _settings(SynthConfig, SYNTH_SETTINGS, args, config)
     seed = synth_config.seed
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
 
     if args.demo:
         resolved = {"demo": True, "seed": seed, "scenes": args.scenes, "size": args.size}
@@ -233,6 +232,7 @@ def cmd_synth(args, argv):
     resolved["modalities"] = list(modalities)
     provenance = _provenance(argv, seed, resolved)
     rasters = synthesize_scene(labels, graph, modalities, synth_config)
+    os.makedirs(out_dir, exist_ok=True)
     written = {}
     for name, grid in rasters.items():
         path = os.path.join(out_dir, f"{name.lower()}.pgrd")

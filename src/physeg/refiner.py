@@ -104,7 +104,8 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
     """Stack [features | coarse | NDVI | DEM | SAR] channels per pixel.
 
     Physical channels are standardized by the graph-level interval-midpoint
-    mean/scale of their modality; absent modalities stay all-zero.
+    mean/scale of their modality; absent modalities stay all-zero.  A raster
+    with a non-finite cell raises ValueError naming the modality.
     """
     features = np.asarray(features, dtype=np.float64)
     coarse = np.asarray(coarse, dtype=np.float64)
@@ -128,6 +129,9 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
         grid = np.asarray(rasters[name], dtype=np.float64)
         if grid.shape != (h, w):
             raise ValueError(f"raster {name!r} shape {grid.shape} does not match {(h, w)}")
+        bad = grid.size - np.count_nonzero(np.isfinite(grid))
+        if bad:
+            raise ValueError(f"raster {name!r} has {bad} non-finite cells")
         mu, sigma = graph.modality_stats(name)
         phys[:, :, MODALITY_INDEX[name]] = (grid - mu) / sigma
     return np.concatenate([features, coarse, phys], axis=2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestSynthCommands:
         assert code == 1
         assert stdout == ""
         assert json.loads(err)["message"] == "modality 'SAR' named more than once"
-        assert not (out / "sar.pgrd").exists()
+        assert not out.exists()
 
     def test_bad_labels_class_exit_1(self, tmp_path, capsys):
         demo = tmp_path / "demo"
@@ -201,6 +202,7 @@ class TestSynthCommands:
         )
         assert code == 1
         assert "9" in json.loads(err)["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_non_ascii_labels_exit_1_naming_file(self, tmp_path, capsys):
         demo = tmp_path / "demo"
@@ -418,6 +420,35 @@ class TestTrainRefineEval:
         payload = json.loads(err)
         assert payload["error"] == "GridFormatError"
         assert str(bad) in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["refine", "train", "ablate"])
+    def test_non_finite_raster_exit_1(self, pipeline_dir, capsys, command):
+        # a raster may hold nan on disk, but no stage may compute with it
+        demo = pipeline_dir / "demo"
+        bad_demo = pipeline_dir / f"nan_raster_{command}_demo"
+        shutil.copytree(demo, bad_demo)
+        sar = read_grid_as(demo / "scene_0.sar.pgrd", "SAR")
+        sar[:, 16] = np.nan
+        write_grid(bad_demo / "scene_0.sar.pgrd", "SAR", sar)
+        scene = [
+            "--pckg", str(bad_demo / "pckg.json"),
+            "--features", str(bad_demo / "scene_0.features.pgrd"),
+            "--coarse", str(bad_demo / "scene_0.coarse.pgrd"),
+            "--rasters", f"sar={bad_demo / 'scene_0.sar.pgrd'}",
+        ]
+        out = pipeline_dir / f"nan_raster_{command}_out"
+        argv = {
+            "refine": ["refine", "--params", str(pipeline_dir / "params.psp"), *scene],
+            "train": ["train", "--labels", str(bad_demo / "scene_0.labels.pgrd"), *scene],
+            "ablate": ["ablate", "--demo-dir", str(bad_demo), "--epochs", "2"],
+        }[command]
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == "raster 'SAR' has 32 non-finite cells"
         assert not out.exists()
 
 
