@@ -7,8 +7,8 @@ provenance block (command line, seed, config digest); grid/parameter/trace
 files get a ``<name>.meta.json`` sidecar with the same block, since their
 formats have no comment syntax.
 
-Exit codes: 0 success, 1 validation or input error, 2 runtime or numeric
-error, 3 transport (LLM provider) error.
+Exit codes: 0 success, 1 usage, validation or input error, 2 runtime or
+numeric error, 3 transport (LLM provider) error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RUNTIME = 2
 EXIT_TRANSPORT = 3
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects: unknown flag, bad value, missing argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_config_file(path):
@@ -170,6 +179,8 @@ def cmd_pckg_validate(args, argv):
 
 def cmd_pckg_extract(args, argv):
     config = _load_config_file(args.config)
+    if args.vocab and args.vocab_file:
+        raise ValueError("pckg extract takes --vocab or --vocab-file, not both")
     if args.vocab_file:
         with open(args.vocab_file, encoding="utf-8") as fh:
             terms = [line.strip() for line in fh if line.strip()]
@@ -243,8 +254,15 @@ def cmd_synth(args, argv):
     return EXIT_OK
 
 
+# train inputs that only the non-manifest path reads
+_SCENE_FLAGS = ("pckg", "labels", "features", "coarse", "rasters")
+
+
 def _scenes_from_args(args):
     if args.manifest:
+        unused = ["--" + key for key in _SCENE_FLAGS if getattr(args, key)]
+        if unused:
+            raise ValueError(f"train --manifest does not use {', '.join(unused)}")
         demo_dir = os.path.dirname(os.path.abspath(args.manifest))
         graph, scenes, manifest = benchmark.load_manifest(demo_dir)
         return graph, scenes, manifest
@@ -327,13 +345,20 @@ def cmd_refine(args, argv):
 
 
 def cmd_eval(args, argv):
+    reliability_flags = [
+        "--" + key for key in ("synthetic", "reference", "modality") if getattr(args, key)
+    ]
+    if reliability_flags and not (args.synthetic and args.reference):
+        raise ValueError(
+            f"eval {', '.join(reliability_flags)} needs both --synthetic and --reference"
+        )
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")
     report = miou(
         pred, gt, graph.num_classes, ignore_background=not args.include_background
     )
-    payload = {"miou": report.miou, "per_class": report.to_json_dict()["per_class"]}
+    payload = {"miou": report.miou, "per_class": {str(k): v for k, v in report.per_class.items()}}
     rasters = _load_rasters(_parse_rasters(args.rasters))
     if rasters:
         rate, breakdown = plausibility_rate(pred, rasters, graph)
@@ -402,7 +427,7 @@ def cmd_ablate(args, argv):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="physeg",
         description="Physics-prior segmentation refinement pipeline",
     )
@@ -495,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
     except TransportError as exc:
         return _fail(EXIT_TRANSPORT, exc)

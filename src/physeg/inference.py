@@ -31,39 +31,27 @@ SIGMA_FLOOR = 1e-3  # modality units; guards zero-width intervals
 
 @dataclass(frozen=True)
 class AttenuationConfig:
-    """Cap/tolerance settings per modality, interval-width-relative by default.
+    """Which modalities re-weight, and the interval-width-relative Gaussian settings.
 
-    In relative mode each (modality, class) pair gets sigma = sigma_rel * width
-    and tau = tau_rel * sigma; zero-width intervals fall back to the sigma
-    floor.  Absolute per-modality overrides replace both for every class of
-    that modality.
+    Each (modality, class) pair gets sigma = max(sigma_rel * width, SIGMA_FLOOR)
+    and tau = tau_rel * sigma, so a zero-width interval falls back to the
+    sigma floor.
     """
 
     available: tuple = ()
     sigma_rel: float = 0.5
     tau_rel: float = 2.0
-    sigma_abs: dict = field(default_factory=dict)
-    tau_abs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "available", tuple(self.available))
         modality_order(self.available)  # raises ValueError on an unknown name
         if self.sigma_rel <= 0 or self.tau_rel <= 0:
             raise ValueError("sigma_rel and tau_rel must be > 0")
-        for table, label in ((self.sigma_abs, "sigma"), (self.tau_abs, "tau")):
-            for name, value in table.items():
-                if value <= 0:
-                    raise ValueError(f"absolute {label} for {name!r} must be > 0")
 
-    def params_for(self, modality: str, interval) -> tuple[float, float]:
-        """Resolved (tau, sigma) for one (modality, class interval) pair."""
-        sigma = self.sigma_abs.get(modality)
-        tau = self.tau_abs.get(modality)
-        if sigma is None:
-            sigma = max(self.sigma_rel * interval.width, SIGMA_FLOOR)
-        if tau is None:
-            tau = self.tau_rel * sigma
-        return tau, sigma
+    def params_for(self, interval) -> tuple[float, float]:
+        """Resolved (tau, sigma) for one class interval."""
+        sigma = max(self.sigma_rel * interval.width, SIGMA_FLOOR)
+        return self.tau_rel * sigma, sigma
 
 
 # Per-modality columns of a flip, in the key order of a ``flips`` record.
@@ -188,7 +176,7 @@ def _attenuation_grids(rasters, graph, config, num_classes):
         per_mod = np.empty(shape + (num_classes,))
         for ch in range(num_classes):
             iv = graph.interval(ch + 1, name)
-            tau, sigma = config.params_for(name, iv)
+            tau, sigma = config.params_for(iv)
             d = np.minimum(interval_distance_grid(values, iv), tau)
             per_mod[:, :, ch] = np.exp(-(d * d) / (sigma * sigma))
         parts[name] = per_mod

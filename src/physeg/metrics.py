@@ -10,7 +10,7 @@ compares a synthetic raster against a reference one using rank statistics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,6 @@ from .priors import PriorGraph, modality_order
 class IoUReport:
     per_class: dict  # class id -> IoU in [0, 1], or None when undefined
     miou: float
-    confusion: np.ndarray = field(repr=False)  # (C+1, C+1) counts incl. background row/col
-
-    def to_json_dict(self) -> dict:
-        return {
-            "miou": self.miou,
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "confusion": self.confusion.tolist(),
-        }
 
 
 def confusion_counts(pred, gt, num_classes: int, ignore_background: bool = True) -> np.ndarray:
@@ -68,7 +60,7 @@ def miou_from_confusion(confusion: np.ndarray, include_background: bool = False)
         per_class[cid] = iou
         defined.append(iou)
     mean = float(np.mean(defined)) if defined else 0.0
-    return IoUReport(per_class=per_class, miou=mean, confusion=confusion)
+    return IoUReport(per_class=per_class, miou=mean)
 
 
 def miou(pred, gt, num_classes: int, ignore_background: bool = True) -> IoUReport:

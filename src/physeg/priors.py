@@ -21,25 +21,23 @@ import numpy as np
 MODALITIES = ("NDVI", "DEM", "SAR")
 MODALITY_INDEX = {m: i for i, m in enumerate(MODALITIES)}
 
-FIELD_CATEGORY = "Category"
-FIELD_MEANING = "Meaning"
-FIELD_MODIFIERS = "Modifier Analysis"
-FIELD_COARSE = "Coarse Class"
-FIELD_NDVI = "NDVI Range"
-FIELD_DEM = "DEM Range"
-FIELD_SAR = "SAR Range"
-FIELD_REASONING = "Reasoning"
-
-ENTRY_FIELDS = (
-    FIELD_CATEGORY,
-    FIELD_MEANING,
-    FIELD_MODIFIERS,
-    FIELD_COARSE,
-    FIELD_NDVI,
-    FIELD_DEM,
-    FIELD_SAR,
-    FIELD_REASONING,
+# The record layout in file order: each PriorEntry attribute and its file field.
+RECORD = (
+    ("category", "Category"),
+    ("meaning", "Meaning"),
+    ("modifier_analysis", "Modifier Analysis"),
+    ("coarse_class", "Coarse Class"),
+    ("ndvi_range", "NDVI Range"),
+    ("dem_range", "DEM Range"),
+    ("sar_range", "SAR Range"),
+    ("reasoning", "Reasoning"),
 )
+ENTRY_FIELDS = tuple(name for _, name in RECORD)
+# Each modality's interval attribute: "NDVI" -> "ndvi_range".
+_RANGE_ATTRS = {
+    name.removesuffix(" Range"): attr for attr, name in RECORD if name.endswith(" Range")
+}
+
 
 class PriorError(Exception):
     """Base class for knowledge-graph errors."""
@@ -113,9 +111,6 @@ class Interval:
         """Slack for comparing region means to the endpoints (absorbs summation rounding)."""
         return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
 
-    def as_pair(self) -> list[float]:
-        return [self.lo, self.hi]
-
 
 def interval_distance(value: float, interval: Interval) -> float:
     """Distance from a scalar to a closed interval (0 when the value is inside)."""
@@ -161,13 +156,9 @@ class PriorEntry:
             )
 
     def interval(self, modality: str) -> Interval:
-        if modality == "NDVI":
-            return self.ndvi_range
-        if modality == "DEM":
-            return self.dem_range
-        if modality == "SAR":
-            return self.sar_range
-        raise PriorLookupError(f"unknown modality {modality!r}")
+        if modality not in _RANGE_ATTRS:
+            raise PriorLookupError(f"unknown modality {modality!r}")
+        return getattr(self, _RANGE_ATTRS[modality])
 
 
 def _require_text(obj: dict, name: str, where: str) -> str:
@@ -199,19 +190,13 @@ def entry_from_json_obj(obj, where: str = "entry") -> PriorEntry:
     """Validate one JSON entry object against the record schema."""
     if not isinstance(obj, dict):
         raise PriorSchemaError(f"{where}: expected a JSON object")
-    category = obj.get(FIELD_CATEGORY)
+    category = obj.get(ENTRY_FIELDS[0])
     if isinstance(category, str) and category.strip():
         where = f"category {category!r}"
-    fields = {
-        "category": _require_text(obj, FIELD_CATEGORY, where),
-        "meaning": _require_text(obj, FIELD_MEANING, where),
-        "modifier_analysis": _require_text(obj, FIELD_MODIFIERS, where),
-        "coarse_class": _require_text(obj, FIELD_COARSE, where),
-        "ndvi_range": _require_range(obj, FIELD_NDVI, where),
-        "dem_range": _require_range(obj, FIELD_DEM, where),
-        "sar_range": _require_range(obj, FIELD_SAR, where),
-        "reasoning": _require_text(obj, FIELD_REASONING, where),
-    }
+    fields = {}
+    for attr, name in RECORD:
+        require = _require_range if attr in _RANGE_ATTRS.values() else _require_text
+        fields[attr] = require(obj, name, where)
     extras = {k: v for k, v in obj.items() if k not in ENTRY_FIELDS}
     try:
         return PriorEntry(**fields, extras=extras)
@@ -226,15 +211,13 @@ class PriorGraph:
     """Ordered collection of entries; class ids 1..C assigned in entry order."""
 
     entries: tuple[PriorEntry, ...]
-    _by_category: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {}
-        for k, entry in enumerate(self.entries):
-            if entry.category in index:
+        seen = set()
+        for entry in self.entries:
+            if entry.category in seen:
                 raise PriorValidationError(f"duplicate category {entry.category!r}")
-            index[entry.category] = k + 1
-        object.__setattr__(self, "_by_category", index)
+            seen.add(entry.category)
 
     @property
     def num_classes(self) -> int:
@@ -243,12 +226,6 @@ class PriorGraph:
     @property
     def categories(self) -> tuple[str, ...]:
         return tuple(e.category for e in self.entries)
-
-    def class_id(self, category: str) -> int:
-        try:
-            return self._by_category[category]
-        except KeyError:
-            raise PriorLookupError(f"unknown category {category!r}") from None
 
     def entry_for_id(self, class_id: int) -> PriorEntry:
         if not isinstance(class_id, (int, np.integer)) or not 1 <= class_id <= len(self.entries):
@@ -307,24 +284,17 @@ def parse_pckg(document: str) -> PriorGraph:
     return graph
 
 
-def _json_scalar(value) -> str:
+def _json_text(value) -> str:
+    """Canonical text of a key or field value: intervals with two decimals."""
+    if isinstance(value, Interval):
+        return f"[{value.lo:.2f}, {value.hi:.2f}]"
     return json.dumps(value, ensure_ascii=False)
 
 
 def _entry_lines(entry: PriorEntry) -> list[str]:
-    pairs = [
-        (FIELD_CATEGORY, _json_scalar(entry.category)),
-        (FIELD_MEANING, _json_scalar(entry.meaning)),
-        (FIELD_MODIFIERS, _json_scalar(entry.modifier_analysis)),
-        (FIELD_COARSE, _json_scalar(entry.coarse_class)),
-        (FIELD_NDVI, f"[{entry.ndvi_range.lo:.2f}, {entry.ndvi_range.hi:.2f}]"),
-        (FIELD_DEM, f"[{entry.dem_range.lo:.2f}, {entry.dem_range.hi:.2f}]"),
-        (FIELD_SAR, f"[{entry.sar_range.lo:.2f}, {entry.sar_range.hi:.2f}]"),
-        (FIELD_REASONING, _json_scalar(entry.reasoning)),
-    ]
-    for key, value in entry.extras.items():
-        pairs.append((key, json.dumps(value, ensure_ascii=False)))
-    return [f"    {_json_scalar(k)}: {v}" for k, v in pairs]
+    pairs = [(name, getattr(entry, attr)) for attr, name in RECORD]
+    pairs += entry.extras.items()
+    return [f"    {_json_text(k)}: {_json_text(v)}" for k, v in pairs]
 
 
 def serialize_pckg(graph: PriorGraph) -> str:

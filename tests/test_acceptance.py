@@ -120,9 +120,8 @@ def test_criterion_1_equation_oracles():
             ),
         )
     )
-    config = AttenuationConfig(
-        available=("SAR",), sigma_abs={"SAR": 6.0}, tau_abs={"SAR": 12.0}
-    )
+    # the "out" interval is 16 dB wide: sigma 6, tau 12
+    config = AttenuationConfig(available=("SAR",), sigma_rel=0.375, tau_rel=2.0)
     probs, labels, _ = reweight(
         np.array([[[0.5, 0.5]]]), {"SAR": np.array([[-8.0]])}, pair, config
     )
@@ -347,9 +346,9 @@ def test_criterion_7_pipeline_determinism(tmp_path, monkeypatch):
             "Meaning": entry.meaning,
             "Modifier Analysis": entry.modifier_analysis,
             "Coarse Class": entry.coarse_class,
-            "NDVI Range": entry.ndvi_range.as_pair(),
-            "DEM Range": entry.dem_range.as_pair(),
-            "SAR Range": entry.sar_range.as_pair(),
+            "NDVI Range": [entry.ndvi_range.lo, entry.ndvi_range.hi],
+            "DEM Range": [entry.dem_range.lo, entry.dem_range.hi],
+            "SAR Range": [entry.sar_range.lo, entry.sar_range.hi],
             "Reasoning": entry.reasoning,
         }
         name = entry.category.replace(" ", "%20") + ".json"

@@ -489,6 +489,74 @@ class TestAblate:
         assert table["rows"][0]["name"] == "baseline"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["train", "--manifest", "m.json", "--pckg", "g.json", "--labels", "l.pgrd"],
+            "train --manifest does not use --pckg, --labels",
+        ),
+        (
+            ["train", "--manifest", "m.json", "--features", "f.pgrd", "--coarse", "c.pgrd"],
+            "train --manifest does not use --features, --coarse",
+        ),
+        (
+            ["train", "--manifest", "m.json", "--rasters", "sar=s.pgrd"],
+            "train --manifest does not use --rasters",
+        ),
+        (
+            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--synthetic", "s.pgrd"],
+            "eval --synthetic needs both --synthetic and --reference",
+        ),
+        (
+            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--reference", "r.pgrd"],
+            "eval --reference needs both --synthetic and --reference",
+        ),
+        (
+            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--modality", "SAR"],
+            "eval --modality needs both --synthetic and --reference",
+        ),
+        (
+            ["pckg", "extract", "--vocab", "water", "--vocab-file", "v.txt"],
+            "pckg extract takes --vocab or --vocab-file, not both",
+        ),
+    ],
+    ids=[
+        "train-pckg-labels",
+        "train-features-coarse",
+        "train-rasters",
+        "eval-synthetic",
+        "eval-reference",
+        "eval-modality",
+        "extract-vocab-both",
+    ],
+)
+def test_rejects_inputs_the_command_ignores(tmp_path, capsys, monkeypatch, argv, message):
+    # every named path is missing: the flag combination is rejected before any read
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--out", "result")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["message"] == message
+    assert os.listdir(tmp_path) == []
+
+
+def test_usage_error_exits_1_with_one_json_line(capsys):
+    code, out, err = run(capsys, "train", "--epochs", "abc", "--out", "x")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["exit_code"] == 1
+    assert report["error"] == "UsageError"
+    assert "--epochs" in report["message"]
+    for argv in (["--version"], ["train", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    capsys.readouterr()
+
+
 def test_config_file_overridden_by_flags(tmp_path, capsys):
     demo = tmp_path / "demo"
     run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from physeg.inference import (
     FLIP_FIELDS,
+    SIGMA_FLOOR,
     AttenuationConfig,
     RefinementTrace,
     _attenuation_grids,
@@ -99,21 +100,24 @@ class TestReweight:
         assert labels[0, 0] == 1
         assert trace.flips == []
 
-    def test_uniform_attenuation_cancels(self, graph2):
-        # equal distances for both classes -> equal scores -> unchanged probs
-        refined = np.array([[[0.6, 0.4]]])
-        config = AttenuationConfig(
-            available=("SAR",), sigma_abs={"SAR": 2.0}, tau_abs={"SAR": 4.0}
+    def test_uniform_attenuation_cancels(self):
+        # equal widths give equal (tau, sigma); equal distances then give
+        # equal scores -> unchanged probs
+        graph = PriorGraph(
+            (
+                entry("metal", (-0.1, 0.1), (0.0, 100.0), (-6.0, 2.0)),
+                entry("concrete", (-0.1, 0.1), (0.0, 100.0), (-16.0, -8.0)),
+            )
         )
-        # -7 is 1 dB outside both [-6, 2] and [-20, -8]
-        probs, _, _ = reweight(refined, {"SAR": np.array([[-7.0]])}, graph2, config)
+        refined = np.array([[[0.6, 0.4]]])
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.25, tau_rel=2.0)
+        # -7 is 1 dB outside both [-6, 2] and [-16, -8]
+        probs, _, _ = reweight(refined, {"SAR": np.array([[-7.0]])}, graph, config)
         assert np.allclose(probs, [[[0.6, 0.4]]], atol=1e-12)
 
     def test_hand_case_e_inverse(self, graph2):
         refined = np.array([[[0.5, 0.5]]])
-        config = AttenuationConfig(
-            available=("SAR",), sigma_abs={"SAR": 2.0}, tau_abs={"SAR": 4.0}
-        )
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.25, tau_rel=2.0)
         # value -8: inside concrete (d=0, s=1); 2 dB below metal's lo, d=2=sigma
         probs, labels, _ = reweight(refined, {"SAR": np.array([[-8.0]])}, graph2, config)
         expected = 1.0 / (1.0 + math.exp(-1.0))
@@ -150,7 +154,7 @@ class TestReweight:
                     s = 1.0
                     for name in ("NDVI", "DEM", "SAR"):
                         iv = graph4.interval(cid, name)
-                        tau, sigma = config.params_for(name, iv)
+                        tau, sigma = config.params_for(iv)
                         d = min(interval_distance(float(rasters[name][i, j]), iv), tau)
                         s *= math.exp(-(d * d) / (sigma * sigma))
                     weighted.append(float(refined[i, j, cid - 1]) * s)
@@ -163,9 +167,7 @@ class TestReweight:
         # moving the measurement farther outside class 1's interval (below cap)
         # never increases class 1's probability
         refined = np.array([[[0.7, 0.3]]])
-        config = AttenuationConfig(
-            available=("SAR",), sigma_abs={"SAR": 3.0}, tau_abs={"SAR": 30.0}
-        )
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.375, tau_rel=10.0)
         last = 1.0
         for value in (-6.0, -8.0, -10.0, -12.0, -14.0):
             probs, _, _ = reweight(refined, {"SAR": np.array([[value]])}, graph2, config)
@@ -174,9 +176,7 @@ class TestReweight:
 
     def test_trace_records_flips_with_reasoning(self, graph2):
         refined = np.array([[[0.45, 0.55], [0.9, 0.1]]])
-        config = AttenuationConfig(
-            available=("SAR",), sigma_abs={"SAR": 2.0}, tau_abs={"SAR": 4.0}
-        )
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.25, tau_rel=2.0)
         # first pixel measures solidly metal -> flips 2 -> 1; second stays 1
         probs, labels, trace = reweight(
             refined, {"SAR": np.array([[0.0, 0.0]])}, graph2, config
@@ -192,12 +192,39 @@ class TestReweight:
 
     def test_full_attenuation_falls_back_with_warning(self, graph2):
         refined = np.array([[[1e-6, 1e-6]]])
-        config = AttenuationConfig(
-            available=("SAR",), sigma_abs={"SAR": 0.1}, tau_abs={"SAR": 100.0}
-        )
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.0125, tau_rel=1000.0)
         probs, _, trace = reweight(refined, {"SAR": np.array([[50.0]])}, graph2, config)
         assert trace.warnings
         assert np.allclose(probs.sum(axis=2), 1.0)
+
+    def test_zero_width_interval_uses_sigma_floor(self):
+        graph = PriorGraph(
+            (
+                entry("pole", (-0.1, 0.1), (0.0, 10.0), (-5.0, -5.0)),
+                entry("field", (-0.1, 0.1), (0.0, 10.0), (-9.0, -1.0)),
+            )
+        )
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.5, tau_rel=3.0)
+        assert config.params_for(graph.interval(1, "SAR")) == (3.0 * SIGMA_FLOOR, SIGMA_FLOOR)
+        # (tau, sigma) per class: the floor for the point interval, 0.5 * 8 dB for the other
+        params = {1: (3.0 * SIGMA_FLOOR, SIGMA_FLOOR), 2: (12.0, 4.0)}
+        sar = np.array([[-5.0, -5.0005, -5.002], [-4.99, -3.0, -10.0]])
+        refined = np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 3, 2))
+        probs, labels, _ = reweight(refined, {"SAR": sar}, graph, config)
+        for i in range(2):
+            for j in range(3):
+                weighted = [
+                    float(refined[i, j, cid - 1])
+                    * attenuation(
+                        interval_distance(float(sar[i, j]), graph.interval(cid, "SAR")),
+                        *params[cid],
+                    )
+                    for cid in (1, 2)
+                ]
+                for cid in (1, 2):
+                    expected = weighted[cid - 1] / sum(weighted)
+                    assert abs(probs[i, j, cid - 1] - expected) <= 1e-12
+                assert labels[i, j] == 1 + int(np.argmax(weighted))
 
     def test_declared_but_missing_raster_rejected(self, graph2):
         with pytest.raises(ValueError, match="SAR"):

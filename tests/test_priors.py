@@ -123,7 +123,7 @@ class TestParse:
     def test_minimal_single_entry(self):
         graph = parse_pckg(json.dumps([WATER_OBJ]))
         assert graph.num_classes == 1
-        assert graph.class_id("water") == 1
+        assert graph.entry_for_id(1).category == "water"
         assert graph.interval(1, "NDVI") == Interval(-0.5, 0.1)
 
     def test_empty_array_warns(self):
@@ -168,7 +168,7 @@ class TestParse:
         ]
         graph = parse_pckg(json.dumps(objs))
         assert graph.categories == ("a", "b", "c")
-        assert [graph.class_id(c) for c in "abc"] == [1, 2, 3]
+        assert [graph.entry_for_id(k).category for k in (1, 2, 3)] == list("abc")
 
     def test_parse_quantizes_endpoints(self):
         obj = dict(WATER_OBJ, **{"DEM Range": [0.004, 50.006]})
@@ -210,6 +210,32 @@ class TestSerialize:
         again = parse_pckg(serialize_pckg(graph))
         assert again.entries[0].extras == {"Confidence": 0.9, "Tags": ["hydro", "flat"]}
         assert again == graph
+
+    def test_exact_bytes(self):
+        # fixed field order, extras last, non-ASCII kept, two-decimal ranges
+        obj = {
+            "Confidence": 0.9,
+            **WATER_OBJ,
+            "Category": "río",
+            "SAR Range": [-25, -15.004],
+            "Reasoning": 'agua — "NIR"',
+        }
+        expected = (
+            "[\n"
+            "  {\n"
+            '    "Category": "río",\n'
+            '    "Meaning": "open water body",\n'
+            '    "Modifier Analysis": "no modifiers",\n'
+            '    "Coarse Class": "water",\n'
+            '    "NDVI Range": [-0.50, 0.10],\n'
+            '    "DEM Range": [0.00, 50.00],\n'
+            '    "SAR Range": [-25.00, -15.00],\n'
+            '    "Reasoning": "agua — \\"NIR\\"",\n'
+            '    "Confidence": 0.9\n'
+            "  }\n"
+            "]\n"
+        )
+        assert serialize_pckg(parse_pckg(json.dumps([obj]))) == expected
 
     def test_empty_graph_serializes(self):
         with pytest.warns(EmptyGraphWarning):
