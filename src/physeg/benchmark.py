@@ -31,6 +31,8 @@ INFERENCE_MODALITIES = ("SAR",)
 MANIFEST_NAME = "manifest.json"
 
 
+DEMO_SCENES = 3
+DEMO_SIZE = 32
 DEMO_EPOCHS = 500
 DEMO_LEARNING_RATE = 0.05
 DEMO_DROPOUT = 0.25
@@ -106,7 +108,9 @@ def demo_labels(scene_index: int, size: int = 32) -> np.ndarray:
     return labels
 
 
-def build_demo(out_dir, seed: int = 0, num_scenes: int = 3, size: int = 32) -> dict:
+def build_demo(
+    out_dir, seed: int = 0, num_scenes: int = DEMO_SCENES, size: int = DEMO_SIZE
+) -> dict:
     """Write graph, scenes and manifest under out_dir; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
     graph = demo_graph()

@@ -46,13 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_config_file(path):
+def _load_config_file(path, keys):
+    """The JSON object in ``path`` (``{}`` without one); ``keys`` are those it may set."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = ", ".join(key for key in config if key not in keys)
+    if unknown:
+        raise ValueError(f"config file {path} sets keys the command does not read: {unknown}")
     return config
 
 
@@ -87,6 +91,28 @@ TRAIN_SETTINGS = {
 }
 LOSS_SETTINGS = {"alpha": "alpha", "lambda1": "lambda1", "lambda2": "lambda2"}
 ATTENUATION_SETTINGS = {"sigma_rel": "sigma_rel", "tau_rel": "tau_rel"}
+
+
+# Per command, the inputs (flags and config-file keys) only one mode reads, keyed
+# by that mode; every other input is read in all modes, so a mode may have no entry.
+MODE_INPUTS = {
+    "pckg extract": {"--vocab": "vocab", "--vocab-file": "vocab_file"},
+    "synth": {"--demo": "scenes size", "without --demo": "pckg labels modalities noise smoothing"},
+    "train": {"without --manifest": "pckg labels features coarse rasters"},
+    "refine": {"--mode physical": "available sigma_rel tau_rel"},
+    "eval": {"with --synthetic and --reference": "synthetic reference modality"},
+}
+
+
+def _check_mode(command, mode, args, config):
+    """Reject each input, as a flag or a config-file key, that only another mode reads."""
+    unused = [
+        "--" + key.replace("_", "-")
+        for name, keys in MODE_INPUTS[command].items() if name != mode
+        for key in keys.split() if _resolve(args, config, key) is not None
+    ]
+    if unused:
+        raise ValueError(f"{command} {mode} does not use {', '.join(unused)}")
 
 
 def _field_defaults(cls, table):
@@ -159,7 +185,7 @@ def _parse_modalities(raw, default=()):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pckg_validate(args, argv):
+def cmd_pckg_validate(args, argv, config):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", EmptyGraphWarning)
         graph = load_graph(args.pckg)
@@ -177,10 +203,8 @@ def cmd_pckg_validate(args, argv):
     return EXIT_OK
 
 
-def cmd_pckg_extract(args, argv):
-    config = _load_config_file(args.config)
-    if args.vocab and args.vocab_file:
-        raise ValueError("pckg extract takes --vocab or --vocab-file, not both")
+def cmd_pckg_extract(args, argv, config):
+    _check_mode("pckg extract", "--vocab-file" if args.vocab_file else "--vocab", args, config)
     if args.vocab_file:
         with open(args.vocab_file, encoding="utf-8") as fh:
             terms = [line.strip() for line in fh if line.strip()]
@@ -208,26 +232,18 @@ def cmd_pckg_extract(args, argv):
     return EXIT_OK
 
 
-# synth settings that only the mask path reads; the demo builds its own scenes
-_MASK_ONLY_SETTINGS = ("pckg", "labels", "modalities", "noise", "smoothing")
-
-
-def cmd_synth(args, argv):
-    config = _load_config_file(args.config)
-    if args.demo:
-        unused = [key for key in _MASK_ONLY_SETTINGS if _resolve(args, config, key) is not None]
-        if unused:
-            raise ValueError(f"synth --demo does not use {', '.join(unused)}")
+def cmd_synth(args, argv, config):
+    _check_mode("synth", "--demo" if args.demo else "without --demo", args, config)
     synth_config, resolved = _settings(SynthConfig, SYNTH_SETTINGS, args, config)
     seed = synth_config.seed
     out_dir = args.out
 
     if args.demo:
-        resolved = {"demo": True, "seed": seed, "scenes": args.scenes, "size": args.size}
+        scenes = _resolve(args, config, "scenes", benchmark.DEMO_SCENES)
+        size = _resolve(args, config, "size", benchmark.DEMO_SIZE)
+        resolved = {"demo": True, "seed": seed, "scenes": scenes, "size": size}
         provenance = _provenance(argv, seed, resolved)
-        manifest = benchmark.build_demo(
-            out_dir, seed=seed, num_scenes=args.scenes, size=args.size
-        )
+        manifest = benchmark.build_demo(out_dir, seed=seed, num_scenes=scenes, size=size)
         manifest["provenance"] = provenance
         _write_json(os.path.join(out_dir, benchmark.MANIFEST_NAME), manifest)
         print(json.dumps({"scenes": len(manifest["scenes"]), "out": out_dir}, sort_keys=True))
@@ -254,15 +270,8 @@ def cmd_synth(args, argv):
     return EXIT_OK
 
 
-# train inputs that only the non-manifest path reads
-_SCENE_FLAGS = ("pckg", "labels", "features", "coarse", "rasters")
-
-
 def _scenes_from_args(args):
     if args.manifest:
-        unused = ["--" + key for key in _SCENE_FLAGS if getattr(args, key)]
-        if unused:
-            raise ValueError(f"train --manifest does not use {', '.join(unused)}")
         demo_dir = os.path.dirname(os.path.abspath(args.manifest))
         graph, scenes, manifest = benchmark.load_manifest(demo_dir)
         return graph, scenes, manifest
@@ -279,8 +288,8 @@ def _scenes_from_args(args):
     return graph, [scene], {}
 
 
-def cmd_train(args, argv):
-    config = _load_config_file(args.config)
+def cmd_train(args, argv, config):
+    _check_mode("train", "--manifest" if args.manifest else "without --manifest", args, config)
     graph, scenes, _ = _scenes_from_args(args)
     weights, loss_settings = _settings(LossWeights, LOSS_SETTINGS, args, config)
     train_config, resolved = _settings(TrainConfig, TRAIN_SETTINGS, args, config, weights=weights)
@@ -302,17 +311,16 @@ def cmd_train(args, argv):
     return EXIT_OK
 
 
-def cmd_refine(args, argv):
-    config = _load_config_file(args.config)
+def cmd_refine(args, argv, config):
+    mode = _resolve(args, config, "mode", "physical")
+    if mode not in ("visual", "physical"):
+        raise ValueError(f"unknown mode {mode!r}; expected visual or physical")
+    _check_mode("refine", "--mode " + mode, args, config)
     graph = load_graph(args.pckg)
     params = read_params(args.params)
     features = read_grid_as(args.features, "FEAT")
     coarse = read_grid_as(args.coarse, "PROB")
-    raster_paths = _parse_rasters(args.rasters)
-    rasters = _load_rasters(raster_paths)
-    mode = _resolve(args, config, "mode", "physical")
-    if mode not in ("visual", "physical"):
-        raise ValueError(f"unknown mode {mode!r}; expected visual or physical")
+    rasters = _load_rasters(_parse_rasters(args.rasters))
     if mode == "visual":
         available = ()
     else:
@@ -344,14 +352,10 @@ def cmd_refine(args, argv):
     return EXIT_OK
 
 
-def cmd_eval(args, argv):
-    reliability_flags = [
-        "--" + key for key in ("synthetic", "reference", "modality") if getattr(args, key)
-    ]
-    if reliability_flags and not (args.synthetic and args.reference):
-        raise ValueError(
-            f"eval {', '.join(reliability_flags)} needs both --synthetic and --reference"
-        )
+def cmd_eval(args, argv, config):
+    both = args.synthetic and args.reference
+    mode = ("with" if both else "without both") + " --synthetic and --reference"
+    _check_mode("eval", mode, args, config)
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")
@@ -366,7 +370,7 @@ def cmd_eval(args, argv):
             "rate": rate,
             "per_class": {str(k): v for k, v in breakdown.items()},
         }
-    if args.synthetic and args.reference:
+    if both:
         modality = (args.modality or "SAR").upper()
         rel = reliability(
             read_grid_as(args.synthetic, modality),
@@ -396,8 +400,7 @@ def _write_eval_csv(path, payload):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_ablate(args, argv):
-    config = _load_config_file(args.config)
+def cmd_ablate(args, argv, config):
     graph, scenes, manifest = benchmark.load_manifest(args.demo_dir)
     seed = int(_resolve(args, config, "seed", 0))
     epochs = int(_resolve(args, config, "epochs", benchmark.DEMO_EPOCHS))
@@ -450,19 +453,19 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--out", required=True)
     extract.add_argument("--report")
     extract.add_argument("--config")
-    extract.set_defaults(func=cmd_pckg_extract)
+    extract.set_defaults(func=cmd_pckg_extract, config_keys=PROVIDER_SETTINGS)
 
     synth = sub.add_parser("synth", help="synthesize physical rasters (or the demo benchmark)")
     synth.add_argument("--demo", action="store_true")
-    synth.add_argument("--scenes", type=int, default=3)
-    synth.add_argument("--size", type=int, default=32)
+    synth.add_argument("--scenes", type=int)
+    synth.add_argument("--size", type=int)
     synth.add_argument("--pckg")
     synth.add_argument("--labels")
     synth.add_argument("--modalities")
     _add_settings(synth, SynthConfig, SYNTH_SETTINGS)
     synth.add_argument("--config")
     synth.add_argument("--out", required=True)
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, config_keys=[*SYNTH_SETTINGS, "modalities"])
 
     train_p = sub.add_parser("train", help="train the residual refinement head")
     train_p.add_argument("--manifest")
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--losses")
     train_p.add_argument("--config")
     train_p.add_argument("--out", required=True)
-    train_p.set_defaults(func=cmd_train)
+    train_p.set_defaults(func=cmd_train, config_keys=[*TRAIN_SETTINGS, *LOSS_SETTINGS])
 
     refine_p = sub.add_parser("refine", help="refine a coarse map and re-weight with intervals")
     refine_p.add_argument("--params", required=True)
@@ -490,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(refine_p, AttenuationConfig, ATTENUATION_SETTINGS)
     refine_p.add_argument("--config")
     refine_p.add_argument("--out", required=True)
-    refine_p.set_defaults(func=cmd_refine)
+    refine_p.set_defaults(func=cmd_refine, config_keys=[*ATTENUATION_SETTINGS, "mode", "available"])
 
     eval_p = sub.add_parser("eval", help="evaluate predicted labels")
     eval_p.add_argument("--pred", required=True)
@@ -513,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--lr", type=float)
     ablate.add_argument("--config")
     ablate.add_argument("--out", required=True)
-    ablate.set_defaults(func=cmd_ablate)
+    ablate.set_defaults(func=cmd_ablate, config_keys=["seed", "epochs", "lr"])
 
     return parser
 
@@ -522,7 +525,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
+        config = _load_config_file(getattr(args, "config", None), getattr(args, "config_keys", ()))
+        return args.func(args, argv, config)
     except TransportError as exc:
         return _fail(EXIT_TRANSPORT, exc)
     except (TrainingError, ArithmeticError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -129,12 +130,12 @@ class TestSynthCommands:
     @pytest.mark.parametrize(
         "flags, config, unused",
         [
-            (["--noise", "uniform"], {}, "noise"),
-            (["--smoothing", "3"], {}, "smoothing"),
-            (["--modalities", "SAR"], {}, "modalities"),
-            (["--pckg", "missing.json", "--labels", "missing.pgrd"], {}, "pckg, labels"),
-            ([], {"noise": "uniform", "smoothing": 3}, "noise, smoothing"),
-            ([], {"modalities": "SAR", "seed": 2}, "modalities"),
+            (["--noise", "uniform"], {}, "--noise"),
+            (["--smoothing", "3"], {}, "--smoothing"),
+            (["--modalities", "SAR"], {}, "--modalities"),
+            (["--pckg", "missing.json", "--labels", "missing.pgrd"], {}, "--pckg, --labels"),
+            ([], {"noise": "uniform", "smoothing": 3}, "--noise, --smoothing"),
+            ([], {"modalities": "SAR", "seed": 2}, "--modalities"),
         ],
         ids=["noise", "smoothing", "modalities", "pckg-labels", "config-noise-smoothing", "config-modalities"],
     )
@@ -489,6 +490,11 @@ class TestAblate:
         assert table["rows"][0]["name"] == "baseline"
 
 
+_REFINE = [
+    "refine", "--params", "p.psp", "--pckg", "g.json", "--features", "f.pgrd", "--coarse", "c.pgrd"
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -506,19 +512,51 @@ class TestAblate:
         ),
         (
             ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--synthetic", "s.pgrd"],
-            "eval --synthetic needs both --synthetic and --reference",
+            "eval without both --synthetic and --reference does not use --synthetic",
         ),
         (
             ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--reference", "r.pgrd"],
-            "eval --reference needs both --synthetic and --reference",
+            "eval without both --synthetic and --reference does not use --reference",
         ),
         (
             ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--modality", "SAR"],
-            "eval --modality needs both --synthetic and --reference",
+            "eval without both --synthetic and --reference does not use --modality",
         ),
         (
             ["pckg", "extract", "--vocab", "water", "--vocab-file", "v.txt"],
-            "pckg extract takes --vocab or --vocab-file, not both",
+            "pckg extract --vocab-file does not use --vocab",
+        ),
+        (
+            [*_REFINE, "--mode", "visual", "--available", "SAR"],
+            "refine --mode visual does not use --available",
+        ),
+        (
+            [*_REFINE, "--mode", "visual", "--sigma-rel", "0.9", "--tau-rel", "3"],
+            "refine --mode visual does not use --sigma-rel, --tau-rel",
+        ),
+        (
+            [*_REFINE, "--config", {"mode": "visual", "tau_rel": 3}],
+            "refine --mode visual does not use --tau-rel",
+        ),
+        (
+            ["synth", "--pckg", "g.json", "--labels", "l.pgrd", "--scenes", "5", "--size", "64"],
+            "synth without --demo does not use --scenes, --size",
+        ),
+        (
+            ["train", "--manifest", "m.json", "--config", {"epoch": 5, "lamda2": 1.0}],
+            "config file config.json sets keys the command does not read: epoch, lamda2",
+        ),
+        (
+            ["ablate", "--demo-dir", "demo", "--config", {"dropout": 0.9, "hidden": 4}],
+            "config file config.json sets keys the command does not read: dropout, hidden",
+        ),
+        (
+            [*_REFINE, "--config", {"rasters": "sar=s.pgrd", "out": "elsewhere"}],
+            "config file config.json sets keys the command does not read: rasters, out",
+        ),
+        (
+            ["synth", "--config", {"pckg": "g.json", "labels": "l.pgrd"}],
+            "config file config.json sets keys the command does not read: pckg, labels",
         ),
     ],
     ids=[
@@ -529,16 +567,64 @@ class TestAblate:
         "eval-reference",
         "eval-modality",
         "extract-vocab-both",
+        "refine-visual-available",
+        "refine-visual-sigma-tau",
+        "refine-config-visual-tau",
+        "synth-mask-scenes-size",
+        "train-config-typos",
+        "ablate-config-typos",
+        "refine-config-rasters-out",
+        "synth-config-pckg-labels",
     ],
 )
 def test_rejects_inputs_the_command_ignores(tmp_path, capsys, monkeypatch, argv, message):
     # every named path is missing: the flag combination is rejected before any read
     monkeypatch.chdir(tmp_path)
+    written = []
+    if isinstance(argv[-1], dict):  # a config file, the one path that exists
+        (tmp_path / "config.json").write_text(json.dumps(argv[-1]))
+        argv, written = [*argv[:-1], "config.json"], ["config.json"]
     code, out, err = run(capsys, *argv, "--out", "result")
     assert code == 1
     assert out == ""
     assert json.loads(err)["message"] == message
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == written
+
+
+# per subcommand, the inputs it reads in every mode; cli.MODE_INPUTS holds the others
+_READ_IN_EVERY_MODE = {
+    "pckg validate": "pckg out",
+    "pckg extract": "live endpoint fixtures timeout retries model parallelism out report config",
+    "synth": "demo seed config out",
+    "train": (
+        "manifest seed lr epochs batch_size dropout hidden residual_scale"
+        " alpha lambda1 lambda2 history losses config out"
+    ),
+    "refine": "params pckg features coarse rasters mode config out",
+    "eval": "pred gt pckg rasters include_background csv out",
+    "ablate": "demo_dir baseline_only seed epochs lr config out",
+}
+
+
+def _subcommand_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommand_parsers(sub, f"{prefix} {name}".strip())
+            return
+    yield prefix, parser
+
+
+def test_every_input_is_read_in_every_mode_or_declared_for_one():
+    parsers = dict(_subcommand_parsers(cli.build_parser()))
+    assert set(parsers) == set(_READ_IN_EVERY_MODE)
+    assert set(cli.MODE_INPUTS) <= set(parsers)
+    for command, parser in parsers.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        every = _READ_IN_EVERY_MODE[command].split()
+        one = [key for keys in cli.MODE_INPUTS.get(command, {}).values() for key in keys.split()]
+        assert len(set(every + one)) == len(every + one), command
+        assert set(every + one) == dests, command
 
 
 def test_usage_error_exits_1_with_one_json_line(capsys):
