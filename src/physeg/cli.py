@@ -95,8 +95,15 @@ ATTENUATION_SETTINGS = {"sigma_rel": "sigma_rel", "tau_rel": "tau_rel"}
 
 # Per command, the inputs (flags and config-file keys) only one mode reads, keyed
 # by that mode; every other input is read in all modes, so a mode may have no entry.
+# A run has one mode per axis: pckg extract reads its vocabulary from --vocab or
+# --vocab-file, and its responses from a live endpoint or from fixtures.
 MODE_INPUTS = {
-    "pckg extract": {"--vocab": "vocab", "--vocab-file": "vocab_file"},
+    "pckg extract": {
+        "--vocab": "vocab",
+        "--vocab-file": "vocab_file",
+        "--live": "endpoint timeout model",
+        "without --live": "fixtures",
+    },
     "synth": {"--demo": "scenes size", "without --demo": "pckg labels modalities noise smoothing"},
     "train": {"without --manifest": "pckg labels features coarse rasters"},
     "refine": {"--mode physical": "available sigma_rel tau_rel"},
@@ -104,15 +111,15 @@ MODE_INPUTS = {
 }
 
 
-def _check_mode(command, mode, args, config):
+def _check_mode(command, args, config, *modes):
     """Reject each input, as a flag or a config-file key, that only another mode reads."""
     unused = [
         "--" + key.replace("_", "-")
-        for name, keys in MODE_INPUTS[command].items() if name != mode
+        for name, keys in MODE_INPUTS[command].items() if name not in modes
         for key in keys.split() if _resolve(args, config, key) is not None
     ]
     if unused:
-        raise ValueError(f"{command} {mode} does not use {', '.join(unused)}")
+        raise ValueError(f"{command} {' '.join(modes)} does not use {', '.join(unused)}")
 
 
 def _field_defaults(cls, table):
@@ -204,7 +211,8 @@ def cmd_pckg_validate(args, argv, config):
 
 
 def cmd_pckg_extract(args, argv, config):
-    _check_mode("pckg extract", "--vocab-file" if args.vocab_file else "--vocab", args, config)
+    vocab_mode = "--vocab-file" if args.vocab_file else "--vocab"
+    _check_mode("pckg extract", args, config, vocab_mode, "--live" if args.live else "without --live")
     if args.vocab_file:
         with open(args.vocab_file, encoding="utf-8") as fh:
             terms = [line.strip() for line in fh if line.strip()]
@@ -233,7 +241,7 @@ def cmd_pckg_extract(args, argv, config):
 
 
 def cmd_synth(args, argv, config):
-    _check_mode("synth", "--demo" if args.demo else "without --demo", args, config)
+    _check_mode("synth", args, config, "--demo" if args.demo else "without --demo")
     synth_config, resolved = _settings(SynthConfig, SYNTH_SETTINGS, args, config)
     seed = synth_config.seed
     out_dir = args.out
@@ -289,7 +297,7 @@ def _scenes_from_args(args):
 
 
 def cmd_train(args, argv, config):
-    _check_mode("train", "--manifest" if args.manifest else "without --manifest", args, config)
+    _check_mode("train", args, config, "--manifest" if args.manifest else "without --manifest")
     graph, scenes, _ = _scenes_from_args(args)
     weights, loss_settings = _settings(LossWeights, LOSS_SETTINGS, args, config)
     train_config, resolved = _settings(TrainConfig, TRAIN_SETTINGS, args, config, weights=weights)
@@ -315,7 +323,7 @@ def cmd_refine(args, argv, config):
     mode = _resolve(args, config, "mode", "physical")
     if mode not in ("visual", "physical"):
         raise ValueError(f"unknown mode {mode!r}; expected visual or physical")
-    _check_mode("refine", "--mode " + mode, args, config)
+    _check_mode("refine", args, config, "--mode " + mode)
     graph = load_graph(args.pckg)
     params = read_params(args.params)
     features = read_grid_as(args.features, "FEAT")
@@ -355,7 +363,7 @@ def cmd_refine(args, argv, config):
 def cmd_eval(args, argv, config):
     both = args.synthetic and args.reference
     mode = ("with" if both else "without both") + " --synthetic and --reference"
-    _check_mode("eval", mode, args, config)
+    _check_mode("eval", args, config, mode)
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .priors import PriorGraph, interval_distance_grid, modality_order
+from .priors import PriorGraph, check_rasters, interval_distance_grid, modality_order
 from .refiner import RefinerParams, assemble_joint, refine
 
 DENOM_FLOOR = 1e-12
@@ -166,13 +166,22 @@ def attenuation(d: float, tau: float, sigma: float) -> float:
     return math.exp(-(capped * capped) / (sigma * sigma))
 
 
+def _available(rasters, config):
+    """The rasters ``config.available`` names; a missing one is a ValueError."""
+    rasters = rasters or {}
+    missing = [name for name in config.available if name not in rasters]
+    if missing:
+        raise ValueError(f"modalities declared available but not supplied: {missing}")
+    return {name: rasters[name] for name in config.available}
+
+
 def _attenuation_grids(rasters, graph, config, num_classes):
     """Stack of per-class attenuation products S (H, W, C) and per-modality parts."""
     shape = next(iter(rasters.values())).shape
     scores = np.ones(shape + (num_classes,))
     parts = {}
     for name in modality_order(config.available):
-        values = np.asarray(rasters[name], dtype=np.float64)
+        values = rasters[name]
         per_mod = np.empty(shape + (num_classes,))
         for ch in range(num_classes):
             iv = graph.interval(ch + 1, name)
@@ -201,14 +210,8 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
         raise ValueError(
             f"refined map has {c} channels but the graph defines {graph.num_classes} classes"
         )
-    used = {}
-    for name in config.available:
-        if name not in rasters:
-            raise ValueError(f"modality {name!r} declared available but no raster supplied")
-        grid = np.asarray(rasters[name], dtype=np.float64)
-        if grid.shape != (h, w):
-            raise ValueError(f"raster {name!r} shape {grid.shape} does not match {(h, w)}")
-        used[name] = grid
+    checked = check_rasters(_available(rasters, config), (h, w))
+    used = {name: checked[name] for name in config.available}
 
     trace = RefinementTrace()
     pre_labels = np.argmax(refined, axis=2).astype(np.int32) + 1
@@ -277,11 +280,7 @@ def infer(
     visual-only inference (empty available set) is independent of any raster
     content supplied.  Returns (labels, probabilities, trace).
     """
-    rasters = rasters or {}
-    used = {name: rasters[name] for name in config.available if name in rasters}
-    missing = [name for name in config.available if name not in rasters]
-    if missing:
-        raise ValueError(f"modalities declared available but not supplied: {missing}")
+    used = _available(rasters, config)
     z = assemble_joint(features, coarse, used, graph)
     y1, _ = refine(params, z, coarse)
     probs, labels, trace = reweight(y1, used, graph, config)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .priors import Interval, PriorGraph, modality_order
+from .priors import Interval, PriorGraph, check_labels, check_rasters, modality_order
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
 COMPONENTS = ("seg", "region", "phys", "total")  # what ``loss_step`` returns and training records
@@ -101,7 +101,7 @@ def _check_pred(pred) -> np.ndarray:
     return pred
 
 
-def _check_aligned(shape, gt=None, features=None, rasters=None):
+def _check_aligned(shape, gt=None, features=None):
     h, w = shape[:2]
     if gt is not None and np.asarray(gt).shape != (h, w):
         raise ValueError(
@@ -113,17 +113,10 @@ def _check_aligned(shape, gt=None, features=None, rasters=None):
             raise ValueError(
                 f"feature map shape {f.shape} does not match prediction {(h, w)}"
             )
-    for name, grid in (rasters or {}).items():
-        if np.asarray(grid).shape != (h, w):
-            raise ValueError(
-                f"raster {name!r} shape {np.asarray(grid).shape} does not match prediction {(h, w)}"
-            )
 
 
 def _label_targets(gt, num_classes: int) -> _Labels:
-    gt = np.asarray(gt)
-    if gt.max(initial=0) > num_classes:
-        raise ValueError(f"ground truth contains class {int(gt.max())} > C={num_classes}")
+    gt = check_labels(gt, num_classes)
     pixels = np.flatnonzero(gt > 0)
     channels = gt.ravel()[pixels] - 1
     classes = []
@@ -133,39 +126,38 @@ def _label_targets(gt, num_classes: int) -> _Labels:
     return _Labels(pixels, channels, tuple(classes))
 
 
-def _raster_targets(rasters, graph: PriorGraph, num_classes: int) -> tuple:
-    names = modality_order(rasters)
-    if names and graph.num_classes < num_classes:
+def _raster_targets(grids, graph: PriorGraph, num_classes: int) -> tuple:
+    if grids and graph.num_classes < num_classes:
         raise ValueError(
             f"prediction has {num_classes} channels but the graph defines {graph.num_classes} classes"
         )
     return tuple(
         _Raster(
             name,
-            np.asarray(rasters[name], dtype=np.float64),
+            values,
             tuple(_bounds(graph.interval(ch + 1, name)) for ch in range(num_classes)),
         )
-        for name in names
+        for name, values in grids.items()
     )
 
 
 def prepare_targets(gt, features, rasters, graph: PriorGraph, shape) -> LossTargets:
     """Check one scene against predictions of ``shape`` (H, W, C) and lay out its targets.
 
-    Raises ValueError when the mask, features or rasters do not align with
-    the prediction grid, when the mask holds a class above C, or when the
-    graph defines fewer than C classes while rasters are supplied.
+    Raises ValueError when the mask or features do not align with the
+    prediction grid, when ``check_rasters`` or ``check_labels`` rejects an
+    input, or when the graph defines fewer than C classes while rasters are given.
     """
     h, w, c = (int(n) for n in shape)
-    rasters = rasters or {}
-    _check_aligned((h, w), gt=gt, features=features, rasters=rasters)
+    _check_aligned((h, w), gt=gt, features=features)
+    grids = check_rasters(rasters, (h, w))
     labels = _label_targets(gt, c)
     features = np.asarray(features, dtype=np.float64)
     return LossTargets(
         shape=(h, w, c),
         labels=labels,
         features=features,
-        rasters=_raster_targets(rasters, graph, c),
+        rasters=_raster_targets(grids, graph, c),
         categories=graph.categories,
     )
 
@@ -251,13 +243,9 @@ def region_stats(pred, features, rasters=None) -> RegionStats:
     """
     pred = _check_pred(pred)
     features = np.asarray(features, dtype=np.float64)
-    rasters = rasters or {}
-    _check_aligned(pred.shape, features=features, rasters=rasters)
-    grids = [
-        _Raster(name, np.asarray(rasters[name], dtype=np.float64), None)
-        for name in modality_order(rasters)
-    ]
-    return _region_stats(pred, features, grids)
+    _check_aligned(pred.shape, features=features)
+    grids = check_rasters(rasters, pred.shape[:2])
+    return _region_stats(pred, features, [_Raster(name, v, None) for name, v in grids.items()])
 
 
 def _region_loss(stats: RegionStats, features: np.ndarray) -> float:
@@ -368,9 +356,8 @@ def phys_loss_soft(pred, rasters, graph: PriorGraph):
     prediction is one-hot.  Returns (value, gradient w.r.t. pred).
     """
     pred = _check_pred(pred)
-    rasters = rasters or {}
-    _check_aligned(pred.shape, rasters=rasters)
-    value, grad = _phys_loss_soft(pred, _raster_targets(rasters, graph, pred.shape[2]))
+    grids = check_rasters(rasters, pred.shape[:2])
+    value, grad = _phys_loss_soft(pred, _raster_targets(grids, graph, pred.shape[2]))
     return value, np.zeros_like(pred) if grad is None else grad
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PriorGraph, modality_order
+from .priors import PriorGraph, check_labels, check_rasters
 
 
 @dataclass
@@ -32,10 +32,7 @@ def confusion_counts(pred, gt, num_classes: int, ignore_background: bool = True)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"mask shapes differ: pred {pred.shape} vs gt {gt.shape}")
-    if pred.min(initial=0) < 0 or gt.min(initial=0) < 0:
-        raise ValueError("masks must be non-negative")
-    if max(pred.max(initial=0), gt.max(initial=0)) > num_classes:
-        raise ValueError(f"mask labels exceed num_classes={num_classes}")
+    pred, gt = check_labels(pred, num_classes), check_labels(gt, num_classes)
     keep = gt > 0 if ignore_background else np.ones_like(gt, dtype=bool)
     n = num_classes + 1
     joint = gt[keep].astype(np.int64) * n + pred[keep].astype(np.int64)
@@ -75,19 +72,14 @@ def plausibility_rate(labels, rasters, graph: PriorGraph):
     Per modality the fraction runs over classes present in the mask; the rate
     averages the per-modality fractions.  Returns (rate, per-class breakdown).
     """
-    labels = np.asarray(labels)
+    labels = check_labels(labels, graph.num_classes)
+    grids = check_rasters(rasters, labels.shape)
     present = [int(c) for c in np.unique(labels) if c != 0]
-    for cid in present:
-        graph.entry_for_id(cid)  # raises PriorLookupError on unknown labels
-    modalities = modality_order(rasters)
     breakdown = {cid: {} for cid in present}
-    if not present or not modalities:
+    if not present or not grids:
         return 1.0, breakdown
     fractions = []
-    for name in modalities:
-        values = np.asarray(rasters[name], dtype=np.float64)
-        if values.shape != labels.shape:
-            raise ValueError(f"raster {name!r} shape {values.shape} != mask {labels.shape}")
+    for name, values in grids.items():
         inside_count = 0
         for cid in present:
             iv = graph.interval(cid, name)
@@ -125,13 +117,9 @@ def reliability(synthetic, reference, labels, graph: PriorGraph, modality: str) 
     the interval), median offset from the interval midpoint and IQR for both
     rasters, plus the synthetic-vs-reference deltas of those statistics.
     """
-    synthetic = np.asarray(synthetic, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    labels = np.asarray(labels)
-    if synthetic.shape != labels.shape or reference.shape != labels.shape:
-        raise ValueError(
-            f"raster shapes {synthetic.shape}/{reference.shape} do not match mask {labels.shape}"
-        )
+    labels = check_labels(labels, graph.num_classes)
+    synthetic = check_rasters({modality: synthetic}, labels.shape)[modality]
+    reference = check_rasters({modality: reference}, labels.shape)[modality]
     report = {}
     for cid in (int(c) for c in np.unique(labels) if c != 0):
         iv = graph.interval(cid, modality)

@@ -77,6 +77,38 @@ def modality_order(names) -> list[str]:
     return sorted(names, key=MODALITY_INDEX.get)
 
 
+def check_rasters(rasters, shape) -> dict:
+    """The rasters as float64 grids in ``MODALITIES`` order, each checked against ``shape``.
+
+    An unknown or repeated modality, another shape or a non-finite cell is a ValueError.
+    """
+    rasters = rasters or {}
+    checked = {}
+    for name in modality_order(rasters):
+        grid = np.asarray(rasters[name], dtype=np.float64)
+        if grid.shape != tuple(shape):
+            raise ValueError(f"raster {name!r} shape {grid.shape} does not match {tuple(shape)}")
+        bad = grid.size - np.count_nonzero(np.isfinite(grid))
+        if bad:
+            raise ValueError(f"raster {name!r} has {bad} non-finite cells")
+        checked[name] = grid
+    return checked
+
+
+def check_labels(mask, num_classes: int) -> np.ndarray:
+    """The mask, checked to be a 2-D integer array of labels in 0..num_classes.
+
+    Otherwise a ValueError; it names the first label out of range in row-major order.
+    """
+    labels = np.asarray(mask)
+    if labels.ndim != 2 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"label mask must be a 2-D integer array, got {labels.dtype} {labels.shape}")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) > num_classes:
+        bad = labels.flat[np.argmax((labels < 0) | (labels > num_classes))]
+        raise ValueError(f"mask label {int(bad)} outside 0..{num_classes}")
+    return labels
+
+
 def _quantize(x: float) -> float:
     return round(float(x), 2)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import COMPONENTS, LossWeights, loss_step, prepare_targets, total_loss
-from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, modality_order
+from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, check_labels, check_rasters
 
 PROB_FLOOR = 1e-6  # lower clamp for refined probabilities
 FEATURE_NOISE = 0.3  # std of the Gaussian noise on mock backbone features
@@ -104,8 +104,8 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
     """Stack [features | coarse | NDVI | DEM | SAR] channels per pixel.
 
     Physical channels are standardized by the graph-level interval-midpoint
-    mean/scale of their modality; absent modalities stay all-zero.  A raster
-    with a non-finite cell raises ValueError naming the modality.
+    mean/scale of their modality; absent modalities stay all-zero.  A non-finite
+    feature or coarse cell is a ValueError; rasters go through ``check_rasters``.
     """
     features = np.asarray(features, dtype=np.float64)
     coarse = np.asarray(coarse, dtype=np.float64)
@@ -123,15 +123,12 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
             f"coarse map has {coarse.shape[2]} channels but the graph defines "
             f"{graph.num_classes} classes"
         )
-    rasters = rasters or {}
-    phys = np.zeros((h, w, len(MODALITIES)))
-    for name in modality_order(rasters):
-        grid = np.asarray(rasters[name], dtype=np.float64)
-        if grid.shape != (h, w):
-            raise ValueError(f"raster {name!r} shape {grid.shape} does not match {(h, w)}")
+    for name, grid in (("feature map", features), ("coarse map", coarse)):
         bad = grid.size - np.count_nonzero(np.isfinite(grid))
         if bad:
-            raise ValueError(f"raster {name!r} has {bad} non-finite cells")
+            raise ValueError(f"{name} has {bad} non-finite cells")
+    phys = np.zeros((h, w, len(MODALITIES)))
+    for name, grid in check_rasters(rasters, (h, w)).items():
         mu, sigma = graph.modality_stats(name)
         phys[:, :, MODALITY_INDEX[name]] = (grid - mu) / sigma
     return np.concatenate([features, coarse, phys], axis=2)
@@ -321,8 +318,8 @@ def mock_backbone(
     coarse probability split ~50/50, so they are indistinguishable without
     physical measurements; every other class is predicted near one-hot.
     """
-    labels = np.asarray(labels)
     c = graph.num_classes
+    labels = check_labels(labels, c)
     effective = np.arange(c + 1)
     for pair in ambiguity_pairs:
         if len(pair) != 2:

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import MODALITY_INDEX, PriorGraph, modality_order
+from .priors import MODALITY_INDEX, PriorGraph, check_labels, modality_order
 
 DEFAULT_BACKGROUND = {"NDVI": 0.0, "DEM": 0.0, "SAR": -30.0}
-
-
-class UnknownClassError(ValueError):
-    """A mask label has no entry in the accompanying graph."""
 
 
 @dataclass(frozen=True)
@@ -51,17 +47,6 @@ def box_blur(values: np.ndarray, radius: int) -> np.ndarray:
     return window / (k * k)
 
 
-def _check_labels(mask: np.ndarray, graph: PriorGraph) -> np.ndarray:
-    labels = np.asarray(mask)
-    if labels.ndim != 2:
-        raise ValueError(f"label mask must be 2-D, got shape {labels.shape}")
-    present = np.unique(labels)
-    for cid in present:
-        if cid != 0 and not 1 <= cid <= graph.num_classes:
-            raise UnknownClassError(f"mask label {int(cid)} does not resolve in the graph")
-    return labels
-
-
 def _interval_grids(labels, graph, modality, fill):
     """Per-pixel interval lo/hi grids for the given modality; background takes fill."""
     c = graph.num_classes
@@ -84,7 +69,7 @@ def synthesize_raster(
     Labeled pixels end up inside their class interval exactly (values are
     re-clipped after smoothing); background pixels take ``DEFAULT_BACKGROUND``.
     """
-    labels = _check_labels(mask, graph)
+    labels = check_labels(mask, graph.num_classes)
     modality_order([modality])  # raises ValueError on an unknown name
     fill = DEFAULT_BACKGROUND[modality]
     lo, hi = _interval_grids(labels, graph, modality, fill)

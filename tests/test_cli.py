@@ -423,7 +423,9 @@ class TestTrainRefineEval:
         assert str(bad) in payload["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["refine", "train", "ablate"])
+    @pytest.mark.parametrize(
+        "command", ["refine", "train", "ablate", "eval-rasters", "eval-synthetic-reference"]
+    )
     def test_non_finite_raster_exit_1(self, pipeline_dir, capsys, command):
         # a raster may hold nan on disk, but no stage may compute with it
         demo = pipeline_dir / "demo"
@@ -438,11 +440,19 @@ class TestTrainRefineEval:
             "--coarse", str(bad_demo / "scene_0.coarse.pgrd"),
             "--rasters", f"sar={bad_demo / 'scene_0.sar.pgrd'}",
         ]
+        labels = str(bad_demo / "scene_0.labels.pgrd")
+        masks = ["eval", "--pckg", str(bad_demo / "pckg.json"), "--pred", labels, "--gt", labels]
         out = pipeline_dir / f"nan_raster_{command}_out"
         argv = {
             "refine": ["refine", "--params", str(pipeline_dir / "params.psp"), *scene],
             "train": ["train", "--labels", str(bad_demo / "scene_0.labels.pgrd"), *scene],
             "ablate": ["ablate", "--demo-dir", str(bad_demo), "--epochs", "2"],
+            "eval-rasters": [*masks, "--rasters", f"sar={bad_demo / 'scene_0.sar.pgrd'}"],
+            "eval-synthetic-reference": [
+                *masks,
+                "--synthetic", str(demo / "scene_0.sar.pgrd"),
+                "--reference", str(bad_demo / "scene_0.sar.pgrd"),
+            ],
         }[command]
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert code == 1
@@ -524,7 +534,25 @@ _REFINE = [
         ),
         (
             ["pckg", "extract", "--vocab", "water", "--vocab-file", "v.txt"],
-            "pckg extract --vocab-file does not use --vocab",
+            "pckg extract --vocab-file without --live does not use --vocab",
+        ),
+        (
+            [
+                "pckg", "extract", "--vocab", "water", "--fixtures", "fx",
+                "--endpoint", "http://localhost:9/v1", "--timeout", "3", "--model", "m",
+            ],
+            "pckg extract --vocab without --live does not use --endpoint, --timeout, --model",
+        ),
+        (
+            ["pckg", "extract", "--vocab", "water", "--fixtures", "fx", "--config", {"model": "m"}],
+            "pckg extract --vocab without --live does not use --model",
+        ),
+        (
+            [
+                "pckg", "extract", "--vocab", "water", "--live",
+                "--endpoint", "http://localhost:9/v1", "--fixtures", "fx",
+            ],
+            "pckg extract --vocab --live does not use --fixtures",
         ),
         (
             [*_REFINE, "--mode", "visual", "--available", "SAR"],
@@ -567,6 +595,9 @@ _REFINE = [
         "eval-reference",
         "eval-modality",
         "extract-vocab-both",
+        "extract-fixtures-endpoint-timeout-model",
+        "extract-fixtures-config-model",
+        "extract-live-fixtures",
         "refine-visual-available",
         "refine-visual-sigma-tau",
         "refine-config-visual-tau",
@@ -594,7 +625,7 @@ def test_rejects_inputs_the_command_ignores(tmp_path, capsys, monkeypatch, argv,
 # per subcommand, the inputs it reads in every mode; cli.MODE_INPUTS holds the others
 _READ_IN_EVERY_MODE = {
     "pckg validate": "pckg out",
-    "pckg extract": "live endpoint fixtures timeout retries model parallelism out report config",
+    "pckg extract": "live retries parallelism out report config",
     "synth": "demo seed config out",
     "train": (
         "manifest seed lr epochs batch_size dropout hidden residual_scale"
@@ -662,11 +693,11 @@ class _Captured(Exception):
     """Stops a command once its callee has received the config object."""
 
 
-# one non-default value per setting-table key, per command
+# one non-default value per setting-table key the command's mode reads, per command
 _NON_DEFAULT = {
-    "pckg extract": {
+    "pckg extract": {"fixtures": "fixtures-b", "retries": 4, "parallelism": 3},
+    "pckg extract --live": {
         "endpoint": "http://localhost:9/v1",
-        "fixtures": "fixtures-b",
         "timeout": 12.5,
         "retries": 4,
         "model": "model-b",
@@ -700,6 +731,14 @@ def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monke
             [cli.PROVIDER_SETTINGS],
             # fixture mode needs a fixture directory, so the bare run names one
             ProviderConfig(fixture_dir="fixtures-a"),
+        ),
+        "pckg extract --live": (
+            ["pckg", "extract", "--vocab", "water", "--live", "--out", str(tmp_path / "g.json")],
+            "extract_graph",
+            1,
+            [cli.PROVIDER_SETTINGS],
+            # likewise live mode needs an endpoint
+            ProviderConfig(mode="live", endpoint="http://localhost:8/v1"),
         ),
         "synth": (
             [
@@ -736,7 +775,11 @@ def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monke
         ),
     }[command]
     values = _NON_DEFAULT[command]
-    assert set(values) == {key for table in tables for key in table}
+    unread = {
+        "pckg extract": cli.MODE_INPUTS["pckg extract"]["--live"],
+        "pckg extract --live": cli.MODE_INPUTS["pckg extract"]["without --live"],
+    }.get(command, "")
+    assert set(values) == {key for table in tables for key in table} - set(unread.split())
     captured = []
 
     def fake(*args):
@@ -747,7 +790,10 @@ def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monke
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
-    bare = ["--fixtures", "fixtures-a"] if command == "pckg extract" else []
+    bare = {
+        "pckg extract": ["--fixtures", "fixtures-a"],
+        "pckg extract --live": ["--endpoint", "http://localhost:8/v1"],
+    }.get(command, [])
     for extra in (["--config", str(config)], flags, bare):
         assert main(base + extra) == cli.EXIT_RUNTIME
     from_file, from_flags, from_neither = captured
@@ -756,7 +802,7 @@ def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monke
 
     def table_fields(obj):
         objs = [obj, obj.weights] if command == "train" else [obj]
-        return [getattr(o, name) for o, table in zip(objs, tables) for name in table.values()]
+        return [getattr(o, table[key]) for o, table in zip(objs, tables) for key in table if key in values]
 
     for set_value, default in zip(table_fields(from_file), table_fields(from_neither)):
         assert set_value != default

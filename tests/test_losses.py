@@ -316,7 +316,7 @@ class TestTotalLoss:
         [
             ("gt", (3, 4), "ground-truth mask shape (3, 4) does not match prediction (4, 4)"),
             ("features", (4, 3, 2), "feature map shape (4, 3, 2) does not match prediction (4, 4)"),
-            ("rasters", (4, 3), "raster 'NDVI' shape (4, 3) does not match prediction (4, 4)"),
+            ("rasters", (4, 3), "raster 'NDVI' shape (4, 3) does not match (4, 4)"),
         ],
     )
     def test_misaligned_inputs_keep_their_messages(self, graph3, field, bad, message):

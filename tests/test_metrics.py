@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from physeg.metrics import miou, plausibility_rate, reliability
-from physeg.priors import Interval, PriorEntry, PriorGraph, PriorLookupError
+from physeg.priors import Interval, PriorEntry, PriorGraph
 from physeg.synth import SynthConfig, synthesize_raster, synthesize_scene
 
 
@@ -122,7 +124,7 @@ class TestPlausibility:
 
     def test_unknown_label_raises(self, graph2):
         labels = np.full((4, 4), 7, dtype=np.int32)
-        with pytest.raises(PriorLookupError):
+        with pytest.raises(ValueError, match=re.escape("mask label 7 outside 0..2")):
             plausibility_rate(labels, {"NDVI": np.zeros((4, 4))}, graph2)
 
 

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physeg.inference import AttenuationConfig
-from physeg.losses import phys_loss, prepare_targets, region_stats, total_loss
-from physeg.metrics import plausibility_rate
+from physeg.inference import AttenuationConfig, infer, reweight
+from physeg.losses import (
+    phys_loss,
+    phys_loss_soft,
+    prepare_targets,
+    region_stats,
+    seg_loss,
+    total_loss,
+)
+from physeg.metrics import confusion_counts, plausibility_rate, reliability
 from physeg.priors import (
     EmptyGraphWarning,
     Interval,
@@ -24,7 +32,7 @@ from physeg.priors import (
     parse_pckg,
     serialize_pckg,
 )
-from physeg.refiner import assemble_joint
+from physeg.refiner import Scene, TrainConfig, assemble_joint, init_params, mock_backbone, train
 from physeg.synth import SynthConfig, synthesize_raster, synthesize_scene
 
 WATER_OBJ = {
@@ -366,3 +374,84 @@ def test_repeated_modality_rejected(call):
     graph = parse_pckg(json.dumps([WATER_OBJ]))
     with pytest.raises(ValueError, match="modality 'SAR' named more than once"):
         call(graph)
+
+
+_SAR = np.full((2, 2), -20.0)
+_SAR_ONLY = AttenuationConfig(available=("SAR",))
+
+
+def _sar_with(cell):
+    grid = _SAR.copy()
+    grid[1, 0] = cell
+    return grid
+
+
+_BAD_RASTERS = {
+    "nan": (_sar_with(np.nan), "raster 'SAR' has 1 non-finite cells"),
+    "inf": (_sar_with(-np.inf), "raster 'SAR' has 1 non-finite cells"),
+    "shape": (np.full((2, 1), -20.0), "raster 'SAR' shape (2, 1) does not match (2, 2)"),
+}
+_RASTER_ENTRY_POINTS = {
+    "assemble_joint": lambda g, r: assemble_joint(_FEATURES, _PRED, r, g),
+    "infer": lambda g, r: infer(init_params(1, 1, TrainConfig()), _FEATURES, _PRED, r, g, _SAR_ONLY),
+    "reweight": lambda g, r: reweight(_PRED, r, g, _SAR_ONLY),
+    "total_loss": lambda g, r: total_loss(_PRED, _GRID, _FEATURES, r, g),
+    "prepare_targets": lambda g, r: prepare_targets(_GRID, _FEATURES, r, g, _PRED.shape),
+    "region_stats": lambda g, r: region_stats(_PRED, _FEATURES, r),
+    "phys_loss_soft": lambda g, r: phys_loss_soft(_PRED, r, g),
+    "plausibility_rate": lambda g, r: plausibility_rate(_GRID, r, g),
+    "reliability_synthetic": lambda g, r: reliability(r["SAR"], _SAR, _GRID, g, "SAR"),
+    "reliability_reference": lambda g, r: reliability(_SAR, r["SAR"], _GRID, g, "SAR"),
+}
+
+# covered by test_refiner's test_dimension_mismatch_names_input and test_cli's
+# test_non_finite_raster_exit_1
+_COVERED = {("assemble_joint", "nan"), ("assemble_joint", "shape"), ("infer", "nan")}
+
+
+@pytest.mark.parametrize(
+    "entry_point, bad",
+    [
+        (entry_point, bad)
+        for entry_point in sorted(_RASTER_ENTRY_POINTS)
+        for bad in sorted(_BAD_RASTERS)
+        if (entry_point, bad) not in _COVERED
+    ],
+)
+def test_bad_raster_rejected(entry_point, bad):
+    graph = parse_pckg(json.dumps([WATER_OBJ]))
+    grid, message = _BAD_RASTERS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _RASTER_ENTRY_POINTS[entry_point](graph, {"SAR": grid})
+
+
+_BAD_LABELS = {
+    "negative": (np.array([[1, 0], [-1, 1]]), "mask label -1 outside 0..1"),
+    "above_c": (np.array([[1, 0], [2, 1]]), "mask label 2 outside 0..1"),
+    "float": (
+        np.ones((2, 2)),
+        "label mask must be a 2-D integer array, got float64 (2, 2)",
+    ),
+}
+_LABEL_ENTRY_POINTS = {
+    "mock_backbone": lambda g, m: mock_backbone(m, g),
+    "train": lambda g, m: train([Scene(_FEATURES, _PRED, {}, m)], g, TrainConfig(epochs=1)),
+    "total_loss": lambda g, m: total_loss(_PRED, m, _FEATURES, {}, g),
+    "prepare_targets": lambda g, m: prepare_targets(m, _FEATURES, {}, g, _PRED.shape),
+    "seg_loss": lambda g, m: seg_loss(_PRED, m),
+    "confusion_counts_pred": lambda g, m: confusion_counts(m, _GRID, 1),
+    "confusion_counts_gt": lambda g, m: confusion_counts(_GRID, m, 1),
+    "plausibility_rate": lambda g, m: plausibility_rate(m, {"SAR": _SAR}, g),
+    "reliability": lambda g, m: reliability(_SAR, _SAR, m, g, "SAR"),
+    "synthesize_raster": lambda g, m: synthesize_raster(m, g, "SAR", SynthConfig()),
+    "synthesize_scene": lambda g, m: synthesize_scene(m, g, ("SAR",), SynthConfig()),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_LABELS))
+@pytest.mark.parametrize("entry_point", sorted(_LABEL_ENTRY_POINTS))
+def test_bad_label_rejected(entry_point, bad):
+    graph = parse_pckg(json.dumps([WATER_OBJ]))
+    mask, message = _BAD_LABELS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _LABEL_ENTRY_POINTS[entry_point](graph, mask)

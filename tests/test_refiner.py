@@ -7,6 +7,7 @@ import pytest
 from fdcheck import assert_grad_close, central_difference
 
 from physeg import benchmark, losses
+from physeg.inference import AttenuationConfig, infer
 from physeg.losses import (
     COMPONENTS,
     LossWeights,
@@ -213,15 +214,41 @@ class TestTrain:
         p2, _ = train(scenes, graph3, config)
         assert p1.w1.tobytes() == p2.w1.tobytes()
 
-    def test_non_finite_loss_raises_training_error(self, graph3):
-        # tanh squashing keeps healthy runs finite, so corrupt an input to
-        # exercise the divergence guard
+    def test_non_finite_loss_raises_training_error(self, graph3, monkeypatch):
+        # tanh squashing keeps healthy runs finite and non-finite inputs are
+        # rejected up front, so a loss step that returns NaN on its third call
+        # exercises the divergence guard
         scenes = make_dataset(graph3, seed=9, n=1)
-        scenes[0].features[0, 0, 0] = np.nan
         config = TrainConfig(seed=10, epochs=5)
-        with pytest.raises(TrainingError) as err:
+        calls = []
+
+        def nan_on_third_call(*args):
+            total, comps, grad = loss_step(*args)
+            calls.append(total)
+            return (np.nan if len(calls) == 3 else total), comps, grad
+
+        monkeypatch.setattr("physeg.refiner.loss_step", nan_on_third_call)
+        with pytest.raises(TrainingError, match="loss became non-finite at epoch 2") as err:
             train(scenes, graph3, config)
+        monkeypatch.undo()
+        two_steps, _ = train(scenes, graph3, TrainConfig(seed=10, epochs=2))
         assert err.value.params is not None
+        assert err.value.params.w1.tobytes() == two_steps.w1.tobytes()
+        assert len(err.value.history) == 2
+
+    @pytest.mark.parametrize("field", ["features", "coarse"])
+    def test_non_finite_input_rejected_before_the_first_step(self, graph3, monkeypatch, field):
+        scenes = make_dataset(graph3, seed=9, n=2)
+        getattr(scenes[1], field)[3, 4, 0] = np.nan
+        steps = []
+        monkeypatch.setattr("physeg.refiner.loss_step", lambda *args: steps.append(args))
+        name = {"features": "feature map", "coarse": "coarse map"}[field]
+        with pytest.raises(ValueError, match=f"^{name} has 1 non-finite cells$"):
+            train(scenes, graph3, TrainConfig(epochs=1))
+        assert steps == []
+        params = init_params(3, 3, TrainConfig())
+        with pytest.raises(ValueError, match=f"^{name} has 1 non-finite cells$"):
+            infer(params, scenes[1].features, scenes[1].coarse, {}, graph3, AttenuationConfig())
 
     def test_empty_dataset_rejected(self, graph3):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from physeg.priors import Interval, PriorEntry, PriorGraph
-from physeg.synth import SynthConfig, UnknownClassError, box_blur, synthesize_raster, synthesize_scene
+from physeg.synth import SynthConfig, box_blur, synthesize_raster, synthesize_scene
 
 
 def entry(category, ndvi, dem, sar):
@@ -117,7 +119,7 @@ def test_empty_modality_set(graph):
 
 def test_unresolvable_label_raises(graph):
     mask = np.full((4, 4), 9, dtype=np.int32)
-    with pytest.raises(UnknownClassError, match="9"):
+    with pytest.raises(ValueError, match=re.escape("mask label 9 outside 0..2")):
         synthesize_raster(mask, graph, "NDVI", SynthConfig())
 
 
