@@ -195,9 +195,31 @@ LADDER = (
 _LADDER_KEYS = ("name", "use_synth_data", "use_pckg_reweight", "use_phys_loss")
 
 
-def _train_head(scenes, graph, config):
-    """Refiner parameters of one ladder head; module-level so a worker process can run it."""
-    return train(scenes, graph, config)[0]
+def _send_head(conn, scenes, graph, config):
+    """Worker process: send one head's parameters, or the exception that stopped it."""
+    try:
+        result = train(scenes, graph, config)[0]
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _receive_head(receiver, worker):
+    """The worker's result, or a RuntimeError once it has exited without one."""
+    from multiprocessing.connection import wait
+
+    # wait for the worker's exit as well as for the pipe: under spawn and
+    # forkserver this process holds a copy of the sending end until the worker
+    # has taken it, so a worker that dies before that never ends the pipe
+    wait([receiver, worker.sentinel])
+    if receiver.poll():
+        try:
+            return receiver.recv()
+        except EOFError:
+            pass
+    worker.join()
+    raise RuntimeError(f"ablation worker exited with code {worker.exitcode} and no result")
 
 
 def evaluate_rows(
@@ -216,7 +238,13 @@ def evaluate_rows(
     one worker process trains the head with it.  Each head is one seeded
     ``train`` call, so the table does not depend on where it ran.  With
     ``baseline_only`` nothing trains and no worker starts.  An exception in
-    the worker is raised here with its class and message.
+    the worker is raised here with its class and message; an exception here
+    stops the worker at once.  A worker that dies without a result is a
+    RuntimeError.  Under the spawn and forkserver start methods the worker
+    re-imports the main program, so that program must be a file (under a
+    ``__main__`` guard), not standard input: a worker that cannot import it
+    dies before it has read its scenes, and under spawn this call then never
+    returns.
     """
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
@@ -224,20 +252,28 @@ def evaluate_rows(
 
     heads = {}
     if not baseline_only:
-        # imported here: `import physeg.cli` must not load concurrent.futures
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here: `import physeg.cli` must not load multiprocessing
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            phys = pool.submit(
-                _train_head,
-                scenes,
-                graph,
-                demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2),
-            )
-            heads[False] = _train_head(
+        context = multiprocessing.get_context()
+        receiver, sender = context.Pipe(duplex=False)
+        config = demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2)
+        worker = context.Process(target=_send_head, args=(sender, scenes, graph, config))
+        worker.start()
+        sender.close()
+        try:
+            heads[False] = train(
                 scenes, graph, demo_train_config(seed, epochs, learning_rate, 0.0)
-            )
-            heads[True] = phys.result()
+            )[0]
+            phys = _receive_head(receiver, worker)
+            if isinstance(phys, Exception):
+                raise phys
+            heads[True] = phys
+        finally:
+            # a no-op when the worker is done; otherwise the caller failed
+            worker.terminate()
+            worker.join()
+            receiver.close()
 
     def predict(scene, synth, reweight, phys_loss):
         if not synth:

@@ -27,7 +27,15 @@ from .gridio import read_grid_as, read_params, write_grid, write_history_csv, wr
 from .inference import AttenuationConfig, infer
 from .losses import COMPONENTS, LossWeights
 from .metrics import miou, plausibility_rate, reliability
-from .priors import MODALITIES, EmptyGraphWarning, PriorError, load_graph, modality_order, save_graph
+from .priors import (
+    MODALITIES,
+    EmptyGraphWarning,
+    PriorError,
+    check_rasters,
+    load_graph,
+    modality_order,
+    save_graph,
+)
 from .refiner import Scene, TrainConfig, TrainingError, evaluate_losses, train
 from .synth import SynthConfig, synthesize_scene
 
@@ -380,13 +388,16 @@ def cmd_eval(args, argv, config):
         }
     if both:
         modality = (args.modality or "SAR").upper()
-        rel = reliability(
-            read_grid_as(args.synthetic, modality),
-            read_grid_as(args.reference, modality),
-            gt,
-            graph,
-            modality,
-        )
+        grids = []
+        for path in (args.synthetic, args.reference):
+            grid = read_grid_as(path, modality)
+            # both files are the one modality: only the path tells them apart
+            try:
+                check_rasters({modality: grid}, gt.shape)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            grids.append(grid)
+        rel = reliability(*grids, gt, graph, modality)
         payload["reliability"] = rel.to_json_dict()
     payload["provenance"] = _provenance(argv, None, {"pred": args.pred, "gt": args.gt})
     if args.out:

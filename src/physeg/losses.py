@@ -14,10 +14,12 @@ on exactly-clipped rasters never registers as an interval violation.
 
 Everything that does not depend on the prediction (labeled pixel indices,
 per-class masks, float64 rasters, interval bounds) is laid out once by
-``prepare_targets``; ``loss_step`` then computes only the trained objective,
-keyed by ``COMPONENTS``.  Training prepares each scene once and reuses its
-targets on every step.  ``total_loss`` is the report: the two in one call,
-plus the hard-region hinge and its per-(class, modality) records.
+``prepare_targets``, the one place a scene is checked.  Each term is one
+function of the prediction and those targets (``LossTargets``); none checks
+its inputs again.  ``loss_step`` computes only the trained objective, keyed
+by ``COMPONENTS``.  Training prepares each scene once and reuses its targets
+on every step.  ``total_loss`` is the report: the two in one call, plus the
+hard-region hinge and its per-(class, modality) records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .priors import Interval, PriorGraph, check_labels, check_rasters, modality_order
+from .priors import Interval, PriorGraph, check_labels, check_rasters
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
 COMPONENTS = ("seg", "region", "phys", "total")  # what ``loss_step`` returns and training records
@@ -51,12 +53,7 @@ class RegionStats:
 
     counts: np.ndarray  # (C,) pixels per predicted class
     feature_means: np.ndarray  # (C, D); zero rows for empty classes
-    raster_means: dict  # modality -> (C,) mean physical value
     region_map: np.ndarray  # (H, W) argmax class ids in 1..C
-
-    @property
-    def empty(self) -> np.ndarray:
-        return self.counts == 0
 
 
 class _Labels(NamedTuple):
@@ -71,7 +68,7 @@ class _Raster(NamedTuple):
     """One modality's float64 raster and its per-channel (lo, hi, edge tol) bounds."""
 
     name: str
-    values: np.ndarray | None  # (H, W); None where only the bounds are needed
+    values: np.ndarray  # (H, W)
     bounds: object  # channel -> (lo, hi, tol)
 
 
@@ -79,8 +76,9 @@ class _Raster(NamedTuple):
 class LossTargets:
     """Everything the joint objective needs that does not depend on the prediction.
 
-    Built by ``prepare_targets``, which checks the scene once; ``loss_step``
-    then does only the arithmetic that depends on the prediction.
+    Built by ``prepare_targets``, which checks the scene once; the term
+    functions and ``loss_step`` then do only the arithmetic that depends on
+    the prediction.
     """
 
     shape: tuple  # (H, W, C) of the predictions scored against these targets
@@ -101,18 +99,14 @@ def _check_pred(pred) -> np.ndarray:
     return pred
 
 
-def _check_aligned(shape, gt=None, features=None):
-    h, w = shape[:2]
-    if gt is not None and np.asarray(gt).shape != (h, w):
+def _check_aligned(h: int, w: int, gt, features):
+    if np.asarray(gt).shape != (h, w):
         raise ValueError(
             f"ground-truth mask shape {np.asarray(gt).shape} does not match prediction {(h, w)}"
         )
-    if features is not None:
-        f = np.asarray(features)
-        if f.ndim != 3 or f.shape[:2] != (h, w):
-            raise ValueError(
-                f"feature map shape {f.shape} does not match prediction {(h, w)}"
-            )
+    f = np.asarray(features)
+    if f.ndim != 3 or f.shape[:2] != (h, w):
+        raise ValueError(f"feature map shape {f.shape} does not match prediction {(h, w)}")
 
 
 def _label_targets(gt, num_classes: int) -> _Labels:
@@ -149,7 +143,7 @@ def prepare_targets(gt, features, rasters, graph: PriorGraph, shape) -> LossTarg
     input, or when the graph defines fewer than C classes while rasters are given.
     """
     h, w, c = (int(n) for n in shape)
-    _check_aligned((h, w), gt=gt, features=features)
+    _check_aligned(h, w, gt, features)
     grids = check_rasters(rasters, (h, w))
     labels = _label_targets(gt, c)
     features = np.asarray(features, dtype=np.float64)
@@ -162,7 +156,13 @@ def prepare_targets(gt, features, rasters, graph: PriorGraph, shape) -> LossTarg
     )
 
 
-def _seg_loss(pred, labels: _Labels, alpha: float):
+def seg_loss(pred, targets: LossTargets, alpha: float):
+    """Cross-entropy + alpha * (1 - soft Dice) over the labeled pixels of ``targets``.
+
+    Returns (value, gradient w.r.t. pred).  Dice averages the per-class soft
+    overlap over classes present in the ground truth.
+    """
+    labels = targets.labels
     h, w, c = pred.shape
     grad = np.zeros((h, w, c))
     n_lab = len(labels.pixels)
@@ -195,76 +195,40 @@ def _seg_loss(pred, labels: _Labels, alpha: float):
     return ce + alpha * dice_value, grad
 
 
-def seg_loss(pred, gt, alpha: float = 1.0):
-    """Cross-entropy + alpha * (1 - soft Dice) over labeled pixels.
+def region_stats(pred, targets: LossTargets) -> RegionStats:
+    """Hard argmax regions with per-class pixel counts and feature means.
 
-    Returns (value, gradient w.r.t. pred).  Dice averages the per-class soft
-    overlap over classes present in the ground truth.
+    Ties in the argmax break toward the lower class id.  Empty classes
+    (count 0) get zero mean rows.
     """
-    pred = _check_pred(pred)
-    _check_aligned(pred.shape, gt=gt)
-    return _seg_loss(pred, _label_targets(gt, pred.shape[2]), alpha)
-
-
-def _region_stats(pred, features, rasters) -> RegionStats:
     h, w, c = pred.shape
     region = np.argmax(pred, axis=2).astype(np.int32) + 1
 
     flat = region.ravel() - 1
     counts = np.bincount(flat, minlength=c).astype(np.int64)
-    safe = np.maximum(counts, 1)
 
-    d = features.shape[2]
-    flat_features = features.reshape(h * w, d)
+    d = targets.features.shape[2]
+    flat_features = targets.features.reshape(h * w, d)
     feat_sums = np.zeros((c, d))
     for k in range(d):
         feat_sums[:, k] = np.bincount(flat, weights=flat_features[:, k], minlength=c)
-    feature_means = feat_sums / safe[:, None]
+    feature_means = feat_sums / np.maximum(counts, 1)[:, None]
     feature_means[counts == 0] = 0.0
-
-    raster_means = {}
-    for name, values, _ in rasters:
-        means = np.bincount(flat, weights=values.ravel(), minlength=c) / safe
-        means[counts == 0] = 0.0
-        raster_means[name] = means
-    return RegionStats(
-        counts=counts,
-        feature_means=feature_means,
-        raster_means=raster_means,
-        region_map=region,
-    )
+    return RegionStats(counts=counts, feature_means=feature_means, region_map=region)
 
 
-def region_stats(pred, features, rasters=None) -> RegionStats:
-    """Hard argmax regions with per-class feature and raster means.
+def region_loss(stats: RegionStats, targets: LossTargets) -> float:
+    """Intra-class feature variance: sum_c |R_c|^-1 sum_{i in R_c} ||F_i - mu_c||^2.
 
-    Ties in the argmax break toward the lower class id.  Empty classes get
-    zero mean rows and are flagged via ``RegionStats.empty``.
+    Region assignment is frozen, and the features are a fixed input, so the
+    term has no gradient w.r.t. the prediction.
     """
-    pred = _check_pred(pred)
-    features = np.asarray(features, dtype=np.float64)
-    _check_aligned(pred.shape, features=features)
-    grids = check_rasters(rasters, pred.shape[:2])
-    return _region_stats(pred, features, [_Raster(name, v, None) for name, v in grids.items()])
-
-
-def _region_loss(stats: RegionStats, features: np.ndarray) -> float:
-    diff = features - stats.feature_means[stats.region_map - 1]
+    diff = targets.features - stats.feature_means[stats.region_map - 1]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     inv = np.zeros(len(stats.counts))
     nonempty = stats.counts > 0
     inv[nonempty] = 1.0 / stats.counts[nonempty]
     return float((sq * inv[stats.region_map - 1]).sum())
-
-
-def region_loss(stats: RegionStats, features, pred):
-    """Intra-class feature variance: sum_c |R_c|^-1 sum_{i in R_c} ||F_i - mu_c||^2.
-
-    Region assignment is frozen, and the features are a fixed input, so the
-    gradient w.r.t. the prediction is identically zero (returned as such).
-    """
-    pred = _check_pred(pred)
-    return _region_loss(stats, np.asarray(features, dtype=np.float64)), np.zeros_like(pred)
 
 
 def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
@@ -282,12 +246,21 @@ def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
     return term, deriv
 
 
-def _phys_loss(stats: RegionStats, rasters, categories):
+def phys_loss(stats: RegionStats, targets: LossTargets):
+    """Interval hinge on hard-region raster means, averaged over modalities.
+
+    Returns (value, records); the records carry one entry per (nonempty
+    class, modality) for interpretability.  Report-only: ``total_loss``
+    calls it, a training step does not.
+    """
+    c = len(stats.counts)
+    flat = stats.region_map.ravel() - 1
+    safe = np.maximum(stats.counts, 1)
+    nonempty = [ch for ch in range(c) if stats.counts[ch] != 0]
     terms = []
     total = 0.0
-    nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
-    for name, _, bounds in rasters:
-        means = stats.raster_means[name]
+    for name, values, bounds in targets.rasters:
+        means = np.bincount(flat, weights=values.ravel(), minlength=c) / safe
         for ch in nonempty:
             mean = float(means[ch])
             lo, hi, tol = bounds[ch]
@@ -296,7 +269,7 @@ def _phys_loss(stats: RegionStats, rasters, categories):
             terms.append(
                 {
                     "class_id": ch + 1,
-                    "category": categories[ch],
+                    "category": targets.categories[ch],
                     "modality": name,
                     "mean": mean,
                     "lo": lo,
@@ -304,35 +277,25 @@ def _phys_loss(stats: RegionStats, rasters, categories):
                     "term": term,
                 }
             )
-    value = total / len(rasters) if rasters else 0.0
+    value = total / len(targets.rasters) if targets.rasters else 0.0
     return value, terms
 
 
-def phys_loss(stats: RegionStats, graph: PriorGraph, modalities=None):
-    """Interval hinge on hard-region means, averaged over modalities.
+def phys_loss_soft(pred, targets: LossTargets):
+    """Interval hinge on probability-weighted region means, with gradient.
 
-    Returns (value, diagnostics); diagnostics carry one record per
-    (nonempty class, modality) for interpretability.
+    Means are w_c = sum_i p_ic v_i / sum_i p_ic, making the hinge
+    differentiable in the prediction; equals the hard-region hinge when the
+    prediction is one-hot.  Returns (value, gradient w.r.t. pred, or None
+    when no hinge is active).
     """
-    if modalities is None:
-        modalities = tuple(stats.raster_means)
-    nonempty = [ch for ch in range(len(stats.counts)) if stats.counts[ch] != 0]
-    rasters = [
-        _Raster(name, None, {ch: _bounds(graph.interval(ch + 1, name)) for ch in nonempty})
-        for name in modality_order(modalities)
-    ]
-    return _phys_loss(stats, rasters, graph.categories)
-
-
-def _phys_loss_soft(pred, rasters):
-    """(value, gradient or None when no hinge is active) of the soft hinge."""
-    if not rasters:
+    if not targets.rasters:
         return 0.0, None
     h, w, c = pred.shape
     grad = None
     mass = pred.sum(axis=(0, 1))  # (C,)
     total = 0.0
-    for _, values, bounds in rasters:
+    for _, values, bounds in targets.rasters:
         weighted = np.einsum("ijc,ij->c", pred, values)
         for ch in range(c):
             if mass[ch] < _SOFT_MASS_FLOOR:
@@ -344,21 +307,8 @@ def _phys_loss_soft(pred, rasters):
                 if grad is None:
                     grad = np.zeros((h, w, c))
                 grad[:, :, ch] += deriv * (values - mean) / mass[ch]
-    m = len(rasters)
+    m = len(targets.rasters)
     return total / m, None if grad is None else grad / m
-
-
-def phys_loss_soft(pred, rasters, graph: PriorGraph):
-    """Interval hinge on probability-weighted region means, with gradient.
-
-    Means are w_c = sum_i p_ic v_i / sum_i p_ic, making the hinge
-    differentiable in the prediction; equals the hard-region hinge when the
-    prediction is one-hot.  Returns (value, gradient w.r.t. pred).
-    """
-    pred = _check_pred(pred)
-    grids = check_rasters(rasters, pred.shape[:2])
-    value, grad = _phys_loss_soft(pred, _raster_targets(grids, graph, pred.shape[2]))
-    return value, np.zeros_like(pred) if grad is None else grad
 
 
 def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
@@ -370,9 +320,9 @@ def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
     pred = _check_pred(pred)
     if pred.shape != targets.shape:
         raise ValueError(f"prediction shape {pred.shape} does not match the targets {targets.shape}")
-    seg, grad = _seg_loss(pred, targets.labels, weights.alpha)
-    region = _region_loss(_region_stats(pred, targets.features, ()), targets.features)
-    phys, grad_phys = _phys_loss_soft(pred, targets.rasters)
+    seg, grad = seg_loss(pred, targets, weights.alpha)
+    region = region_loss(region_stats(pred, targets), targets)
+    phys, grad_phys = phys_loss_soft(pred, targets)
     total = seg + weights.lambda1 * region + weights.lambda2 * phys
     if grad_phys is not None:
         grad = grad + weights.lambda2 * grad_phys
@@ -385,14 +335,13 @@ def total_loss(pred, gt, features, rasters, graph: PriorGraph, weights: LossWeig
     Returns (total, components, gradient w.r.t. pred).  The total, the
     ``COMPONENTS`` and the gradient are those of ``loss_step`` on targets
     prepared for this one call.  The report adds ``phys_argmax``, the same
-    hinge on hard argmax regions, and ``phys_terms``, its per-(class,
-    modality) records; neither is computed during training.
+    hinge on hard argmax regions (``phys_loss``), and ``phys_terms``, its
+    per-(class, modality) records; neither is computed during training.
     """
     pred = _check_pred(pred)
     targets = prepare_targets(gt, features, rasters, graph, pred.shape)
     total, components, grad = loss_step(pred, targets, weights)
-    stats = _region_stats(pred, targets.features, targets.rasters)
-    components["phys_argmax"], components["phys_terms"] = _phys_loss(
-        stats, targets.rasters, targets.categories
+    components["phys_argmax"], components["phys_terms"] = phys_loss(
+        region_stats(pred, targets), targets
     )
     return total, components, grad

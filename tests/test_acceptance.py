@@ -22,6 +22,7 @@ from physeg.losses import (
     LossWeights,
     phys_loss,
     phys_loss_soft,
+    prepare_targets,
     region_loss,
     region_stats,
     seg_loss,
@@ -64,10 +65,18 @@ def trained(demo):
     return {"params": params, "history": history, "train_seconds": time.monotonic() - start}
 
 
-def _hinge_stats(mean, graph):
+def _targets(pred, graph, gt=None, features=None, rasters=None):
+    h, w = pred.shape[:2]
+    gt = np.zeros((h, w), dtype=np.int32) if gt is None else gt
+    features = np.zeros((h, w, 1)) if features is None else features
+    return prepare_targets(gt, features, rasters, graph, pred.shape)
+
+
+def _hard_hinge(mean, graph):
     pred = np.zeros((2, 2, graph.num_classes))
     pred[:, :, 0] = 1.0
-    return region_stats(pred, np.zeros((2, 2, 1)), {"NDVI": np.full((2, 2), mean)})
+    targets = _targets(pred, graph, rasters={"NDVI": np.full((2, 2), mean)})
+    return phys_loss(region_stats(pred, targets), targets)[0]
 
 
 def test_criterion_1_equation_oracles():
@@ -88,8 +97,7 @@ def test_criterion_1_equation_oracles():
     )
     # region-mean hinge: 0.9 and 0.1 against [0.3, 0.7] -> 0.04; inside -> 0
     for mean, expected in ((0.90, 0.04), (0.10, 0.04), (0.50, 0.0)):
-        value, _ = phys_loss(_hinge_stats(mean, graph), graph, ("NDVI",))
-        assert abs(value - expected) <= 1e-12
+        assert abs(_hard_hinge(mean, graph) - expected) <= 1e-12
 
     # Gaussian attenuation at d = sigma (cap above sigma) -> e^-1
     assert abs(attenuation(1.5, tau=3.0, sigma=1.5) - math.exp(-1.0)) <= 1e-12
@@ -160,8 +168,9 @@ def test_criterion_2_gradient_checks():
         gt = rng.integers(0, c + 1, size=(h, w)).astype(np.int32)
         gt[0, 0] = 1
         alpha = float(rng.uniform(0.0, 2.0))
-        _, grad = seg_loss(pred, gt, alpha)
-        numeric = central_difference(lambda p: seg_loss(p, gt, alpha)[0], pred)
+        targets = _targets(pred, graph, gt)
+        _, grad = seg_loss(pred, targets, alpha)
+        numeric = central_difference(lambda p: seg_loss(p, targets, alpha)[0], pred)
         assert_grad_close(grad, numeric, rtol=1e-4)
         instances += 1
 
@@ -169,15 +178,9 @@ def test_criterion_2_gradient_checks():
         rng = np.random.default_rng(2000 + seed)
         pred = rng.uniform(0.05, 0.95, size=(6, 6, 3))
         features = rng.normal(size=(6, 6, 4))
-        stats = region_stats(pred, features)
-        _, grad = region_loss(stats, features, pred)
-
-        def value(p):
-            s = region_stats(p, features)
-            return region_loss(s, features, p)[0]
-
-        numeric = central_difference(value, pred)
-        assert_grad_close(grad, numeric, rtol=1e-4)
+        targets = _targets(pred, graph, features=features)
+        numeric = central_difference(lambda p: region_loss(region_stats(p, targets), targets), pred)
+        assert_grad_close(np.zeros_like(pred), numeric, rtol=1e-4)
         instances += 1
 
     for seed in range(8):  # physics hinge on probability-weighted means
@@ -188,8 +191,10 @@ def test_criterion_2_gradient_checks():
             "NDVI": rng.uniform(-1.0, 1.0, size=(h, w)),
             "SAR": rng.uniform(-30.0, 0.0, size=(h, w)),
         }
-        _, grad = phys_loss_soft(pred, rasters, graph)
-        numeric = central_difference(lambda p: phys_loss_soft(p, rasters, graph)[0], pred)
+        targets = _targets(pred, graph, rasters=rasters)
+        _, grad = phys_loss_soft(pred, targets)
+        assert grad is not None
+        numeric = central_difference(lambda p: phys_loss_soft(p, targets)[0], pred)
         assert_grad_close(grad, numeric, rtol=1e-4)
         instances += 1
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,38 @@ def test_worker_failure_reaches_the_caller(tmp_path, monkeypatch, capsys, fork_s
     assert cli.main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "TrainingError"
     assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_failure_stops_the_worker(tmp_path, monkeypatch, fork_start_method):
+    def train(scenes, graph, config):
+        if config.weights.lambda2 > 0:
+            time.sleep(30)  # the worker's head; it must not be waited for
+        raise TrainingError("diverged in the caller")
+
+    monkeypatch.setattr(benchmark, "train", train)
+    build_demo(str(tmp_path / "demo"), seed=0)
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    start = time.monotonic()
+    with pytest.raises(TrainingError, match="^diverged in the caller$"):
+        evaluate_rows(graph, scenes, manifest, epochs=2)
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_death_is_an_error(tmp_path, monkeypatch, fork_start_method):
+    real_train = benchmark.train
+
+    def train(scenes, graph, config):
+        if config.weights.lambda2 > 0:
+            os._exit(3)  # the worker dies without sending a result
+        return real_train(scenes, graph, config)
+
+    monkeypatch.setattr(benchmark, "train", train)
+    build_demo(str(tmp_path / "demo"), seed=0)
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    with pytest.raises(RuntimeError, match="^ablation worker exited with code 3 and no result$"):
+        evaluate_rows(graph, scenes, manifest, epochs=2)
     assert multiprocessing.active_children() == []
 
 

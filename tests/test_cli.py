@@ -454,12 +454,16 @@ class TestTrainRefineEval:
                 "--reference", str(bad_demo / "scene_0.sar.pgrd"),
             ],
         }[command]
+        message = "raster 'SAR' has 32 non-finite cells"
+        if command == "eval-synthetic-reference":
+            # both files are read as SAR; the message names the bad one
+            message = f"{bad_demo / 'scene_0.sar.pgrd'}: {message}"
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert code == 1
         assert stdout == ""
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
-        assert payload["message"] == "raster 'SAR' has 32 non-finite cells"
+        assert payload["message"] == message
         assert not out.exists()
 
 

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physeg.inference import AttenuationConfig, infer, reweight
-from physeg.losses import (
-    phys_loss,
-    phys_loss_soft,
-    prepare_targets,
-    region_stats,
-    seg_loss,
-    total_loss,
-)
+from physeg.losses import prepare_targets, total_loss
 from physeg.metrics import confusion_counts, plausibility_rate, reliability
 from physeg.priors import (
     EmptyGraphWarning,
@@ -334,8 +327,6 @@ _RASTERS = {"SAR": np.full((2, 2), -20.0), "LST": np.zeros((2, 2))}
     [
         lambda g: total_loss(_PRED, _GRID, _FEATURES, _RASTERS, g),
         lambda g: prepare_targets(_GRID, _FEATURES, _RASTERS, g, _PRED.shape),
-        lambda g: region_stats(_PRED, _FEATURES, _RASTERS),
-        lambda g: phys_loss(region_stats(_PRED, _FEATURES), g, ("SAR", "LST")),
         lambda g: plausibility_rate(_GRID, _RASTERS, g),
         lambda g: synthesize_scene(_GRID, g, ("SAR", "LST"), SynthConfig()),
         lambda g: synthesize_raster(_GRID, g, "LST", SynthConfig()),
@@ -345,8 +336,6 @@ _RASTERS = {"SAR": np.full((2, 2), -20.0), "LST": np.zeros((2, 2))}
     ids=[
         "total_loss",
         "prepare_targets",
-        "region_stats",
-        "phys_loss",
         "plausibility_rate",
         "synthesize_scene",
         "synthesize_raster",
@@ -364,11 +353,10 @@ def test_unknown_modality_rejected(call):
     "call",
     [
         lambda g: modality_order(("SAR", "NDVI", "SAR")),
-        lambda g: phys_loss(region_stats(_PRED, _FEATURES), g, ("SAR", "SAR")),
         lambda g: synthesize_scene(_GRID, g, ("SAR", "SAR"), SynthConfig()),
         lambda g: AttenuationConfig(available=("SAR", "SAR")),
     ],
-    ids=["modality_order", "phys_loss", "synthesize_scene", "attenuation_config"],
+    ids=["modality_order", "synthesize_scene", "attenuation_config"],
 )
 def test_repeated_modality_rejected(call):
     graph = parse_pckg(json.dumps([WATER_OBJ]))
@@ -397,8 +385,6 @@ _RASTER_ENTRY_POINTS = {
     "reweight": lambda g, r: reweight(_PRED, r, g, _SAR_ONLY),
     "total_loss": lambda g, r: total_loss(_PRED, _GRID, _FEATURES, r, g),
     "prepare_targets": lambda g, r: prepare_targets(_GRID, _FEATURES, r, g, _PRED.shape),
-    "region_stats": lambda g, r: region_stats(_PRED, _FEATURES, r),
-    "phys_loss_soft": lambda g, r: phys_loss_soft(_PRED, r, g),
     "plausibility_rate": lambda g, r: plausibility_rate(_GRID, r, g),
     "reliability_synthetic": lambda g, r: reliability(r["SAR"], _SAR, _GRID, g, "SAR"),
     "reliability_reference": lambda g, r: reliability(_SAR, r["SAR"], _GRID, g, "SAR"),
@@ -438,7 +424,6 @@ _LABEL_ENTRY_POINTS = {
     "train": lambda g, m: train([Scene(_FEATURES, _PRED, {}, m)], g, TrainConfig(epochs=1)),
     "total_loss": lambda g, m: total_loss(_PRED, m, _FEATURES, {}, g),
     "prepare_targets": lambda g, m: prepare_targets(m, _FEATURES, {}, g, _PRED.shape),
-    "seg_loss": lambda g, m: seg_loss(_PRED, m),
     "confusion_counts_pred": lambda g, m: confusion_counts(m, _GRID, 1),
     "confusion_counts_gt": lambda g, m: confusion_counts(_GRID, m, 1),
     "plausibility_rate": lambda g, m: plausibility_rate(m, {"SAR": _SAR}, g),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -351,21 +352,30 @@ def test_history_records_hold_step_and_components():
 
 
 def test_train_steps_skip_the_hard_hinge_and_raster_means(monkeypatch):
+    # a step runs each trained term through its public name, once per scene;
+    # phys_loss, the hard hinge over hard-region raster means, never runs
     graph, scenes = demo_dataset()
-    hard_region_stats = losses._region_stats
+    calls = Counter()
+
+    def counted(name, term):
+        def wrapper(*args):
+            calls[name] += 1
+            return term(*args)
+
+        return wrapper
 
     def no_hard_hinge(*args):
         raise AssertionError("the hard-region hinge ran")
 
-    def no_raster_means(pred, features, rasters):
-        assert not rasters, "raster means were computed"
-        return hard_region_stats(pred, features, rasters)
-
-    monkeypatch.setattr(losses, "_phys_loss", no_hard_hinge)
-    monkeypatch.setattr(losses, "_region_stats", no_raster_means)
-    params, _ = train(scenes, graph, TrainConfig(epochs=2))
-    # the report does both, so the patches are live
-    with pytest.raises(AssertionError, match="raster means"):
+    trained_terms = ("seg_loss", "region_stats", "region_loss", "phys_loss_soft")
+    for name in trained_terms:
+        monkeypatch.setattr(losses, name, counted(name, getattr(losses, name)))
+    monkeypatch.setattr(losses, "phys_loss", no_hard_hinge)
+    epochs = 2
+    params, _ = train(scenes, graph, TrainConfig(epochs=epochs))
+    assert calls == dict.fromkeys(trained_terms, epochs * len(scenes))
+    # the report computes the hard hinge, so the patches are live
+    with pytest.raises(AssertionError, match="hard-region hinge"):
         evaluate_losses(params, scenes, graph)
 
 
@@ -400,8 +410,9 @@ def test_loss_step_is_bitwise_the_total_loss_report(scene):
 def test_total_loss_reports_the_hard_region_hinge(scene):
     pred, graph, scene = demo_prediction(scene)
     _, comps, _ = total_loss(pred, scene.labels, scene.features, scene.rasters, graph)
-    stats = region_stats(pred, scene.features, scene.rasters)
-    assert (comps["phys_argmax"], comps["phys_terms"]) == phys_loss(stats, graph)
+    targets = prepare_targets(scene.labels, scene.features, scene.rasters, graph, pred.shape)
+    hinge = phys_loss(region_stats(pred, targets), targets)
+    assert (comps["phys_argmax"], comps["phys_terms"]) == hinge
     assert comps["phys_terms"]
 
 
