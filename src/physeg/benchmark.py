@@ -222,6 +222,27 @@ def _receive_head(receiver, worker):
     raise RuntimeError(f"ablation worker exited with code {worker.exitcode} and no result")
 
 
+def _check_main_reimportable(context):
+    """RuntimeError if a worker of ``context`` could not re-import the main program.
+
+    Under spawn and forkserver a worker re-runs a main program that has no
+    module name from the path ``multiprocessing.spawn`` records for it; a
+    program read from standard input records ``<stdin>``, which is no file.
+    """
+    if context.get_start_method() == "fork":
+        return
+    from multiprocessing import spawn
+
+    path = spawn.get_preparation_data("ablation worker").get("init_main_from_path")
+    if path is not None and not os.path.exists(path):
+        raise RuntimeError(
+            f"the ablation worker cannot start under the {context.get_start_method()} start "
+            f"method: it re-runs the main program from {path!r}, which does not exist "
+            "(a program read from standard input?); run the program from a file, or "
+            "use the fork start method"
+        )
+
+
 def evaluate_rows(
     graph,
     scenes,
@@ -242,9 +263,8 @@ def evaluate_rows(
     stops the worker at once.  A worker that dies without a result is a
     RuntimeError.  Under the spawn and forkserver start methods the worker
     re-imports the main program, so that program must be a file (under a
-    ``__main__`` guard), not standard input: a worker that cannot import it
-    dies before it has read its scenes, and under spawn this call then never
-    returns.
+    ``__main__`` guard): for a main program read from standard input this
+    call raises RuntimeError before any training or worker starts.
     """
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
@@ -256,6 +276,7 @@ def evaluate_rows(
         import multiprocessing
 
         context = multiprocessing.get_context()
+        _check_main_reimportable(context)
         receiver, sender = context.Pipe(duplex=False)
         config = demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2)
         worker = context.Process(target=_send_head, args=(sender, scenes, graph, config))

@@ -218,10 +218,10 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
 
     if used:
         scores, parts = _attenuation_grids(used, graph, config, c)
+        weighted = refined * scores
     else:
-        scores, parts = np.ones_like(refined), {}
-
-    weighted = refined * scores
+        # every attenuation is 1: the weighted scores are the refined ones
+        weighted, parts = refined, {}
     denom = weighted.sum(axis=2, keepdims=True)
     dead = denom[:, :, 0] < DENOM_FLOOR
     if np.any(dead):

@@ -325,7 +325,7 @@ def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
     phys, grad_phys = phys_loss_soft(pred, targets)
     total = seg + weights.lambda1 * region + weights.lambda2 * phys
     if grad_phys is not None:
-        grad = grad + weights.lambda2 * grad_phys
+        grad += weights.lambda2 * grad_phys
     return total, dict(zip(COMPONENTS, (seg, region, phys, total))), grad
 
 

@@ -13,6 +13,7 @@ both visual-only and visual-physical inference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,13 +135,6 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
     return np.concatenate([features, coarse, phys], axis=2)
 
 
-def zero_phys_channels(z: np.ndarray) -> np.ndarray:
-    """Copy of a joint tensor with the physical channel slots zeroed."""
-    out = z.copy()
-    out[:, :, -len(MODALITIES):] = 0.0
-    return out
-
-
 def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> RefinerParams:
     """Seeded fusion weights; zero residual head so training starts at identity."""
     din = feature_dim + num_classes + len(MODALITIES)
@@ -155,34 +149,69 @@ def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> Refi
     )
 
 
-def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray):
+class _Buffers(NamedTuple):
+    """Work arrays of one forward/backward pass over N = H * W pixels.
+
+    ``_forward`` writes every field in place and its cache holds them, so a
+    set serves one pass at a time.  ``train`` makes one set per distinct
+    scene shape and reuses it on every step; ``refine`` makes one per call.
+    ``_backward`` consumes the cache: it overwrites ``hidden``, ``squash``
+    and ``raw`` with its own intermediates.
+    """
+
+    hidden: np.ndarray  # (N, hidden) fusion activations, then 1 - hidden^2
+    squash: np.ndarray  # (N, C) head activations, then 1 - squash^2
+    dy: np.ndarray  # (N, C) correction
+    raw: np.ndarray  # (N, C) coarse + correction, then the head's pre-activation gradient
+    y1: np.ndarray  # (N, C) clamped refined probabilities
+    g_pre1: np.ndarray | None  # (N, hidden) fusion pre-activation gradient; None = fresh per pass
+
+    @classmethod
+    def empty(cls, pixels: int, hidden: int, num_classes: int, backward: bool = False):
+        return cls(
+            np.empty((pixels, hidden)),
+            *(np.empty((pixels, num_classes)) for _ in range(4)),
+            np.empty((pixels, hidden)) if backward else None,
+        )
+
+
+def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray, buffers=None):
     h, w, _ = z.shape
     flat_z = z.reshape(h * w, -1)
-    # bias and tanh in place: one (N, hidden) buffer instead of two
-    hidden = flat_z @ params.w1.T
+    if buffers is None:
+        buffers = _Buffers.empty(h * w, params.w1.shape[0], params.w2.shape[0])
+    hidden, squash, dy, raw, y1, _ = buffers
+    np.matmul(flat_z, params.w1.T, out=hidden)
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    squash = np.tanh(hidden @ params.w2.T + params.b2)
-    dy = params.residual_scale * squash
-    raw = coarse.reshape(h * w, -1) + dy
-    y1 = np.clip(raw, PROB_FLOOR, 1.0)
-    cache = (flat_z, hidden, squash, raw)
-    return y1.reshape(h, w, -1), dy.reshape(h, w, -1), cache
+    np.matmul(hidden, params.w2.T, out=squash)
+    squash += params.b2
+    np.tanh(squash, out=squash)
+    np.multiply(params.residual_scale, squash, out=dy)
+    np.add(coarse.reshape(h * w, -1), dy, out=raw)
+    np.clip(raw, PROB_FLOOR, 1.0, out=y1)
+    return y1.reshape(h, w, -1), dy.reshape(h, w, -1), (flat_z, buffers)
 
 
 def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
-    flat_z, hidden, squash, raw = cache
+    flat_z, (hidden, squash, _, raw, _, g_pre1) = cache
     g = grad_y1.reshape(raw.shape)
     inside = (raw > PROB_FLOOR) & (raw < 1.0)
-    g_dy = np.where(inside, g, 0.0)
-    g_pre2 = g_dy * params.residual_scale * (1.0 - squash * squash)
+    # raw is not read again: it becomes g_dy, then g_pre2
+    g_pre2 = raw
+    g_pre2.fill(0.0)
+    np.copyto(g_pre2, g, where=inside)
+    g_pre2 *= params.residual_scale
+    np.multiply(squash, squash, out=squash)
+    np.subtract(1.0, squash, out=squash)
+    g_pre2 *= squash
     g_w2 = g_pre2.T @ hidden
     g_b2 = g_pre2.sum(axis=0)
-    # 1 - hidden^2 in place: one (N, hidden) temporary instead of two
-    tanh_grad = hidden * hidden
-    np.subtract(1.0, tanh_grad, out=tanh_grad)
-    g_pre1 = g_pre2 @ params.w2
-    g_pre1 *= tanh_grad
+    # hidden is not read again: it becomes tanh' = 1 - hidden^2
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    g_pre1 = np.matmul(g_pre2, params.w2, out=g_pre1)
+    g_pre1 *= hidden
     g_w1 = g_pre1.T @ flat_z
     g_b1 = g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -228,7 +257,6 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     params = init_params(feature_dim, c, config)
 
     z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
-    z_dropped = [zero_phys_channels(z) for z in z_full]
     targets = [
         prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
         for s, z in zip(scenes, z_full)
@@ -242,6 +270,11 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     last_good = params.copy()
     # updated in place, so these stay the live parameter arrays
     arrays = (params.w1, params.b1, params.w2, params.b2)
+    # per distinct scene shape: the modality-dropout joint tensor and the step buffers
+    work = {
+        (h, w, d): (np.empty((h, w, d)), _Buffers.empty(h * w, config.hidden, c, backward=True))
+        for h, w, d in {z.shape for z in z_full}
+    }
 
     for epoch in range(config.epochs):
         order = np.arange(n) if batch == n else batch_rng.permutation(n)
@@ -250,10 +283,13 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
             grads = [np.zeros_like(a) for a in arrays]
             comps_sum = dict.fromkeys(COMPONENTS, 0.0)
             for idx in chunk:
-                scene = scenes[idx]
-                drop = drop_rng.random() < config.modality_dropout_prob
-                z = z_dropped[idx] if drop else z_full[idx]
-                y1, _, cache = _forward(params, z, scene.coarse)
+                z = z_full[idx]
+                joint, buffers = work[z.shape]
+                if drop_rng.random() < config.modality_dropout_prob:
+                    np.copyto(joint, z)
+                    joint[:, :, -len(MODALITIES):] = 0.0
+                    z = joint
+                y1, _, cache = _forward(params, z, scenes[idx].coarse, buffers)
                 total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
                     raise TrainingError(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -166,3 +167,32 @@ def test_table_is_the_same_under_every_start_method(tmp_path, method):
     ).stdout
     expected = evaluate_rows(*load_manifest(demo), epochs=20)
     assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_main_program_from_stdin_is_an_error_before_any_worker(tmp_path, monkeypatch, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} start method unavailable")
+    # what `python - < script.py` leaves as the main module
+    stdin_main = types.ModuleType("__main__")
+    stdin_main.__file__ = "<stdin>"
+    build_demo(str(tmp_path / "demo"), seed=0)
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+
+    def fail(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} started")
+
+        return call
+
+    get_context = multiprocessing.get_context
+    context = get_context(method)
+    monkeypatch.setitem(sys.modules, "__main__", stdin_main)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+    monkeypatch.setattr(context, "Process", fail("a worker"))
+    monkeypatch.setattr(benchmark, "train", fail("a head's training"))
+    with pytest.raises(RuntimeError, match=rf"under the {method} start method: .*<stdin>"):
+        evaluate_rows(graph, scenes, manifest, epochs=2)
+    assert multiprocessing.active_children() == []
+    # a forked worker inherits the main program instead of re-running it
+    assert benchmark._check_main_reimportable(get_context("fork")) is None

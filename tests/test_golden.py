@@ -1,8 +1,10 @@
-"""Golden SHA-256 digests of the README quick-start at 32² with a short budget.
+"""Golden SHA-256 digests of the README quick-start at 32² with a short budget,
+and of a training over scenes of several sizes (32² to 64²).
 
 Every artifact the quick-start writes is byte-deterministic, so a refactor of
 the I/O layer, the training step or the ablation ladder must reproduce these
-digests exactly.  Float formatting and summation order belong to the numpy
+digests exactly; the mixed-size training covers the step buffers of each
+scene shape.  Float formatting and summation order belong to the numpy
 build, so the digests are tied to the numpy version they were recorded with
 and the test skips on any other version.
 """
@@ -10,11 +12,16 @@ and the test skips on any other version.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from physeg import benchmark
 from physeg.cli import main
+from physeg.losses import LossWeights
+from physeg.refiner import Scene, TrainConfig, mock_backbone, train
+from physeg.synth import SynthConfig, synthesize_scene
 
 NUMPY_VERSION = "2.4.6"
 
@@ -53,10 +60,52 @@ DIGESTS = {
 }
 
 
-@pytest.mark.skipif(
+# Training on scenes of several sizes, in mini-batches that mix them, with
+# modality dropout: each scene shape has its own step buffers.
+MIXED_SIZES = (32, 48, 64, 32)
+MIXED_CONFIG = TrainConfig(
+    seed=5,
+    epochs=6,
+    batch_size=3,
+    weights=LossWeights(lambda2=0.4),
+    modality_dropout_prob=0.5,
+    residual_scale=0.3,
+)
+MIXED_DIGESTS = {
+    "params": "3c6a55df55db62f75aa1fa9596ddd65b8c888ed1a84ff81c01fee5a6d45e5896",
+    "history": "878077d24e927891d4df376295008555de65d8892dd0a293fc0cc8c2d6c68869",
+}
+
+recorded_numpy = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
     reason=f"golden digests were recorded with numpy {NUMPY_VERSION}",
 )
+
+
+def mixed_shape_digests() -> dict:
+    """SHA-256 of the parameters and of the history of a mixed-shape training."""
+    graph = benchmark.demo_graph()
+    scenes = []
+    for k, size in enumerate(MIXED_SIZES):
+        labels = benchmark.demo_labels(k, size=size)
+        rasters = synthesize_scene(labels, graph, {"NDVI", "DEM", "SAR"}, SynthConfig(seed=k))
+        features, coarse = mock_backbone(labels, graph, (benchmark.AMBIGUOUS_PAIR,), seed=10 + k)
+        scenes.append(Scene(features, coarse, rasters, labels))
+    params, history = train(scenes, graph, MIXED_CONFIG)
+    arrays = (params.w1, params.b1, params.w2, params.b2)
+    records = [{key: float(value).hex() for key, value in rec.items()} for rec in history]
+    return {
+        "params": hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest(),
+        "history": hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest(),
+    }
+
+
+@recorded_numpy
+def test_mixed_shape_training_matches_golden_digests():
+    assert mixed_shape_digests() == MIXED_DIGESTS
+
+
+@recorded_numpy
 def test_quick_start_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     # relative paths keep the command lines, and so the provenance blocks, fixed
     monkeypatch.chdir(tmp_path)

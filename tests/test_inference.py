@@ -100,6 +100,17 @@ class TestReweight:
         assert labels[0, 0] == 1
         assert trace.flips == []
 
+    def test_visual_mode_is_bitwise_the_renormalized_refined_map(self, graph4):
+        rng = np.random.default_rng(11)
+        refined = rng.uniform(1e-6, 1.0, size=(6, 5, 4))
+        before = refined.copy()
+        probs, labels, trace = reweight(refined, {}, graph4, AttenuationConfig())
+        assert probs.tobytes() == (refined / refined.sum(axis=2, keepdims=True)).tobytes()
+        assert np.array_equal(labels, refined.argmax(axis=2) + 1)
+        assert len(trace) == 0 and trace.warnings == []
+        assert refined.tobytes() == before.tobytes()
+        assert not np.shares_memory(probs, refined)
+
     def test_uniform_attenuation_cancels(self):
         # equal widths give equal (tau, sigma); equal distances then give
         # equal scores -> unchanged probs

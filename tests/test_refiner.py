@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from fdcheck import assert_grad_close, central_difference
 
-from physeg import benchmark, losses
+from physeg import benchmark, losses, refiner
 from physeg.inference import AttenuationConfig, infer
 from physeg.losses import (
     COMPONENTS,
@@ -18,7 +18,7 @@ from physeg.losses import (
     region_stats,
     total_loss,
 )
-from physeg.priors import Interval, PriorEntry, PriorGraph
+from physeg.priors import MODALITIES, Interval, PriorEntry, PriorGraph
 from physeg.refiner import (
     RefinerParams,
     Scene,
@@ -30,9 +30,15 @@ from physeg.refiner import (
     mock_backbone,
     refine,
     train,
-    zero_phys_channels,
 )
 from physeg.synth import SynthConfig, synthesize_scene
+
+
+def zero_phys_channels(z):
+    """Copy of a joint tensor with the physical channel slots zeroed, as modality dropout sees it."""
+    out = z.copy()
+    out[:, :, -len(MODALITIES):] = 0.0
+    return out
 
 
 def entry(category, ndvi, dem, sar):
@@ -414,6 +420,78 @@ def test_total_loss_reports_the_hard_region_hinge(scene):
     hinge = phys_loss(region_stats(pred, targets), targets)
     assert (comps["phys_argmax"], comps["phys_terms"]) == hinge
     assert comps["phys_terms"]
+
+
+class TestBuffers:
+    """``train`` reuses its step buffers; nothing a caller keeps shares memory with them."""
+
+    def test_refine_and_infer_results_survive_a_second_call(self, graph3):
+        first, second = make_dataset(graph3, seed=12, n=2)
+        params, _ = train([first, second], graph3, TrainConfig(seed=1, epochs=3))
+
+        def joint(scene):
+            return assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
+
+        refined = refine(params, joint(first), first.coarse)
+        kept = [a.copy() for a in refined]
+        refine(params, joint(second), second.coarse)
+        assert [a.tobytes() for a in refined] == [a.tobytes() for a in kept]
+
+        config = AttenuationConfig(available=("SAR",))
+        labels, probs, trace = infer(
+            params, first.features, first.coarse, first.rasters, graph3, config
+        )
+        kept = labels.copy(), probs.copy(), trace.to_jsonl()
+        infer(params, second.features, second.coarse, second.rasters, graph3, config)
+        assert (labels.tobytes(), probs.tobytes(), trace.to_jsonl()) == (
+            kept[0].tobytes(), kept[1].tobytes(), kept[2]
+        )
+
+    def test_train_allocates_one_buffer_set_per_shape_and_returns_none_of_it(
+        self, graph3, monkeypatch
+    ):
+        caches = []
+        real_forward = refiner._forward
+
+        def spy(params, z, coarse, buffers=None):
+            out = real_forward(params, z, coarse, buffers)
+            caches.append(out[2])
+            return out
+
+        monkeypatch.setattr(refiner, "_forward", spy)
+        scenes = make_dataset(graph3, seed=13, n=2) + make_dataset(graph3, seed=14, n=1, size=8)
+        config = TrainConfig(seed=2, epochs=4, batch_size=2, modality_dropout_prob=0.5)
+        params, history = train(scenes, graph3, config)
+
+        assert len(caches) == config.epochs * len(scenes)
+        sets = {id(buffers): buffers for _, buffers in caches}
+        assert sorted(len(buffers.y1) for buffers in sets.values()) == [8 * 8, 12 * 12]
+        step_arrays = [a for _, buffers in caches for a in buffers] + [z for z, _ in caches]
+        for p in (params.w1, params.b1, params.w2, params.b2):
+            assert not any(np.shares_memory(p, a) for a in step_arrays)
+        assert all(type(v) in (int, float) for rec in history for v in rec.values())
+
+    def test_forward_cache_survives_another_forward(self, graph3):
+        # the FD gradient checks take one cache, then run more forward passes
+        first, second = make_dataset(graph3, seed=15, n=2)
+        rng = np.random.default_rng(16)
+        params = init_params(3, 3, TrainConfig(seed=3))
+        params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
+
+        def forward(scene):
+            z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
+            return refiner._forward(params, z, scene.coarse)
+
+        y1, dy, cache = forward(first)
+        kept = [a.copy() for a in (y1, dy, cache[0], *cache[1][:5])]
+        forward(second)
+        assert [a.tobytes() for a in (y1, dy, cache[0], *cache[1][:5])] == [
+            a.tobytes() for a in kept
+        ]
+        grad = rng.normal(size=y1.shape)
+        grads = refiner._backward(params, cache, grad)
+        fresh = refiner._backward(params, forward(first)[2], grad)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
 
 
 class TestComposedGradient:
