@@ -200,7 +200,7 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     ``config.available`` participate; an empty set degrades to plain
     renormalization of the refined scores.  If attenuation wipes out every
     class at a pixel the refined scores are used there and a warning is
-    recorded.
+    recorded.  A non-finite or negative refined cell is a ValueError.
     """
     refined = np.asarray(refined, dtype=np.float64)
     if refined.ndim != 3:
@@ -210,6 +210,10 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
         raise ValueError(
             f"refined map has {c} channels but the graph defines {graph.num_classes} classes"
         )
+    # NaN fails both comparisons, -inf the first and +inf the second
+    bad = refined.size - np.count_nonzero((refined >= 0.0) & (refined < np.inf))
+    if bad:
+        raise ValueError(f"refined map has {bad} non-finite or negative cells")
     checked = check_rasters(_available(rasters, config), (h, w))
     used = {name: checked[name] for name in config.available}
 

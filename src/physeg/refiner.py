@@ -23,6 +23,11 @@ from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, check_labels, check_
 PROB_FLOOR = 1e-6  # lower clamp for refined probabilities
 FEATURE_NOISE = 0.3  # std of the Gaussian noise on mock backbone features
 COARSE_NOISE = 0.02  # std of the Gaussian noise on mock coarse probabilities
+# Pixel rows per tile of the head's row-wise work.  OpenBLAS 0.3.31 gives the
+# (M, hidden) @ (hidden, C) head product different bits for blocks of up to a
+# few hundred rows than for the same rows of the full product; from 500 rows
+# on they match at 1 and 2 threads.  No tile is shorter than this.
+TILE_ROWS = 2048
 
 
 class NumericError(ArithmeticError):
@@ -115,6 +120,8 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
     if coarse.ndim != 3:
         raise ValueError(f"coarse map must be (H, W, C), got shape {coarse.shape}")
     h, w = features.shape[:2]
+    if h * w == 0:
+        raise ValueError(f"feature map of shape {features.shape} has no pixels")
     if coarse.shape[:2] != (h, w):
         raise ValueError(
             f"coarse map shape {coarse.shape[:2]} does not match features {(h, w)}"
@@ -149,69 +156,107 @@ def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> Refi
     )
 
 
-class _Buffers(NamedTuple):
-    """Work arrays of one forward/backward pass over N = H * W pixels.
+def _tiles(pixels: int) -> tuple:
+    """Row slices of ``TILE_ROWS`` pixels; the last takes the remainder.
 
-    ``_forward`` writes every field in place and its cache holds them, so a
-    set serves one pass at a time.  ``train`` makes one set per distinct
-    scene shape and reuses it on every step; ``refine`` makes one per call.
-    ``_backward`` consumes the cache: it overwrites ``hidden``, ``squash``
-    and ``raw`` with its own intermediates.
+    No tile is shorter than ``TILE_ROWS``, so a scene under twice that is one
+    tile.  ``pixels`` must be positive (``assemble_joint`` rejects empty scenes).
+    """
+    count = max(pixels // TILE_ROWS, 1)
+    bounds = [k * TILE_ROWS for k in range(count)] + [pixels]
+    return tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+class _Buffers(NamedTuple):
+    """Work arrays of one forward (and backward) pass over N = H * W pixels.
+
+    ``_forward`` and ``_backward`` run their row-wise work one tile of
+    ``tiles`` at a time and write every field in place; the cache holds them,
+    so a set serves one pass at a time.  A forward-only set (``refine``,
+    ``evaluate_losses``, one per call) holds ``hidden``, ``squash`` and ``raw``
+    for the largest tile only, which ``_backward`` rejects unless the scene
+    is one tile.  ``train`` makes one full-size backward set per distinct
+    scene shape and reuses it on every step; ``_backward`` overwrites its
+    ``hidden``, ``squash`` and ``raw`` with its own intermediates.
     """
 
-    hidden: np.ndarray  # (N, hidden) fusion activations, then 1 - hidden^2
-    squash: np.ndarray  # (N, C) head activations, then 1 - squash^2
+    hidden: np.ndarray  # (rows, hidden) fusion activations, then 1 - hidden^2
+    squash: np.ndarray  # (rows, C) head activations, then 1 - squash^2
     dy: np.ndarray  # (N, C) correction
-    raw: np.ndarray  # (N, C) coarse + correction, then the head's pre-activation gradient
+    raw: np.ndarray  # (rows, C) coarse + correction, then the head's pre-activation gradient
     y1: np.ndarray  # (N, C) clamped refined probabilities
     g_pre1: np.ndarray | None  # (N, hidden) fusion pre-activation gradient; None = fresh per pass
+    tiles: tuple  # row slices of the N pixels
 
     @classmethod
     def empty(cls, pixels: int, hidden: int, num_classes: int, backward: bool = False):
+        tiles = _tiles(pixels)
+        rows = pixels if backward else tiles[-1].stop - tiles[-1].start
         return cls(
-            np.empty((pixels, hidden)),
-            *(np.empty((pixels, num_classes)) for _ in range(4)),
+            np.empty((rows, hidden)),
+            np.empty((rows, num_classes)),
+            np.empty((pixels, num_classes)),
+            np.empty((rows, num_classes)),
+            np.empty((pixels, num_classes)),
             np.empty((pixels, hidden)) if backward else None,
+            tiles,
         )
 
 
 def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray, buffers=None):
     h, w, _ = z.shape
-    flat_z = z.reshape(h * w, -1)
+    n = h * w
+    flat_z = z.reshape(n, -1)
+    flat_coarse = coarse.reshape(n, -1)
     if buffers is None:
-        buffers = _Buffers.empty(h * w, params.w1.shape[0], params.w2.shape[0])
-    hidden, squash, dy, raw, y1, _ = buffers
-    np.matmul(flat_z, params.w1.T, out=hidden)
-    hidden += params.b1
-    np.tanh(hidden, out=hidden)
-    np.matmul(hidden, params.w2.T, out=squash)
-    squash += params.b2
-    np.tanh(squash, out=squash)
-    np.multiply(params.residual_scale, squash, out=dy)
-    np.add(coarse.reshape(h * w, -1), dy, out=raw)
-    np.clip(raw, PROB_FLOOR, 1.0, out=y1)
+        buffers = _Buffers.empty(n, params.w1.shape[0], params.w2.shape[0])
+    hidden, squash, dy, raw, y1, _, tiles = buffers
+    full = len(hidden) == n
+    for t in tiles:
+        rows = t if full else slice(0, t.stop - t.start)
+        t_hidden, t_squash, t_raw = hidden[rows], squash[rows], raw[rows]
+        np.matmul(flat_z[t], params.w1.T, out=t_hidden)
+        t_hidden += params.b1
+        np.tanh(t_hidden, out=t_hidden)
+        np.matmul(t_hidden, params.w2.T, out=t_squash)
+        t_squash += params.b2
+        np.tanh(t_squash, out=t_squash)
+        np.multiply(params.residual_scale, t_squash, out=dy[t])
+        np.add(flat_coarse[t], dy[t], out=t_raw)
+        np.clip(t_raw, PROB_FLOOR, 1.0, out=y1[t])
     return y1.reshape(h, w, -1), dy.reshape(h, w, -1), (flat_z, buffers)
 
 
 def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
-    flat_z, (hidden, squash, _, raw, _, g_pre1) = cache
+    flat_z, (hidden, squash, _, raw, _, g_pre1, tiles) = cache
+    if len(hidden) != len(flat_z):
+        raise ValueError(
+            "the forward pass kept one tile of activations; backward needs a full-size buffer set"
+        )
     g = grad_y1.reshape(raw.shape)
-    inside = (raw > PROB_FLOOR) & (raw < 1.0)
+    if g_pre1 is None:
+        g_pre1 = np.empty_like(hidden)
     # raw is not read again: it becomes g_dy, then g_pre2
     g_pre2 = raw
-    g_pre2.fill(0.0)
-    np.copyto(g_pre2, g, where=inside)
-    g_pre2 *= params.residual_scale
-    np.multiply(squash, squash, out=squash)
-    np.subtract(1.0, squash, out=squash)
-    g_pre2 *= squash
+    for t in tiles:
+        t_g_pre2, t_squash = g_pre2[t], squash[t]
+        inside = (t_g_pre2 > PROB_FLOOR) & (t_g_pre2 < 1.0)
+        t_g_pre2.fill(0.0)
+        np.copyto(t_g_pre2, g[t], where=inside)
+        t_g_pre2 *= params.residual_scale
+        np.multiply(t_squash, t_squash, out=t_squash)
+        np.subtract(1.0, t_squash, out=t_squash)
+        t_g_pre2 *= t_squash
+    # the pixel reductions stay full-array: per tile they would sum in another order
     g_w2 = g_pre2.T @ hidden
     g_b2 = g_pre2.sum(axis=0)
     # hidden is not read again: it becomes tanh' = 1 - hidden^2
-    np.multiply(hidden, hidden, out=hidden)
-    np.subtract(1.0, hidden, out=hidden)
-    g_pre1 = np.matmul(g_pre2, params.w2, out=g_pre1)
-    g_pre1 *= hidden
+    for t in tiles:
+        t_hidden, t_g_pre1 = hidden[t], g_pre1[t]
+        np.multiply(t_hidden, t_hidden, out=t_hidden)
+        np.subtract(1.0, t_hidden, out=t_hidden)
+        np.matmul(g_pre2[t], params.w2, out=t_g_pre1)
+        t_g_pre1 *= t_hidden
     g_w1 = g_pre1.T @ flat_z
     g_b1 = g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -233,6 +278,11 @@ def refine(params: RefinerParams, z: np.ndarray, coarse: np.ndarray):
     if z.shape[2] != params.w1.shape[1]:
         raise ValueError(
             f"joint tensor has {z.shape[2]} channels but fusion expects {params.w1.shape[1]}"
+        )
+    if coarse.shape[2] != params.w2.shape[0]:
+        raise ValueError(
+            f"coarse map has {coarse.shape[2]} channels but the head predicts "
+            f"{params.w2.shape[0]} classes"
         )
     y1, dy, _ = _forward(params, z, coarse)
     return y1, dy

@@ -243,6 +243,18 @@ class TestReweight:
                 np.full((1, 1, 2), 0.5), {}, graph2, AttenuationConfig(available=("SAR",))
             )
 
+    @pytest.mark.parametrize("available", [(), ("SAR",)])
+    @pytest.mark.parametrize(
+        "cells, count",
+        [([np.nan], 1), ([np.inf], 1), ([-np.inf, np.nan], 2), ([-1.0, -1.0, -1.0], 3)],
+    )
+    def test_non_finite_or_negative_refined_cells_rejected(self, graph2, available, cells, count):
+        refined = np.full((3, 3, 2), 0.5)
+        refined[0, : len(cells), 0] = cells
+        rasters = {"SAR": np.full((3, 3), -10.0)}
+        with pytest.raises(ValueError, match=f"{count} non-finite or negative cells"):
+            reweight(refined, rasters, graph2, AttenuationConfig(available=available))
+
 
 class TestInfer:
     def test_zero_head_no_modalities_is_coarse_argmax(self, graph2):

@@ -111,6 +111,11 @@ class TestAssembleJoint:
         with pytest.raises(ValueError, match="classes"):
             assemble_joint(np.zeros((2, 2, 1)), np.full((2, 2, 5), 0.2), {}, graph3)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_scene_without_pixels_rejected(self, graph3, shape):
+        with pytest.raises(ValueError, match=re.escape(f"{shape + (2,)} has no pixels")):
+            assemble_joint(np.zeros(shape + (2,)), np.full(shape + (3,), 0.3), {}, graph3)
+
     def test_unknown_raster_key_rejected(self, graph3):
         with pytest.raises(ValueError, match="sar"):
             assemble_joint(
@@ -157,6 +162,13 @@ class TestRefine:
         z = np.zeros((2, 2, 8))
         with pytest.raises(ArithmeticError):
             refine(params, z, np.full((2, 2, 3), 0.3))
+
+    def test_coarse_channels_must_match_the_head(self):
+        # 5 features + 3 classes has the fused width of a head built for 4 + 4
+        params = init_params(4, 4, TrainConfig(seed=1))
+        z = np.zeros((3, 3, 5 + 3 + len(MODALITIES)))
+        with pytest.raises(ValueError, match="3 channels but the head predicts 4 classes"):
+            refine(params, z, np.full((3, 3, 3), 0.3))
 
     def test_zero_pad_equivalence(self, graph3):
         rng = np.random.default_rng(4)
@@ -492,6 +504,85 @@ class TestBuffers:
         grads = refiner._backward(params, cache, grad)
         fresh = refiner._backward(params, forward(first)[2], grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
+
+
+def oracle_forward(params, z, coarse):
+    """The head over all pixels at once: one matmul per layer, no tiles."""
+    flat_z = z.reshape(-1, z.shape[2])
+    hidden = np.tanh(np.matmul(flat_z, params.w1.T) + params.b1)
+    squash = np.tanh(np.matmul(hidden, params.w2.T) + params.b2)
+    dy = params.residual_scale * squash
+    raw = coarse.reshape(dy.shape) + dy
+    return np.clip(raw, refiner.PROB_FLOOR, 1.0), dy, (flat_z, hidden, squash, raw)
+
+
+def oracle_backward(params, cache, grad_y1):
+    flat_z, hidden, squash, raw = cache
+    inside = (raw > refiner.PROB_FLOOR) & (raw < 1.0)
+    g_pre2 = np.where(inside, grad_y1.reshape(raw.shape), 0.0)
+    g_pre2 *= params.residual_scale
+    g_pre2 *= 1.0 - squash * squash
+    g_pre1 = np.matmul(g_pre2, params.w2) * (1.0 - hidden * hidden)
+    return g_pre1.T @ flat_z, g_pre1.sum(axis=0), g_pre2.T @ hidden, g_pre2.sum(axis=0)
+
+
+class TestTiles:
+    """The head runs its row-wise work in tiles; results are the full-array pass, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "pixels, lengths",
+        [
+            (1, [1]),
+            (2 * refiner.TILE_ROWS - 1, [2 * refiner.TILE_ROWS - 1]),
+            (2 * refiner.TILE_ROWS, [refiner.TILE_ROWS] * 2),
+            (97 * 100, [refiner.TILE_ROWS] * 3 + [97 * 100 - 3 * refiner.TILE_ROWS]),
+        ],
+    )
+    def test_tiles_cover_the_pixels_and_none_is_short(self, pixels, lengths):
+        tiles = refiner._tiles(pixels)
+        assert [t.stop - t.start for t in tiles] == lengths
+        assert tiles[0].start == 0 and tiles[-1].stop == pixels
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+
+    @staticmethod
+    def head_case(h, w, seed):
+        rng = np.random.default_rng(seed)
+        c, d = 4, 5
+        params = init_params(d, c, TrainConfig(seed=seed))
+        params.w2 = rng.normal(scale=0.8, size=params.w2.shape)
+        params.b2 = rng.normal(scale=0.3, size=params.b2.shape)
+        # cells clip at both ends, so the backward mask matters
+        coarse = rng.uniform(-0.2, 1.2, size=(h, w, c))
+        z = rng.normal(size=(h, w, d + c + len(MODALITIES)))
+        return params, z, coarse, rng.normal(size=(h, w, c))
+
+    @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
+    def test_refine_is_bitwise_the_full_array_pass(self, h, w):
+        params, z, coarse, _ = self.head_case(h, w, seed=h)
+        assert len(refiner._tiles(h * w)) > 1
+        y1, dy = refine(params, z, coarse)
+        want_y1, want_dy, _ = oracle_forward(params, z, coarse)
+        assert y1.shape == (h, w, 4)
+        assert y1.tobytes() == want_y1.tobytes()
+        assert dy.tobytes() == want_dy.tobytes()
+
+    @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
+    def test_backward_is_bitwise_the_full_array_pass(self, h, w):
+        params, z, coarse, grad = self.head_case(h, w, seed=w)
+        buffers = refiner._Buffers.empty(h * w, params.w1.shape[0], 4, backward=True)
+        y1, _, cache = refiner._forward(params, z, coarse, buffers)
+        want_y1, _, want_cache = oracle_forward(params, z, coarse)
+        assert y1.tobytes() == want_y1.tobytes()
+        grads = refiner._backward(params, cache, grad)
+        want = oracle_backward(params, want_cache, grad)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+
+    def test_backward_rejects_a_forward_only_cache(self):
+        params, z, coarse, grad = self.head_case(97, 100, seed=1)
+        _, _, cache = refiner._forward(params, z, coarse)
+        assert len(cache[1].hidden) < 97 * 100
+        with pytest.raises(ValueError, match="full-size buffer set"):
+            refiner._backward(params, cache, grad)
 
 
 class TestComposedGradient:
