@@ -6,7 +6,6 @@ from .priors import (  # noqa: F401
     Interval,
     PriorEntry,
     PriorGraph,
-    interval_distance,
     load_graph,
     parse_pckg,
     save_graph,

@@ -168,19 +168,19 @@ def _write_sidecar(path, provenance):
 
 def _parse_rasters(raw):
     """Parse 'ndvi=a.pgrd,sar=b.pgrd' into {modality: path}."""
-    table = {}
     if not raw:
-        return table
+        return {}
+    pairs = []
     for item in raw.split(","):
         if "=" not in item:
             raise ValueError(f"raster argument {item!r} must look like sar=PATH")
         key, path = item.split("=", 1)
-        table[key.strip().upper()] = path.strip()
+        pairs.append((key.strip().upper(), path.strip()))
     try:
-        modality_order(table)
+        modality_order([key for key, _ in pairs])
     except ValueError as exc:
         raise ValueError(f"raster argument {raw!r}: {exc}") from None
-    return table
+    return dict(pairs)
 
 
 def _load_rasters(table):

@@ -15,7 +15,6 @@ per-record ``json.dumps(record, sort_keys=True)`` would give.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -154,16 +153,6 @@ class RefinementTrace:
             f'"pre_label": {pre!r}, '
             f'"pre_reasoning": {encode_basestring_ascii(pre_reasoning)}'
         )
-
-
-def attenuation(d: float, tau: float, sigma: float) -> float:
-    """Gaussian attenuation of a single interval distance: in (0, 1], 1 at d=0."""
-    if sigma <= 0:
-        raise ValueError("attenuation tolerance sigma must be > 0")
-    if tau <= 0:
-        raise ValueError("attenuation cap tau must be > 0")
-    capped = min(float(d), tau)
-    return math.exp(-(capped * capped) / (sigma * sigma))
 
 
 def _available(rasters, config):

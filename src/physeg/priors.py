@@ -144,15 +144,6 @@ class Interval:
         return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
 
 
-def interval_distance(value: float, interval: Interval) -> float:
-    """Distance from a scalar to a closed interval (0 when the value is inside)."""
-    if value < interval.lo:
-        return interval.lo - value
-    if value > interval.hi:
-        return value - interval.hi
-    return 0.0
-
-
 def interval_distance_grid(values: np.ndarray, interval: Interval) -> np.ndarray:
     """Vectorized point-to-interval distance over a grid of values."""
     v = np.asarray(values, dtype=float)

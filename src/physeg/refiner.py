@@ -23,10 +23,12 @@ from .priors import MODALITIES, MODALITY_INDEX, PriorGraph, check_labels, check_
 PROB_FLOOR = 1e-6  # lower clamp for refined probabilities
 FEATURE_NOISE = 0.3  # std of the Gaussian noise on mock backbone features
 COARSE_NOISE = 0.02  # std of the Gaussian noise on mock coarse probabilities
-# Pixel rows per tile of the head's row-wise work.  OpenBLAS 0.3.31 gives the
-# (M, hidden) @ (hidden, C) head product different bits for blocks of up to a
-# few hundred rows than for the same rows of the full product; from 500 rows
-# on they match at 1 and 2 threads.  No tile is shorter than this.
+# Pixel rows per block of the head's work.  Every row-wise step and every
+# pixel reduction runs over the fixed blocks of ``_tiles``, and a reduction adds
+# its block partials in block order.  OpenBLAS 0.3.31 splits a product that
+# sums over all N pixels differently at 1 and 2 threads; per 2,048-row block it
+# gives the same bits at both, at every N tried.  One block of the hidden
+# activations (2,048 x 32 float64, 512 KB) stays in cache.
 TILE_ROWS = 2048
 
 
@@ -157,25 +159,23 @@ def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> Refi
 
 
 def _tiles(pixels: int) -> tuple:
-    """Row slices of ``TILE_ROWS`` pixels; the last takes the remainder.
+    """Row slices of ``TILE_ROWS`` pixels; the last one is shorter when
+    ``TILE_ROWS`` does not divide ``pixels``.
 
-    No tile is shorter than ``TILE_ROWS``, so a scene under twice that is one
-    tile.  ``pixels`` must be positive (``assemble_joint`` rejects empty scenes).
+    ``pixels`` must be positive (``assemble_joint`` rejects empty scenes).
     """
-    count = max(pixels // TILE_ROWS, 1)
-    bounds = [k * TILE_ROWS for k in range(count)] + [pixels]
-    return tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+    return tuple(slice(a, min(a + TILE_ROWS, pixels)) for a in range(0, pixels, TILE_ROWS))
 
 
 class _Buffers(NamedTuple):
     """Work arrays of one forward (and backward) pass over N = H * W pixels.
 
-    ``_forward`` and ``_backward`` run their row-wise work one tile of
+    ``_forward`` and ``_backward`` run all their work one tile of
     ``tiles`` at a time and write every field in place; the cache holds them,
     so a set serves one pass at a time.  A forward-only set (``refine``,
     ``evaluate_losses``, one per call) holds ``hidden``, ``squash`` and ``raw``
-    for the largest tile only, which ``_backward`` rejects unless the scene
-    is one tile.  ``train`` makes one full-size backward set per distinct
+    for the first (longest) tile only, which ``_backward`` rejects unless the
+    scene is one tile.  ``train`` makes one full-size backward set per distinct
     scene shape and reuses it on every step; ``_backward`` overwrites its
     ``hidden``, ``squash`` and ``raw`` with its own intermediates.
     """
@@ -185,20 +185,18 @@ class _Buffers(NamedTuple):
     dy: np.ndarray  # (N, C) correction
     raw: np.ndarray  # (rows, C) coarse + correction, then the head's pre-activation gradient
     y1: np.ndarray  # (N, C) clamped refined probabilities
-    g_pre1: np.ndarray | None  # (N, hidden) fusion pre-activation gradient; None = fresh per pass
     tiles: tuple  # row slices of the N pixels
 
     @classmethod
     def empty(cls, pixels: int, hidden: int, num_classes: int, backward: bool = False):
         tiles = _tiles(pixels)
-        rows = pixels if backward else tiles[-1].stop - tiles[-1].start
+        rows = pixels if backward else tiles[0].stop
         return cls(
             np.empty((rows, hidden)),
             np.empty((rows, num_classes)),
             np.empty((pixels, num_classes)),
             np.empty((rows, num_classes)),
             np.empty((pixels, num_classes)),
-            np.empty((pixels, hidden)) if backward else None,
             tiles,
         )
 
@@ -210,7 +208,7 @@ def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray, buffers=N
     flat_coarse = coarse.reshape(n, -1)
     if buffers is None:
         buffers = _Buffers.empty(n, params.w1.shape[0], params.w2.shape[0])
-    hidden, squash, dy, raw, y1, _, tiles = buffers
+    hidden, squash, dy, raw, y1, tiles = buffers
     full = len(hidden) == n
     for t in tiles:
         rows = t if full else slice(0, t.stop - t.start)
@@ -228,18 +226,19 @@ def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray, buffers=N
 
 
 def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
-    flat_z, (hidden, squash, _, raw, _, g_pre1, tiles) = cache
+    flat_z, (hidden, squash, _, raw, _, tiles) = cache
     if len(hidden) != len(flat_z):
         raise ValueError(
             "the forward pass kept one tile of activations; backward needs a full-size buffer set"
         )
     g = grad_y1.reshape(raw.shape)
-    if g_pre1 is None:
-        g_pre1 = np.empty_like(hidden)
-    # raw is not read again: it becomes g_dy, then g_pre2
-    g_pre2 = raw
+    g_w1, g_b1 = np.zeros_like(params.w1), np.zeros_like(params.b1)
+    g_w2, g_b2 = np.zeros_like(params.w2), np.zeros_like(params.b2)
+    g_pre1 = np.empty((tiles[0].stop, hidden.shape[1]))
     for t in tiles:
-        t_g_pre2, t_squash = g_pre2[t], squash[t]
+        # raw becomes g_dy, then g_pre2; squash and hidden become tanh'
+        t_g_pre2, t_squash, t_hidden = raw[t], squash[t], hidden[t]
+        t_g_pre1 = g_pre1[: t.stop - t.start]
         inside = (t_g_pre2 > PROB_FLOOR) & (t_g_pre2 < 1.0)
         t_g_pre2.fill(0.0)
         np.copyto(t_g_pre2, g[t], where=inside)
@@ -247,18 +246,14 @@ def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
         np.multiply(t_squash, t_squash, out=t_squash)
         np.subtract(1.0, t_squash, out=t_squash)
         t_g_pre2 *= t_squash
-    # the pixel reductions stay full-array: per tile they would sum in another order
-    g_w2 = g_pre2.T @ hidden
-    g_b2 = g_pre2.sum(axis=0)
-    # hidden is not read again: it becomes tanh' = 1 - hidden^2
-    for t in tiles:
-        t_hidden, t_g_pre1 = hidden[t], g_pre1[t]
+        g_w2 += t_g_pre2.T @ t_hidden
+        g_b2 += t_g_pre2.sum(axis=0)
         np.multiply(t_hidden, t_hidden, out=t_hidden)
         np.subtract(1.0, t_hidden, out=t_hidden)
-        np.matmul(g_pre2[t], params.w2, out=t_g_pre1)
+        np.matmul(t_g_pre2, params.w2, out=t_g_pre1)
         t_g_pre1 *= t_hidden
-    g_w1 = g_pre1.T @ flat_z
-    g_b1 = g_pre1.sum(axis=0)
+        g_w1 += t_g_pre1.T @ flat_z[t]
+        g_b1 += t_g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
 
 

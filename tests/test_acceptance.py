@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 from fdcheck import assert_grad_close, central_difference
+from oracles import attenuation
 
 from physeg import benchmark
 from physeg.cli import main as cli_main
-from physeg.inference import AttenuationConfig, attenuation, infer, reweight
+from physeg.inference import AttenuationConfig, infer, reweight
 from physeg.losses import (
     LossWeights,
     phys_loss,

@@ -397,6 +397,31 @@ class TestTrainRefineEval:
         assert json.loads(err)["message"] == "modality 'SAR' named more than once"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["refine", "train", "eval"])
+    def test_repeated_raster_modality_exit_1(self, pipeline_dir, capsys, command):
+        # sar= and SAR= name one modality: neither file may silently win
+        demo = pipeline_dir / "demo"
+        raw = f"sar={demo / 'scene_0.sar.pgrd'},SAR={demo / 'scene_0.sar.pgrd'}"
+        labels = str(demo / "scene_0.labels.pgrd")
+        scene = [
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(demo / "scene_0.features.pgrd"),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+        ]
+        argv = {
+            "refine": ["refine", "--params", str(pipeline_dir / "params.psp"), *scene],
+            "train": ["train", "--labels", labels, *scene],
+            "eval": ["eval", "--pckg", str(demo / "pckg.json"), "--pred", labels, "--gt", labels],
+        }[command]
+        out = pipeline_dir / f"sar_twice_{command}"
+        code, stdout, err = run(capsys, *argv, "--rasters", raw, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == (
+            f"raster argument {raw!r}: modality 'SAR' named more than once"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_input", ["params", "features"])
     def test_non_finite_input_exit_1(self, pipeline_dir, capsys, bad_input):
         demo = pipeline_dir / "demo"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import attenuation, interval_distance
 
 from physeg.inference import (
     FLIP_FIELDS,
@@ -14,7 +15,6 @@ from physeg.inference import (
     AttenuationConfig,
     RefinementTrace,
     _attenuation_grids,
-    attenuation,
     infer,
     reweight,
 )
@@ -23,7 +23,6 @@ from physeg.priors import (
     Interval,
     PriorEntry,
     PriorGraph,
-    interval_distance,
     interval_distance_grid,
 )
 from physeg.refiner import TrainConfig, init_params

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import interval_distance
 
 from physeg.inference import AttenuationConfig, infer, reweight
 from physeg.losses import prepare_targets, total_loss
@@ -20,7 +21,6 @@ from physeg.priors import (
     PriorParseError,
     PriorSchemaError,
     PriorValidationError,
-    interval_distance,
     modality_order,
     parse_pckg,
     serialize_pckg,

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -517,28 +521,59 @@ def oracle_forward(params, z, coarse):
 
 
 def oracle_backward(params, cache, grad_y1):
+    """Row-wise gradients over all pixels at once; each pixel reduction adds its
+    ``TILE_ROWS``-row block partials in block order."""
     flat_z, hidden, squash, raw = cache
     inside = (raw > refiner.PROB_FLOOR) & (raw < 1.0)
     g_pre2 = np.where(inside, grad_y1.reshape(raw.shape), 0.0)
     g_pre2 *= params.residual_scale
     g_pre2 *= 1.0 - squash * squash
     g_pre1 = np.matmul(g_pre2, params.w2) * (1.0 - hidden * hidden)
-    return g_pre1.T @ flat_z, g_pre1.sum(axis=0), g_pre2.T @ hidden, g_pre2.sum(axis=0)
+    step = refiner.TILE_ROWS
+    blocks = [slice(a, a + step) for a in range(0, len(flat_z), step)]
+    return (
+        sum(g_pre1[b].T @ flat_z[b] for b in blocks),
+        sum(g_pre1[b].sum(axis=0) for b in blocks),
+        sum(g_pre2[b].T @ hidden[b] for b in blocks),
+        sum(g_pre2[b].sum(axis=0) for b in blocks),
+    )
+
+
+# Trains on one h x w scene and prints the parameter and history digests.
+THREAD_PROBE = """
+import json, sys
+from test_golden import training_digests
+from physeg import benchmark
+from physeg.losses import LossWeights
+from physeg.refiner import Scene, TrainConfig, mock_backbone, train
+from physeg.synth import SynthConfig, synthesize_scene
+
+h, w = int(sys.argv[1]), int(sys.argv[2])
+graph = benchmark.demo_graph()
+labels = benchmark.demo_labels(0, size=8 * (max(h, w) // 8 + 1))[:h, :w]
+rasters = synthesize_scene(labels, graph, {"NDVI", "DEM", "SAR"}, SynthConfig(seed=1))
+features, coarse = mock_backbone(labels, graph, (benchmark.AMBIGUOUS_PAIR,), seed=2)
+config = TrainConfig(seed=3, epochs=2, weights=LossWeights(lambda2=0.4), residual_scale=0.3)
+params, history = train([Scene(features, coarse, rasters, labels)], graph, config)
+print(json.dumps(training_digests(params, history)))
+"""
 
 
 class TestTiles:
-    """The head runs its row-wise work in tiles; results are the full-array pass, bit for bit."""
+    """The head works in fixed pixel blocks: its row-wise results are the full-array
+    pass, and its pixel reductions are the blocked sums, bit for bit."""
 
     @pytest.mark.parametrize(
         "pixels, lengths",
         [
             (1, [1]),
-            (2 * refiner.TILE_ROWS - 1, [2 * refiner.TILE_ROWS - 1]),
+            (2 * refiner.TILE_ROWS - 1, [refiner.TILE_ROWS, refiner.TILE_ROWS - 1]),
             (2 * refiner.TILE_ROWS, [refiner.TILE_ROWS] * 2),
-            (97 * 100, [refiner.TILE_ROWS] * 3 + [97 * 100 - 3 * refiner.TILE_ROWS]),
+            (97 * 100, [refiner.TILE_ROWS] * 4 + [97 * 100 - 4 * refiner.TILE_ROWS]),
+            (refiner.TILE_ROWS + 1, [refiner.TILE_ROWS, 1]),
         ],
     )
-    def test_tiles_cover_the_pixels_and_none_is_short(self, pixels, lengths):
+    def test_tiles_are_fixed_blocks_with_a_shorter_last(self, pixels, lengths):
         tiles = refiner._tiles(pixels)
         assert [t.stop - t.start for t in tiles] == lengths
         assert tiles[0].start == 0 and tiles[-1].stop == pixels
@@ -583,6 +618,20 @@ class TestTiles:
         assert len(cache[1].hidden) < 97 * 100
         with pytest.raises(ValueError, match="full-size buffer set"):
             refiner._backward(params, cache, grad)
+
+    @pytest.mark.parametrize("h, w", [(41, 50), (97, 100), (250, 253)])
+    def test_training_bytes_do_not_depend_on_the_blas_thread_count(self, h, w):
+        paths = [os.path.dirname(os.path.dirname(refiner.__file__)), os.path.dirname(__file__)]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])
+            out = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE, str(h), str(w)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            digests.append(json.loads(out))
+        assert digests[0] == digests[1]
 
 
 class TestComposedGradient:
