@@ -356,7 +356,7 @@ def cmd_refine(args, argv, config):
     write_grid(labels_path, "LABEL", labels)
     write_grid(probs_path, "PROB", probs)
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(trace.to_jsonl())
+        trace.write_jsonl(fh)
     for path in (labels_path, probs_path, trace_path):
         _write_sidecar(path, provenance)
     print(

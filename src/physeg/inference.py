@@ -10,7 +10,16 @@ recorded in a trace carrying distances, attenuations and the knowledge-graph
 reasoning for the classes involved.  The trace is kept as columns (one list
 per field); per-flip record dicts are built only when ``trace.flips`` is
 read, and ``to_jsonl`` encodes the columns straight to the bytes a
-per-record ``json.dumps(record, sort_keys=True)`` would give.
+per-record ``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
+writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
+each, so only one slice's text is alive at a time and a wrapper around
+``to_jsonl`` still sees every byte.
+
+Each large intermediate is held once: ``infer`` keeps only the refined map
+of ``refine`` (the joint tensor and the correction map are dropped before
+re-weighting), and ``reweight`` multiplies the refined map into its own
+attenuation product and normalises in that buffer, never writing the
+caller's refined map.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .refiner import RefinerParams, assemble_joint, refine
 
 DENOM_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-3  # modality units; guards zero-width intervals
+JSONL_CHUNK = 1024  # flip records per ``to_jsonl`` slice in ``write_jsonl``
 
 
 @dataclass(frozen=True)
@@ -113,16 +123,18 @@ class RefinementTrace:
             for k, (y, x, pre, post) in enumerate(flips)
         ]
 
-    def to_jsonl(self) -> str:
-        """``json.dumps(record, sort_keys=True)`` per flip, then per warning, one a line.
+    def to_jsonl(self, start: int = 0, stop: int | None = None) -> str:
+        """``json.dumps(record, sort_keys=True)`` per flip in [start, stop), one a line,
+        then one per warning if the slice reaches the last flip.
 
         Each column is encoded once and each (pre, post) class pair's text
         once; every line is then one ``%`` format over the encoded columns.
         """
+        rows = slice(start, stop)
         names = sorted(self.modalities)
         keys = sorted(FLIP_FIELDS)
         columns = [
-            _json_numbers(self.modalities[name][key]) for name in names for key in keys
+            _json_numbers(self.modalities[name][key][rows]) for name in names for key in keys
         ]
         block = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
         template = (
@@ -130,14 +142,24 @@ class RefinementTrace:
             + ", ".join(f"{encode_basestring_ascii(name)}: {block}" for name in names)
             + '}, %s, "x": %s, "y": %s}\n'
         )
-        pairs = list(zip(self.pre_labels, self.post_labels))
+        pairs = list(zip(self.pre_labels[rows], self.post_labels[rows]))
         pair_text = {pair: self._pair_json(*pair) for pair in set(pairs)}
         columns.append([pair_text[pair] for pair in pairs])
-        columns.append(list(map(int.__repr__, self.xs)))
-        columns.append(list(map(int.__repr__, self.ys)))
+        columns.append(list(map(int.__repr__, self.xs[rows])))
+        columns.append(list(map(int.__repr__, self.ys[rows])))
         lines = [template % row for row in zip(*columns)]
-        lines += ['{"warning": %s}\n' % encode_basestring_ascii(msg) for msg in self.warnings]
+        if stop is None or stop >= len(self):
+            lines += ['{"warning": %s}\n' % encode_basestring_ascii(msg) for msg in self.warnings]
         return "".join(lines)
+
+    def write_jsonl(self, fh) -> None:
+        """Write ``to_jsonl()`` to the text file ``fh``, ``JSONL_CHUNK`` flips per call.
+
+        Each slice goes through ``self.to_jsonl``, so a wrapper around that
+        method sees every byte of the trace.
+        """
+        for start in range(0, len(self) or 1, JSONL_CHUNK):
+            fh.write(self.to_jsonl(start, start + JSONL_CHUNK))
 
     def _pair_json(self, pre: int, post: int) -> str:
         """The sorted record keys between ``modalities`` and ``x`` for one class pair."""
@@ -209,24 +231,26 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     trace = RefinementTrace()
     pre_labels = np.argmax(refined, axis=2).astype(np.int32) + 1
 
+    # probs is the one (H, W, C) buffer of this call: the attenuation product,
+    # then the weighted scores, then (normalised in place) the probabilities
     if used:
-        scores, parts = _attenuation_grids(used, graph, config, c)
-        weighted = refined * scores
+        probs, parts = _attenuation_grids(used, graph, config, c)
+        probs *= refined
     else:
-        # every attenuation is 1: the weighted scores are the refined ones
-        weighted, parts = refined, {}
-    denom = weighted.sum(axis=2, keepdims=True)
+        # every attenuation is 1: the weighted scores are a copy of the refined ones
+        probs, parts = refined.copy(), {}
+    denom = probs.sum(axis=2, keepdims=True)
     dead = denom[:, :, 0] < DENOM_FLOOR
     if np.any(dead):
         refined_sum = refined.sum(axis=2, keepdims=True)
-        weighted = np.where(dead[:, :, None], refined, weighted)
+        np.copyto(probs, refined, where=dead[:, :, None])
         denom = np.where(dead[:, :, None], refined_sum, denom)
         for y, x in np.argwhere(dead):
             trace.warnings.append(
                 f"pixel ({int(y)}, {int(x)}): all classes fully attenuated; "
                 "kept refined probabilities"
             )
-    probs = weighted / np.maximum(denom, DENOM_FLOOR)
+    probs /= np.maximum(denom, DENOM_FLOOR)
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
 
     # Flip columns: values and scores are gathered once and each class entry
@@ -274,7 +298,7 @@ def infer(
     content supplied.  Returns (labels, probabilities, trace).
     """
     used = _available(rasters, config)
-    z = assemble_joint(features, coarse, used, graph)
-    y1, _ = refine(params, z, coarse)
+    # the joint tensor and the correction map are freed before re-weighting
+    y1 = refine(params, assemble_joint(features, coarse, used, graph), coarse)[0]
     probs, labels, trace = reweight(y1, used, graph, config)
     return labels, probs, trace

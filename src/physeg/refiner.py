@@ -297,11 +297,16 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     if not dataset:
         raise ValueError("training dataset is empty")
     scenes = list(dataset)
-    feature_dim = np.asarray(scenes[0].features).shape[2]
+    z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
+    feature_dim = np.shape(scenes[0].features)[2]
+    for k, s in enumerate(scenes):
+        if np.shape(s.features)[2] != feature_dim:
+            raise ValueError(
+                f"scene {k} has {np.shape(s.features)[2]} feature channels "
+                f"but scene 0 has {feature_dim}"
+            )
     c = graph.num_classes
     params = init_params(feature_dim, c, config)
-
-    z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
     targets = [
         prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
         for s, z in zip(scenes, z_full)
@@ -373,8 +378,19 @@ def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: 
         raise ValueError("dataset is empty")
     totals = dict.fromkeys(COMPONENTS + ("phys_argmax",), 0.0)
     terms = []
-    for scene in dataset:
+    if params.w2.shape[0] != graph.num_classes:
+        raise ValueError(
+            f"the head predicts {params.w2.shape[0]} classes but the graph defines "
+            f"{graph.num_classes}"
+        )
+    feature_dim = params.w1.shape[1] - graph.num_classes - len(MODALITIES)
+    for k, scene in enumerate(dataset):
         z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
+        if np.shape(scene.features)[2] != feature_dim:
+            raise ValueError(
+                f"scene {k} has {np.shape(scene.features)[2]} feature channels "
+                f"but the head expects {feature_dim}"
+            )
         y1, _, _ = _forward(params, z, scene.coarse)
         _, comps, _ = total_loss(
             y1, scene.labels, scene.features, scene.rasters, graph, weights

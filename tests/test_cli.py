@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from physeg import cli
 from physeg.cli import main
 from physeg.extraction import ProviderConfig
 from physeg.gridio import read_grid_as, write_grid
-from physeg.inference import AttenuationConfig
+from physeg.inference import FLIP_FIELDS, AttenuationConfig, RefinementTrace
 from physeg.priors import load_graph
 from physeg.refiner import TrainConfig
 from physeg.synth import SynthConfig
@@ -362,6 +363,52 @@ class TestTrainRefineEval:
                 }
             )
         assert outs[0] == outs[1]
+
+    def test_refine_writes_a_large_trace_in_chunks(self, pipeline_dir, capsys, monkeypatch):
+        # the 32x32 scene's real outputs with a 10,240-flip SAR trace in place of its own
+        demo = pipeline_dir / "demo"
+        graph = load_graph(str(demo / "pckg.json"))
+        rng = np.random.default_rng(3)
+        n = 10_240
+        ids = rng.integers(1, graph.num_classes + 1, size=(2, n)).tolist()
+        trace = RefinementTrace(
+            ys=rng.integers(0, 256, size=n).tolist(),
+            xs=rng.integers(0, 256, size=n).tolist(),
+            pre_labels=ids[0],
+            post_labels=ids[1],
+            modalities={"SAR": {key: rng.normal(size=n).tolist() for key in FLIP_FIELDS}},
+            classes={
+                cid: (graph.entry_for_id(cid).category, graph.entry_for_id(cid).reasoning)
+                for cid in range(1, graph.num_classes + 1)
+            },
+            warnings=["pixel (0, 0): all classes fully attenuated; kept refined probabilities"],
+        )
+        text_length = len(trace.to_jsonl())
+        real_infer = cli.infer
+        monkeypatch.setattr(cli, "infer", lambda *args: real_infer(*args)[:2] + (trace,))
+        out = pipeline_dir / "large_trace"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, stdout, _ = run(
+                capsys,
+                "refine",
+                "--params", str(pipeline_dir / "params.psp"),
+                "--pckg", str(demo / "pckg.json"),
+                "--features", str(demo / "scene_0.features.pgrd"),
+                "--coarse", str(demo / "scene_0.coarse.pgrd"),
+                "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
+                "--mode", "physical",
+                "--out", str(out),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(stdout) == {"flips": n, "out": str(out), "warnings": 1}
+        assert (out / "trace.jsonl").read_text(encoding="utf-8") == trace.to_jsonl()
+        # whole-trace text, its lines and its UTF-8 copy are never alive at once
+        assert peak < text_length / 2
 
     def test_unknown_raster_modality_exit_1(self, pipeline_dir, capsys):
         demo = pipeline_dir / "demo"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import attenuation, interval_distance
 
+from physeg import inference
 from physeg.inference import (
     FLIP_FIELDS,
     SIGMA_FLOOR,
@@ -26,6 +29,17 @@ from physeg.priors import (
     interval_distance_grid,
 )
 from physeg.refiner import TrainConfig, init_params
+
+
+def assert_chunks_join_to_the_whole(trace):
+    """``to_jsonl`` slices of 1, 7 and all flips, and ``write_jsonl``, give ``to_jsonl()``."""
+    whole = trace.to_jsonl()
+    stop = len(trace) or 1  # a trace without flips is one slice: its warnings
+    for k in (1, 7, stop):
+        assert "".join(trace.to_jsonl(a, a + k) for a in range(0, stop, k)) == whole
+    out = io.StringIO()
+    trace.write_jsonl(out)
+    assert out.getvalue() == whole
 
 
 def entry(category, ndvi, dem, sar, reasoning=""):
@@ -206,6 +220,37 @@ class TestReweight:
         probs, _, trace = reweight(refined, {"SAR": np.array([[50.0]])}, graph2, config)
         assert trace.warnings
         assert np.allclose(probs.sum(axis=2), 1.0)
+        assert refined.tolist() == [[[1e-6, 1e-6]]]  # re-weighting never writes its input
+
+    def test_trace_with_flips_and_warnings_writes_in_chunks(self, graph2, monkeypatch):
+        # under this config SAR 0 keeps only metal, -10 only concrete, 50 neither
+        config = AttenuationConfig(available=("SAR",), sigma_rel=0.0125, tau_rel=1000.0)
+        rng = np.random.default_rng(31)
+        refined = rng.uniform(1e-6, 1.0, size=(5, 8, 2))
+        before = refined.copy()
+        sar = rng.choice([0.0, -10.0, 50.0], size=(5, 8))
+        _, _, trace = reweight(refined, {"SAR": sar}, graph2, config)
+        assert refined.tobytes() == before.tobytes()
+        assert len(trace) >= 8 and len(trace.warnings) >= 8
+        records = trace.flips + [{"warning": msg} for msg in trace.warnings]
+        assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert_chunks_join_to_the_whole(trace)
+        assert_chunks_join_to_the_whole(RefinementTrace(warnings=trace.warnings))
+
+        # every chunk goes through to_jsonl, so a wrapper around it sees every byte
+        seen = []
+        to_jsonl = RefinementTrace.to_jsonl
+
+        def recorded(self, *args):
+            seen.append(to_jsonl(self, *args))
+            return seen[-1]
+
+        monkeypatch.setattr(inference, "JSONL_CHUNK", 3)
+        monkeypatch.setattr(RefinementTrace, "to_jsonl", recorded)
+        out = io.StringIO()
+        trace.write_jsonl(out)
+        assert len(seen) == -(-len(trace) // 3)
+        assert "".join(seen) == out.getvalue() == to_jsonl(trace)
 
     def test_zero_width_interval_uses_sigma_floor(self):
         graph = PriorGraph(
@@ -314,6 +359,33 @@ class TestInfer:
         assert flipped == expected
         assert expected  # the SAR prior must flip at least some ambiguous pixels
 
+    def test_physical_infer_holds_each_large_intermediate_once(self, graph4):
+        # 256 x 256, SAR only; the coarse map is wrong at ~2% of pixels, which SAR flips back
+        rng = np.random.default_rng(41)
+        h = w = 256
+        truth = rng.integers(1, 5, size=(h, w))
+        shown = np.where(rng.random((h, w)) < 0.02, truth % 4 + 1, truth)
+        coarse = rng.uniform(0.05, 0.25, size=(h, w, 4))
+        coarse[np.arange(h)[:, None], np.arange(w), shown - 1] += 0.5
+        sar_range = np.array(
+            [(iv.lo, iv.hi) for iv in (graph4.interval(cid, "SAR") for cid in range(1, 5))]
+        )
+        sar = rng.uniform(sar_range[truth - 1, 0], sar_range[truth - 1, 1])
+        features = rng.normal(size=(h, w, 4))
+        params = init_params(4, 4, TrainConfig(seed=5))
+        joint_bytes = h * w * (4 + 4 + len(MODALITIES)) * 8
+        config = AttenuationConfig(available=("SAR",))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, trace = infer(params, features, coarse, {"SAR": sar}, graph4, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 500
+        # the joint tensor and the (H, W, C) maps each held once: ~1.9 joint tensors
+        assert peak < 3 * joint_bytes
+
 
 def test_trace_matches_per_pixel_reference():
     graph = PriorGraph(
@@ -366,10 +438,12 @@ def test_trace_matches_per_pixel_reference():
     assert json.dumps(trace.flips) == json.dumps(expected)  # the same key order too
     assert trace.flips is trace.flips  # built once, then kept
     assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
+    assert_chunks_join_to_the_whole(trace)
 
 
 def test_trace_jsonl_empty():
     assert RefinementTrace().to_jsonl() == ""
+    assert_chunks_join_to_the_whole(RefinementTrace())
 
 
 _NUMBERS = st.one_of(
@@ -414,3 +488,4 @@ def test_to_jsonl_is_json_dumps_of_each_record_property(trace):
     records = trace.flips + [{"warning": msg} for msg in trace.warnings]
     assert len(trace) == len(trace.flips)
     assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert_chunks_join_to_the_whole(trace)

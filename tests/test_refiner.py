@@ -277,8 +277,8 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], graph3, TrainConfig())
 
-    def test_misaligned_ground_truth_rejected_before_training(self, graph3):
-        scenes = make_dataset(graph3, seed=2, n=2)
+    def test_misaligned_ground_truth_rejected_before_training(self, graph3, monkeypatch):
+        scenes = make_dataset(graph3, seed=2, n=3)
         bad = scenes[1]
         scenes[1] = Scene(bad.features, bad.coarse, bad.rasters, bad.labels[:-1])
         with pytest.raises(
@@ -286,6 +286,22 @@ class TestTrain:
             match=re.escape("ground-truth mask shape (11, 12) does not match prediction (12, 12)"),
         ):
             train(scenes, graph3, TrainConfig(epochs=1))
+        # one scene with an extra feature channel: rejected by name, before any step
+        wide = np.concatenate([bad.features, bad.features[:, :, :1]], axis=2)
+        scenes[1] = Scene(wide, bad.coarse, bad.rasters, bad.labels)
+        steps = []
+        monkeypatch.setattr("physeg.refiner.loss_step", lambda *args: steps.append(args))
+        message = "scene 1 has 4 feature channels but scene 0 has 3"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(scenes, graph3, TrainConfig(epochs=1))
+        assert steps == []
+        params = init_params(3, 3, TrainConfig())
+        message = "scene 1 has 4 feature channels but the head expects 3"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_losses(params, scenes, graph3)
+        message = "the head predicts 4 classes but the graph defines 3"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_losses(init_params(2, 4, TrainConfig()), scenes[:1], graph3)
 
 
 def demo_dataset(size=32, seed=0):
