@@ -15,11 +15,12 @@ writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
 each, so only one slice's text is alive at a time and a wrapper around
 ``to_jsonl`` still sees every byte.
 
-Each large intermediate is held once: ``infer`` keeps only the refined map
-of ``refine`` (the joint tensor and the correction map are dropped before
-re-weighting), and ``reweight`` multiplies the refined map into its own
-attenuation product and normalises in that buffer, never writing the
-caller's refined map.
+Each large intermediate is held once: ``infer`` hands ``refine`` the
+scene's ``joint_parts``, so the joint tensor is written one pixel block at a
+time and never held whole; it keeps only the refined map (the correction map
+is dropped before re-weighting), and ``reweight`` multiplies the refined map
+into its own attenuation product and normalises in that buffer, never
+writing the caller's refined map.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .priors import PriorGraph, check_rasters, interval_distance_grid, modality_order
-from .refiner import RefinerParams, assemble_joint, refine
+# assemble_joint is not called here; perfbench's tracer patches it under this module's name
+from .refiner import RefinerParams, assemble_joint, joint_parts, refine  # noqa: F401
 
 DENOM_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-3  # modality units; guards zero-width intervals
@@ -291,14 +293,14 @@ def infer(
     graph: PriorGraph,
     config: AttenuationConfig,
 ):
-    """Full pipeline: assemble joint tensor, refine, re-weight, label.
+    """Full pipeline: refine the scene's joint tensor block by block, re-weight, label.
 
     Rasters not listed in ``config.available`` are ignored entirely, so
     visual-only inference (empty available set) is independent of any raster
     content supplied.  Returns (labels, probabilities, trace).
     """
     used = _available(rasters, config)
-    # the joint tensor and the correction map are freed before re-weighting
-    y1 = refine(params, assemble_joint(features, coarse, used, graph), coarse)[0]
+    # the correction map is freed before re-weighting
+    y1 = refine(params, joint_parts(features, coarse, used, graph), coarse)[0]
     probs, labels, trace = reweight(y1, used, graph, config)
     return labels, probs, trace

@@ -182,14 +182,16 @@ def seg_loss(pred, targets: LossTargets, alpha: float):
     if alpha != 0.0:
         n_present = len(labels.classes)
         dice_sum = 0.0
+        # one class column at a time: 1-D gathers and scatters on its strided view
         for ch, in_class, count in labels.classes:
-            p_lab = flat_pred[labels.pixels, ch]
+            p_lab = flat_pred[:, ch][labels.pixels]
             inter = float(p_lab[in_class].sum())
             union = float(p_lab.sum()) + float(count)
             dice_sum += 2.0 * inter / union
             coeff = 2.0 / (union * union)
             d_dice = np.where(in_class, coeff * (union - inter), -coeff * inter)
-            flat_grad[labels.pixels, ch] -= alpha * (d_dice / n_present)
+            grad_ch = flat_grad[:, ch]
+            grad_ch[labels.pixels] -= alpha * (d_dice / n_present)
         mean_dice = dice_sum / n_present
         dice_value = 1.0 - mean_dice
     return ce + alpha * dice_value, grad
@@ -223,12 +225,16 @@ def region_loss(stats: RegionStats, targets: LossTargets) -> float:
     Region assignment is frozen, and the features are a fixed input, so the
     term has no gradient w.r.t. the prediction.
     """
-    diff = targets.features - stats.feature_means[stats.region_map - 1]
+    region = stats.region_map - 1
+    # the gathered region means become F - mu in place
+    diff = np.take(stats.feature_means, region, axis=0)
+    np.subtract(targets.features, diff, out=diff)
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     inv = np.zeros(len(stats.counts))
     nonempty = stats.counts > 0
     inv[nonempty] = 1.0 / stats.counts[nonempty]
-    return float((sq * inv[stats.region_map - 1]).sum())
+    sq *= inv[region]
+    return float(sq.sum())
 
 
 def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
@@ -305,10 +311,17 @@ def phys_loss_soft(pred, targets: LossTargets):
             total += term
             if deriv != 0.0:
                 if grad is None:
-                    grad = np.zeros((h, w, c))
-                grad[:, :, ch] += deriv * (values - mean) / mass[ch]
+                    # step: (H, W) scratch for one class's gradient
+                    grad, step = np.zeros((h, w, c)), np.empty((h, w))
+                # deriv * (values - mean) / mass[ch], in place
+                np.subtract(values, mean, out=step)
+                step *= deriv
+                step /= mass[ch]
+                grad[:, :, ch] += step
     m = len(targets.rasters)
-    return total / m, None if grad is None else grad / m
+    if grad is not None:
+        grad /= m
+    return total / m, grad
 
 
 def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
@@ -325,7 +338,8 @@ def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
     phys, grad_phys = phys_loss_soft(pred, targets)
     total = seg + weights.lambda1 * region + weights.lambda2 * phys
     if grad_phys is not None:
-        grad += weights.lambda2 * grad_phys
+        grad_phys *= weights.lambda2
+        grad += grad_phys
     return total, dict(zip(COMPONENTS, (seg, region, phys, total))), grad
 
 

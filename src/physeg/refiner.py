@@ -8,6 +8,15 @@ added to the coarse probabilities; a zero-initialized head makes the module
 start as the identity.  Training is plain seeded gradient descent on the
 joint objective, with per-scene modality dropout so one weight set serves
 both visual-only and visual-physical inference.
+
+The head never needs the joint tensor whole.  ``joint_parts`` checks a
+scene and keeps its parts (flat features, flat coarse map, rasters with
+their standardisation); the forward pass writes each pixel block of the
+joint tensor into a buffer just before that block's first matmul.  Training
+keeps one full-size joint buffer per scene shape, which its backward pass
+reads; ``refine``, ``infer`` and ``evaluate_losses`` keep one block.  A
+dropped scene's physical columns are written as zeros.  ``assemble_joint``
+writes every block of the same parts into one array.
 """
 
 from __future__ import annotations
@@ -96,6 +105,8 @@ class TrainConfig:
             raise ValueError("modality_dropout_prob must be in [0, 1]")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden width must be >= 1")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 = full batch)")
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,37 @@ class Scene:
     labels: np.ndarray  # (H, W) ints, 0 = unlabeled
 
 
-def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
-    """Stack [features | coarse | NDVI | DEM | SAR] channels per pixel.
+class JointParts(NamedTuple):
+    """One scene's joint tensor as its parts; ``fill`` writes any rows of it.
+
+    ``features`` and ``coarse`` are flat float64 views of the scene's maps.
+    ``rasters`` holds (column, flat grid, mu, sigma) per supplied modality;
+    every physical column it does not name is zero, so a scene with
+    ``rasters=()`` is the scene with its modalities dropped.
+    """
+
+    shape: tuple  # (H, W, D + C + M), the assembled tensor's shape
+    features: np.ndarray  # (N, D)
+    coarse: np.ndarray  # (N, C)
+    rasters: tuple
+
+    def fill(self, out: np.ndarray, rows: slice) -> np.ndarray:
+        """Write the joint tensor's pixels ``rows`` into ``out`` and return it."""
+        d = self.features.shape[1]
+        phys = d + self.coarse.shape[1]
+        out[:, :d] = self.features[rows]
+        out[:, d:phys] = self.coarse[rows]
+        if len(self.rasters) < out.shape[1] - phys:
+            out[:, phys:] = 0.0
+        for column, grid, mu, sigma in self.rasters:
+            # (grid - mu) / sigma, the same two operations per cell
+            np.subtract(grid[rows], mu, out=out[:, column])
+            out[:, column] /= sigma
+        return out
+
+
+def joint_parts(features, coarse, rasters, graph: PriorGraph) -> JointParts:
+    """Check a scene and return its joint tensor as ``JointParts``.
 
     Physical channels are standardized by the graph-level interval-midpoint
     mean/scale of their modality; absent modalities stay all-zero.  A non-finite
@@ -137,11 +177,29 @@ def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
         bad = grid.size - np.count_nonzero(np.isfinite(grid))
         if bad:
             raise ValueError(f"{name} has {bad} non-finite cells")
-    phys = np.zeros((h, w, len(MODALITIES)))
-    for name, grid in check_rasters(rasters, (h, w)).items():
-        mu, sigma = graph.modality_stats(name)
-        phys[:, :, MODALITY_INDEX[name]] = (grid - mu) / sigma
-    return np.concatenate([features, coarse, phys], axis=2)
+    d, c = features.shape[2], coarse.shape[2]
+    standardised = tuple(
+        (d + c + MODALITY_INDEX[name], grid.reshape(-1), *graph.modality_stats(name))
+        for name, grid in check_rasters(rasters, (h, w)).items()
+    )
+    return JointParts(
+        (h, w, d + c + len(MODALITIES)),
+        features.reshape(h * w, d),
+        coarse.reshape(h * w, c),
+        standardised,
+    )
+
+
+def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
+    """Stack [features | coarse | NDVI | DEM | SAR] channels per pixel.
+
+    The scene's ``joint_parts`` (which check it), written into one
+    (H, W, D + C + M) array; absent modalities stay all-zero.
+    """
+    parts = joint_parts(features, coarse, rasters, graph)
+    h, w, width = parts.shape
+    joint = np.empty((h * w, width))
+    return parts.fill(joint, slice(0, h * w)).reshape(parts.shape)
 
 
 def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> RefinerParams:
@@ -162,7 +220,7 @@ def _tiles(pixels: int) -> tuple:
     """Row slices of ``TILE_ROWS`` pixels; the last one is shorter when
     ``TILE_ROWS`` does not divide ``pixels``.
 
-    ``pixels`` must be positive (``assemble_joint`` rejects empty scenes).
+    ``pixels`` must be positive (``joint_parts`` rejects empty scenes).
     """
     return tuple(slice(a, min(a + TILE_ROWS, pixels)) for a in range(0, pixels, TILE_ROWS))
 
@@ -170,70 +228,90 @@ def _tiles(pixels: int) -> tuple:
 class _Buffers(NamedTuple):
     """Work arrays of one forward (and backward) pass over N = H * W pixels.
 
-    ``_forward`` and ``_backward`` run all their work one tile of
-    ``tiles`` at a time and write every field in place; the cache holds them,
-    so a set serves one pass at a time.  A forward-only set (``refine``,
-    ``evaluate_losses``, one per call) holds ``hidden``, ``squash`` and ``raw``
-    for the first (longest) tile only, which ``_backward`` rejects unless the
-    scene is one tile.  ``train`` makes one full-size backward set per distinct
-    scene shape and reuses it on every step; ``_backward`` overwrites its
-    ``hidden``, ``squash`` and ``raw`` with its own intermediates.
+    ``_forward`` and ``_backward`` run all their work one tile of ``tiles``
+    at a time and write every field in place; the cache holds them, so a set
+    serves one pass at a time.  A field is either N rows long or one block
+    (the first, longest tile).  A forward-only set (``refine``,
+    ``evaluate_losses``, one per call) keeps one block of ``joint``,
+    ``hidden``, ``squash`` and ``raw``, and all of ``dy`` and ``y1``, which
+    ``refine`` returns; ``_backward`` rejects it unless the scene is one
+    tile.  ``train`` makes one backward set per distinct scene shape and
+    reuses it on every step: ``joint``, ``hidden``, ``squash`` and ``raw``
+    are N rows long, because ``_backward`` reads them, and ``dy``, which
+    nothing reads, is one block.  ``_backward`` overwrites ``hidden``,
+    ``squash`` and ``raw`` with its own intermediates.
     """
 
+    joint: np.ndarray  # (rows, D + C + M) rows written from JointParts; 0 wide for an assembled z
     hidden: np.ndarray  # (rows, hidden) fusion activations, then 1 - hidden^2
     squash: np.ndarray  # (rows, C) head activations, then 1 - squash^2
-    dy: np.ndarray  # (N, C) correction
+    dy: np.ndarray  # (N or block, C) correction
     raw: np.ndarray  # (rows, C) coarse + correction, then the head's pre-activation gradient
     y1: np.ndarray  # (N, C) clamped refined probabilities
     tiles: tuple  # row slices of the N pixels
 
     @classmethod
-    def empty(cls, pixels: int, hidden: int, num_classes: int, backward: bool = False):
+    def empty(
+        cls, pixels: int, hidden: int, num_classes: int, backward: bool = False, width: int = 0
+    ):
         tiles = _tiles(pixels)
-        rows = pixels if backward else tiles[0].stop
+        block = tiles[0].stop
+        rows = pixels if backward else block
         return cls(
+            np.empty((rows, width)),
             np.empty((rows, hidden)),
             np.empty((rows, num_classes)),
-            np.empty((pixels, num_classes)),
+            np.empty((block if backward else pixels, num_classes)),
             np.empty((rows, num_classes)),
             np.empty((pixels, num_classes)),
             tiles,
         )
 
 
-def _forward(params: RefinerParams, z: np.ndarray, coarse: np.ndarray, buffers=None):
-    h, w, _ = z.shape
+def _forward(params: RefinerParams, z, coarse: np.ndarray, buffers=None):
+    """The head over the joint tensor ``z``, assembled or as ``JointParts``.
+
+    Returns (y1, dy or None when the set keeps one block of it, cache).  The
+    cache holds the rows each block's first matmul read: the assembled
+    tensor, or the set's ``joint`` field that the parts were written into.
+    """
+    h, w, width = z.shape
     n = h * w
-    flat_z = z.reshape(n, -1)
+    parts = isinstance(z, JointParts)
     flat_coarse = coarse.reshape(n, -1)
     if buffers is None:
-        buffers = _Buffers.empty(n, params.w1.shape[0], params.w2.shape[0])
-    hidden, squash, dy, raw, y1, tiles = buffers
-    full = len(hidden) == n
+        hidden_width, classes = params.w1.shape[0], params.w2.shape[0]
+        buffers = _Buffers.empty(n, hidden_width, classes, width=width if parts else 0)
+    joint, hidden, squash, dy, raw, y1, tiles = buffers
+    flat_z = joint if parts else z.reshape(n, -1)
     for t in tiles:
-        rows = t if full else slice(0, t.stop - t.start)
+        block = slice(0, t.stop - t.start)
+        rows = t if len(hidden) == n else block
         t_hidden, t_squash, t_raw = hidden[rows], squash[rows], raw[rows]
-        np.matmul(flat_z[t], params.w1.T, out=t_hidden)
+        t_dy = dy[t if len(dy) == n else block]
+        t_z = z.fill(joint[rows], t) if parts else flat_z[t]
+        np.matmul(t_z, params.w1.T, out=t_hidden)
         t_hidden += params.b1
         np.tanh(t_hidden, out=t_hidden)
         np.matmul(t_hidden, params.w2.T, out=t_squash)
         t_squash += params.b2
         np.tanh(t_squash, out=t_squash)
-        np.multiply(params.residual_scale, t_squash, out=dy[t])
-        np.add(flat_coarse[t], dy[t], out=t_raw)
+        np.multiply(params.residual_scale, t_squash, out=t_dy)
+        np.add(flat_coarse[t], t_dy, out=t_raw)
         np.clip(t_raw, PROB_FLOOR, 1.0, out=y1[t])
-    return y1.reshape(h, w, -1), dy.reshape(h, w, -1), (flat_z, buffers)
+    correction = dy.reshape(h, w, -1) if len(dy) == n else None
+    return y1.reshape(h, w, -1), correction, (flat_z, buffers)
 
 
 def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
-    flat_z, (hidden, squash, _, raw, _, tiles) = cache
-    if len(hidden) != len(flat_z):
+    flat_z, (_, hidden, squash, _, raw, y1, tiles) = cache
+    if len(hidden) != len(y1) or len(flat_z) != len(y1):
         raise ValueError(
             "the forward pass kept one tile of activations; backward needs a full-size buffer set"
         )
     g = grad_y1.reshape(raw.shape)
-    g_w1, g_b1 = np.zeros_like(params.w1), np.zeros_like(params.b1)
-    g_w2, g_b2 = np.zeros_like(params.w2), np.zeros_like(params.b2)
+    g_w1, g_b1 = np.zeros(params.w1.shape), np.zeros(params.b1.shape)
+    g_w2, g_b2 = np.zeros(params.w2.shape), np.zeros(params.b2.shape)
     g_pre1 = np.empty((tiles[0].stop, hidden.shape[1]))
     for t in tiles:
         # raw becomes g_dy, then g_pre2; squash and hidden become tanh'
@@ -257,16 +335,20 @@ def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
     return g_w1, g_b1, g_w2, g_b2
 
 
-def refine(params: RefinerParams, z: np.ndarray, coarse: np.ndarray):
+def refine(params: RefinerParams, z, coarse: np.ndarray):
     """Apply the residual head: returns (refined map, correction).
 
-    Refined values are clamped into [1e-6, 1] so downstream re-weighting is
-    always well-defined.
+    ``z`` is the joint tensor: an (H, W, D + C + M) array from
+    ``assemble_joint``, or the scene's ``joint_parts``, which the head
+    writes one pixel block at a time and never holds whole.  Both give the
+    same bytes.  Refined values are clamped into [1e-6, 1] so downstream
+    re-weighting is always well-defined.
     """
     params.validate()
-    z = np.asarray(z, dtype=np.float64)
+    if not isinstance(z, JointParts):
+        z = np.asarray(z, dtype=np.float64)
     coarse = np.asarray(coarse, dtype=np.float64)
-    if z.ndim != 3 or coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
+    if len(z.shape) != 3 or coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
         raise ValueError(
             f"joint tensor shape {z.shape} does not align with coarse map {coarse.shape}"
         )
@@ -297,7 +379,8 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     if not dataset:
         raise ValueError("training dataset is empty")
     scenes = list(dataset)
-    z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
+    joints = [joint_parts(s.features, s.coarse, s.rasters, graph) for s in scenes]
+    dropped = [z._replace(rasters=()) for z in joints]  # physical columns all zero
     feature_dim = np.shape(scenes[0].features)[2]
     for k, s in enumerate(scenes):
         if np.shape(s.features)[2] != feature_dim:
@@ -309,37 +392,33 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     params = init_params(feature_dim, c, config)
     targets = [
         prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
-        for s, z in zip(scenes, z_full)
+        for s, z in zip(scenes, joints)
     ]
     drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed), 1])))
     batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed), 2])))
 
     n = len(scenes)
-    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
+    batch = n if config.batch_size == 0 else min(config.batch_size, n)
     history = []
     last_good = params.copy()
     # updated in place, so these stay the live parameter arrays
     arrays = (params.w1, params.b1, params.w2, params.b2)
-    # per distinct scene shape: the modality-dropout joint tensor and the step buffers
+    # the step buffers of each distinct scene shape, joint tensor included
     work = {
-        (h, w, d): (np.empty((h, w, d)), _Buffers.empty(h * w, config.hidden, c, backward=True))
-        for h, w, d in {z.shape for z in z_full}
+        (h, w, d): _Buffers.empty(h * w, config.hidden, c, backward=True, width=d)
+        for h, w, d in {z.shape for z in joints}
     }
 
     for epoch in range(config.epochs):
         order = np.arange(n) if batch == n else batch_rng.permutation(n)
         for start in range(0, n, batch):
             chunk = order[start : start + batch]
-            grads = [np.zeros_like(a) for a in arrays]
+            grads = [np.zeros(a.shape) for a in arrays]
             comps_sum = dict.fromkeys(COMPONENTS, 0.0)
             for idx in chunk:
-                z = z_full[idx]
-                joint, buffers = work[z.shape]
-                if drop_rng.random() < config.modality_dropout_prob:
-                    np.copyto(joint, z)
-                    joint[:, :, -len(MODALITIES):] = 0.0
-                    z = joint
-                y1, _, cache = _forward(params, z, scenes[idx].coarse, buffers)
+                drop = drop_rng.random() < config.modality_dropout_prob
+                z = dropped[idx] if drop else joints[idx]
+                y1, _, cache = _forward(params, z, z.coarse, work[z.shape])
                 total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
                     raise TrainingError(
@@ -385,13 +464,13 @@ def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: 
         )
     feature_dim = params.w1.shape[1] - graph.num_classes - len(MODALITIES)
     for k, scene in enumerate(dataset):
-        z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
+        z = joint_parts(scene.features, scene.coarse, scene.rasters, graph)
         if np.shape(scene.features)[2] != feature_dim:
             raise ValueError(
                 f"scene {k} has {np.shape(scene.features)[2]} feature channels "
                 f"but the head expects {feature_dim}"
             )
-        y1, _, _ = _forward(params, z, scene.coarse)
+        y1, _, _ = _forward(params, z, z.coarse)
         _, comps, _ = total_loss(
             y1, scene.labels, scene.features, scene.rasters, graph, weights
         )

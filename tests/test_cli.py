@@ -444,6 +444,22 @@ class TestTrainRefineEval:
         assert json.loads(err)["message"] == "modality 'SAR' named more than once"
         assert not out.exists()
 
+    def test_negative_batch_size_exit_1(self, pipeline_dir, capsys):
+        # a negative batch made range(0, n, batch) empty: zero steps, an untrained head
+        out = pipeline_dir / "negative_batch.psp"
+        code, stdout, err = run(
+            capsys,
+            "train",
+            "--manifest", str(pipeline_dir / "demo" / "manifest.json"),
+            "--epochs", "3",
+            "--batch-size", "-2",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == "batch_size must be >= 0 (0 = full batch)"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["refine", "train", "eval"])
     def test_repeated_raster_modality_exit_1(self, pipeline_dir, capsys, command):
         # sar= and SAR= name one modality: neither file may silently win

@@ -386,6 +386,27 @@ class TestInfer:
         # the joint tensor and the (H, W, C) maps each held once: ~1.9 joint tensors
         assert peak < 3 * joint_bytes
 
+    def test_visual_infer_never_holds_the_joint_tensor_whole(self, graph4):
+        # 256 x 256, no modality: the head writes the joint tensor one pixel block at a time
+        rng = np.random.default_rng(43)
+        h = w = 256
+        coarse = rng.uniform(0.05, 0.75, size=(h, w, 4))
+        features = rng.normal(size=(h, w, 4))
+        params = init_params(4, 4, TrainConfig(seed=6))
+        params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
+        joint_bytes = h * w * (4 + 4 + len(MODALITIES)) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            labels, _, trace = infer(params, features, coarse, {}, graph4, AttenuationConfig())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (h, w) and len(trace) == 0
+        # the correction, refined and probability maps (4 x 4 floats a pixel each)
+        # and one block of the joint tensor: ~1.1 joint tensors
+        assert peak < 1.5 * joint_bytes
+
 
 def test_trace_matches_per_pixel_reference():
     graph = PriorGraph(

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -277,6 +278,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], graph3, TrainConfig())
 
+    def test_negative_batch_size_rejected(self, graph3):
+        # range(0, n, -2) is empty: such a run would return the untrained head
+        with pytest.raises(ValueError, match=r"^batch_size must be >= 0 \(0 = full batch\)$"):
+            TrainConfig(batch_size=-2)
+
     def test_misaligned_ground_truth_rejected_before_training(self, graph3, monkeypatch):
         scenes = make_dataset(graph3, seed=2, n=3)
         bad = scenes[1]
@@ -496,10 +502,17 @@ class TestBuffers:
         params, history = train(scenes, graph3, config)
 
         assert len(caches) == config.epochs * len(scenes)
+        # every step's matmuls read the joint field of its shape's set
+        assert all(joint is buffers.joint for joint, buffers in caches)
         sets = {id(buffers): buffers for _, buffers in caches}
+        width = 3 + 3 + len(MODALITIES)
+        assert sorted(buffers.joint.shape for buffers in sets.values()) == [
+            (8 * 8, width), (12 * 12, width)
+        ]
         assert sorted(len(buffers.y1) for buffers in sets.values()) == [8 * 8, 12 * 12]
-        step_arrays = [a for _, buffers in caches for a in buffers] + [z for z, _ in caches]
-        for p in (params.w1, params.b1, params.w2, params.b2):
+        step_arrays = [a for buffers in sets.values() for a in buffers[:-1]]
+        scene_arrays = [a for s in scenes for a in (s.features, s.coarse, *s.rasters.values())]
+        for p in (params.w1, params.b1, params.w2, params.b2, *scene_arrays):
             assert not any(np.shares_memory(p, a) for a in step_arrays)
         assert all(type(v) in (int, float) for rec in history for v in rec.values())
 
@@ -511,19 +524,65 @@ class TestBuffers:
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
 
         def forward(scene):
-            z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
-            return refiner._forward(params, z, scene.coarse)
+            z = refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
+            return refiner._forward(params, z, z.coarse)
 
         y1, dy, cache = forward(first)
-        kept = [a.copy() for a in (y1, dy, cache[0], *cache[1][:5])]
+        assert cache[0] is cache[1].joint
+        kept = [a.copy() for a in (y1, dy, *cache[1][:-1])]
         forward(second)
-        assert [a.tobytes() for a in (y1, dy, cache[0], *cache[1][:5])] == [
-            a.tobytes() for a in kept
-        ]
+        assert [a.tobytes() for a in (y1, dy, *cache[1][:-1])] == [a.tobytes() for a in kept]
         grad = rng.normal(size=y1.shape)
         grads = refiner._backward(params, cache, grad)
         fresh = refiner._backward(params, forward(first)[2], grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
+
+    def test_forward_on_parts_is_refine_on_the_assembled_tensor(self, graph3):
+        # 50 x 50 is two pixel blocks; the dropped scene runs in a training set
+        scene = make_dataset(graph3, seed=17, n=1, size=50)[0]
+        params = init_params(3, 3, TrainConfig(seed=4))
+        params.w2 = np.random.default_rng(18).normal(scale=0.5, size=params.w2.shape)
+        parts = refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
+        assert len(parts.rasters) == 3 and len(refiner._tiles(50 * 50)) == 2
+
+        assembled = assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
+        got, want = refine(params, parts, scene.coarse), refine(params, assembled, scene.coarse)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+        dropped = assemble_joint(scene.features, scene.coarse, {}, graph3)
+        buffers = refiner._Buffers.empty(50 * 50, 32, 3, backward=True, width=parts.shape[2])
+        y1, _, cache = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
+        assert y1.tobytes() == refine(params, dropped, scene.coarse)[0].tobytes()
+        assert cache[0].tobytes() == dropped.tobytes()
+
+    def test_train_memory_does_not_grow_with_the_scene_count_by_joint_tensors(self, graph3):
+        # each scene adds its loss targets; the joint tensor is one buffer per shape
+        size = 128
+        scenes = make_dataset(graph3, seed=19, n=6, size=size)
+        config = TrainConfig(seed=5, epochs=1)
+        joint_bytes = size * size * (3 + 3 + len(MODALITIES)) * 8
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(scenes[:count], graph3, config)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [
+                prepare_targets(s.labels, s.features, s.rasters, graph3, (size, size, 3))
+                for s in scenes[2:]
+            ]
+            targets_bytes = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 4
+        assert peak(6) - peak(2) < joint_bytes + targets_bytes
 
 
 def oracle_forward(params, z, coarse):
