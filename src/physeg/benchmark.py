@@ -112,6 +112,10 @@ def build_demo(
     out_dir, seed: int = 0, num_scenes: int = DEMO_SCENES, size: int = DEMO_SIZE
 ) -> dict:
     """Write graph, scenes and manifest under out_dir; returns the manifest dict."""
+    if num_scenes < 1:
+        raise ValueError(f"scenes must be >= 1, got {num_scenes}")
+    if size < 8:
+        raise ValueError(f"size must be >= 8 (one 8x8 class tile), got {size}")
     os.makedirs(out_dir, exist_ok=True)
     graph = demo_graph()
     save_graph(graph, os.path.join(out_dir, "pckg.json"))

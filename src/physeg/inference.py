@@ -16,11 +16,12 @@ each, so only one slice's text is alive at a time and a wrapper around
 ``to_jsonl`` still sees every byte.
 
 Each large intermediate is held once: ``infer`` hands ``refine`` the
-scene's ``joint_parts``, so the joint tensor is written one pixel block at a
-time and never held whole; it keeps only the refined map (the correction map
-is dropped before re-weighting), and ``reweight`` multiplies the refined map
-into its own attenuation product and normalises in that buffer, never
-writing the caller's refined map.
+scene's ``joint_parts``, the head's one input form, which it writes one
+pixel block at a time, so the joint tensor is never held whole.  ``infer``
+keeps only the refined map (the correction map is dropped before
+re-weighting), and ``reweight`` multiplies the refined map into its own
+attenuation product and normalises in that buffer, never writing the
+caller's refined map.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class AttenuationConfig:
     def __post_init__(self):
         object.__setattr__(self, "available", tuple(self.available))
         modality_order(self.available)  # raises ValueError on an unknown name
-        if self.sigma_rel <= 0 or self.tau_rel <= 0:
-            raise ValueError("sigma_rel and tau_rel must be > 0")
+        if not (0 < self.sigma_rel < np.inf and 0 < self.tau_rel < np.inf):
+            raise ValueError("sigma_rel and tau_rel must be finite and > 0")
 
     def params_for(self, interval) -> tuple[float, float]:
         """Resolved (tau, sigma) for one class interval."""

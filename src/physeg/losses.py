@@ -43,8 +43,8 @@ class LossWeights:
     lambda2: float = 0.40  # physics-consistency weight
 
     def __post_init__(self):
-        if self.alpha < 0 or self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(0 <= x < np.inf for x in (self.alpha, self.lambda1, self.lambda2)):
+            raise ValueError("loss weights must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 IoU is computed from confusion counts; classes absent from both masks have
 undefined IoU and are excluded from the mean.  Plausibility measures the
 fraction of labeled regions whose mean physical value sits inside its class
-interval (with the same edge tolerance as the physics loss).  Reliability
+interval (``Interval.contains``: the physics hinge's edge-tolerance test).  Reliability
 compares a synthetic raster against a reference one using rank statistics
 (coverage, median offset from the interval midpoint, IQR) per class.
 """
@@ -84,7 +84,7 @@ def plausibility_rate(labels, rasters, graph: PriorGraph):
         for cid in present:
             iv = graph.interval(cid, name)
             mean = float(values[labels == cid].mean())
-            inside = (iv.lo - iv.edge_tol) <= mean <= (iv.hi + iv.edge_tol)
+            inside = iv.contains(mean)
             breakdown[cid][name] = {"mean": mean, "lo": iv.lo, "hi": iv.hi, "inside": inside}
             inside_count += inside
         fractions.append(inside_count / len(present))

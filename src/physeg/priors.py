@@ -143,6 +143,11 @@ class Interval:
         """Slack for comparing region means to the endpoints (absorbs summation rounding)."""
         return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
 
+    def contains(self, mean: float) -> bool:
+        """Whether a region mean is inside up to ``edge_tol``, in the physics
+        hinge's form: ``mean - hi`` and ``lo - mean`` against the tolerance."""
+        return mean - self.hi <= self.edge_tol and self.lo - mean <= self.edge_tol
+
 
 def interval_distance_grid(values: np.ndarray, interval: Interval) -> np.ndarray:
     """Vectorized point-to-interval distance over a grid of values."""

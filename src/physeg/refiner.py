@@ -9,14 +9,15 @@ start as the identity.  Training is plain seeded gradient descent on the
 joint objective, with per-scene modality dropout so one weight set serves
 both visual-only and visual-physical inference.
 
-The head never needs the joint tensor whole.  ``joint_parts`` checks a
-scene and keeps its parts (flat features, flat coarse map, rasters with
-their standardisation); the forward pass writes each pixel block of the
-joint tensor into a buffer just before that block's first matmul.  Training
-keeps one full-size joint buffer per scene shape, which its backward pass
-reads; ``refine``, ``infer`` and ``evaluate_losses`` keep one block.  A
-dropped scene's physical columns are written as zeros.  ``assemble_joint``
-writes every block of the same parts into one array.
+The head never needs the joint tensor whole and reads it in one form.
+``joint_parts`` checks a scene and keeps its parts (flat features, flat
+coarse map, rasters with their standardisation); the forward pass writes
+each pixel block of the joint tensor into a buffer just before that block's
+first matmul.  Training keeps one full-size joint buffer per scene shape,
+which its backward pass reads; ``refine``, ``infer`` and ``evaluate_losses``
+keep one block.  A dropped scene's physical columns are written as zeros.
+``assemble_joint`` writes every block of the same parts into one array, and
+``refine`` takes such an array as parts whose features are all its columns.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ class TrainConfig:
     residual_scale: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not np.isfinite(self.residual_scale):
+            raise ValueError("residual_scale must be finite")
         if not 0.0 <= self.modality_dropout_prob <= 1.0:
             raise ValueError("modality_dropout_prob must be in [0, 1]")
         if self.epochs < 1 or self.hidden < 1:
@@ -228,84 +231,71 @@ def _tiles(pixels: int) -> tuple:
 class _Buffers(NamedTuple):
     """Work arrays of one forward (and backward) pass over N = H * W pixels.
 
-    ``_forward`` and ``_backward`` run all their work one tile of ``tiles``
-    at a time and write every field in place; the cache holds them, so a set
-    serves one pass at a time.  A field is either N rows long or one block
-    (the first, longest tile).  A forward-only set (``refine``,
-    ``evaluate_losses``, one per call) keeps one block of ``joint``,
-    ``hidden``, ``squash`` and ``raw``, and all of ``dy`` and ``y1``, which
-    ``refine`` returns; ``_backward`` rejects it unless the scene is one
-    tile.  ``train`` makes one backward set per distinct scene shape and
-    reuses it on every step: ``joint``, ``hidden``, ``squash`` and ``raw``
-    are N rows long, because ``_backward`` reads them, and ``dy``, which
-    nothing reads, is one block.  ``_backward`` overwrites ``hidden``,
-    ``squash`` and ``raw`` with its own intermediates.
+    ``_forward`` and ``_backward`` work one tile of ``tiles`` at a time and
+    write every field in place, so a set serves one pass at a time.  In a
+    backward set (``train``: one per scene shape, reused on every step)
+    ``joint``, ``hidden``, ``squash`` and ``raw`` are N rows long, because
+    ``_backward`` reads, then overwrites them.  In a forward-only set (one
+    per ``refine`` or ``evaluate_losses`` call) they are one block, the
+    first and longest tile; ``_backward`` rejects such a set unless the
+    scene is one tile.
     """
 
-    joint: np.ndarray  # (rows, D + C + M) rows written from JointParts; 0 wide for an assembled z
+    joint: np.ndarray  # (rows, D + C + M) joint tensor rows written from JointParts
     hidden: np.ndarray  # (rows, hidden) fusion activations, then 1 - hidden^2
     squash: np.ndarray  # (rows, C) head activations, then 1 - squash^2
-    dy: np.ndarray  # (N or block, C) correction
     raw: np.ndarray  # (rows, C) coarse + correction, then the head's pre-activation gradient
     y1: np.ndarray  # (N, C) clamped refined probabilities
     tiles: tuple  # row slices of the N pixels
 
     @classmethod
-    def empty(
-        cls, pixels: int, hidden: int, num_classes: int, backward: bool = False, width: int = 0
-    ):
+    def empty(cls, params: RefinerParams, pixels: int, backward: bool = False):
         tiles = _tiles(pixels)
-        block = tiles[0].stop
-        rows = pixels if backward else block
+        rows = pixels if backward else tiles[0].stop
+        (hidden, width), classes = params.w1.shape, params.w2.shape[0]
         return cls(
             np.empty((rows, width)),
             np.empty((rows, hidden)),
-            np.empty((rows, num_classes)),
-            np.empty((block if backward else pixels, num_classes)),
-            np.empty((rows, num_classes)),
-            np.empty((pixels, num_classes)),
+            np.empty((rows, classes)),
+            np.empty((rows, classes)),
+            np.empty((pixels, classes)),
             tiles,
         )
 
 
-def _forward(params: RefinerParams, z, coarse: np.ndarray, buffers=None):
-    """The head over the joint tensor ``z``, assembled or as ``JointParts``.
+def _forward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers=None, dy=None):
+    """The head over the joint tensor's parts ``z``; returns (y1, buffers).
 
-    Returns (y1, dy or None when the set keeps one block of it, cache).  The
-    cache holds the rows each block's first matmul read: the assembled
-    tensor, or the set's ``joint`` field that the parts were written into.
+    Each block's rows of the joint tensor are written into ``buffers.joint``
+    just before that block's first matmul.  The correction goes into
+    ``raw``, or into ``dy`` when the caller passes an (N, C) array for it,
+    and ``raw`` then adds the coarse map.
     """
-    h, w, width = z.shape
+    h, w, _ = z.shape
     n = h * w
-    parts = isinstance(z, JointParts)
     flat_coarse = coarse.reshape(n, -1)
     if buffers is None:
-        hidden_width, classes = params.w1.shape[0], params.w2.shape[0]
-        buffers = _Buffers.empty(n, hidden_width, classes, width=width if parts else 0)
-    joint, hidden, squash, dy, raw, y1, tiles = buffers
-    flat_z = joint if parts else z.reshape(n, -1)
+        buffers = _Buffers.empty(params, n)
+    joint, hidden, squash, raw, y1, tiles = buffers
     for t in tiles:
-        block = slice(0, t.stop - t.start)
-        rows = t if len(hidden) == n else block
+        rows = t if len(hidden) == n else slice(0, t.stop - t.start)
         t_hidden, t_squash, t_raw = hidden[rows], squash[rows], raw[rows]
-        t_dy = dy[t if len(dy) == n else block]
-        t_z = z.fill(joint[rows], t) if parts else flat_z[t]
-        np.matmul(t_z, params.w1.T, out=t_hidden)
+        t_dy = t_raw if dy is None else dy[t]
+        np.matmul(z.fill(joint[rows], t), params.w1.T, out=t_hidden)
         t_hidden += params.b1
         np.tanh(t_hidden, out=t_hidden)
         np.matmul(t_hidden, params.w2.T, out=t_squash)
         t_squash += params.b2
         np.tanh(t_squash, out=t_squash)
         np.multiply(params.residual_scale, t_squash, out=t_dy)
-        np.add(flat_coarse[t], t_dy, out=t_raw)
+        np.add(t_dy, flat_coarse[t], out=t_raw)
         np.clip(t_raw, PROB_FLOOR, 1.0, out=y1[t])
-    correction = dy.reshape(h, w, -1) if len(dy) == n else None
-    return y1.reshape(h, w, -1), correction, (flat_z, buffers)
+    return y1.reshape(h, w, -1), buffers
 
 
-def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
-    flat_z, (_, hidden, squash, _, raw, y1, tiles) = cache
-    if len(hidden) != len(y1) or len(flat_z) != len(y1):
+def _backward(params: RefinerParams, buffers: _Buffers, grad_y1: np.ndarray):
+    joint, hidden, squash, raw, y1, tiles = buffers
+    if len(hidden) != len(y1):
         raise ValueError(
             "the forward pass kept one tile of activations; backward needs a full-size buffer set"
         )
@@ -330,25 +320,34 @@ def _backward(params: RefinerParams, cache, grad_y1: np.ndarray):
         np.subtract(1.0, t_hidden, out=t_hidden)
         np.matmul(t_g_pre2, params.w2, out=t_g_pre1)
         t_g_pre1 *= t_hidden
-        g_w1 += t_g_pre1.T @ flat_z[t]
+        g_w1 += t_g_pre1.T @ joint[t]
         g_b1 += t_g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
+
+
+def _as_parts(z) -> JointParts:
+    """An assembled (H, W, D + C + M) joint tensor as parts whose features are
+    all of its columns, so ``fill`` copies each block unchanged."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 3:
+        raise ValueError(f"joint tensor must be (H, W, D + C + M), got shape {z.shape}")
+    flat = z.reshape(-1, z.shape[2])
+    return JointParts(z.shape, flat, flat[:, :0], ())
 
 
 def refine(params: RefinerParams, z, coarse: np.ndarray):
     """Apply the residual head: returns (refined map, correction).
 
     ``z`` is the joint tensor: an (H, W, D + C + M) array from
-    ``assemble_joint``, or the scene's ``joint_parts``, which the head
-    writes one pixel block at a time and never holds whole.  Both give the
-    same bytes.  Refined values are clamped into [1e-6, 1] so downstream
-    re-weighting is always well-defined.
+    ``assemble_joint``, or the scene's ``joint_parts``.  Either way the head
+    writes it one pixel block at a time, and both give the same bytes.
+    Refined values are clamped into [1e-6, 1] so downstream re-weighting is
+    always well-defined.
     """
     params.validate()
-    if not isinstance(z, JointParts):
-        z = np.asarray(z, dtype=np.float64)
+    z = z if isinstance(z, JointParts) else _as_parts(z)
     coarse = np.asarray(coarse, dtype=np.float64)
-    if len(z.shape) != 3 or coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
+    if coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
         raise ValueError(
             f"joint tensor shape {z.shape} does not align with coarse map {coarse.shape}"
         )
@@ -361,8 +360,23 @@ def refine(params: RefinerParams, z, coarse: np.ndarray):
             f"coarse map has {coarse.shape[2]} channels but the head predicts "
             f"{params.w2.shape[0]} classes"
         )
-    y1, dy, _ = _forward(params, z, coarse)
+    dy = np.empty(coarse.shape)
+    y1, _ = _forward(params, z, coarse, dy=dy.reshape(-1, coarse.shape[2]))
     return y1, dy
+
+
+def _check_scene(params: RefinerParams, parts: JointParts, graph: PriorGraph, k: int):
+    """Reject scene ``k`` unless the head fits it: the graph's class count,
+    then the scene's feature width."""
+    if params.w2.shape[0] != graph.num_classes:
+        raise ValueError(
+            f"the head predicts {params.w2.shape[0]} classes but the graph defines "
+            f"{graph.num_classes}"
+        )
+    d = parts.features.shape[1]
+    expected = params.w1.shape[1] - graph.num_classes - len(MODALITIES)
+    if d != expected:
+        raise ValueError(f"scene {k} has {d} feature channels but the head expects {expected}")
 
 
 def train(dataset, graph: PriorGraph, config: TrainConfig):
@@ -381,15 +395,10 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     scenes = list(dataset)
     joints = [joint_parts(s.features, s.coarse, s.rasters, graph) for s in scenes]
     dropped = [z._replace(rasters=()) for z in joints]  # physical columns all zero
-    feature_dim = np.shape(scenes[0].features)[2]
-    for k, s in enumerate(scenes):
-        if np.shape(s.features)[2] != feature_dim:
-            raise ValueError(
-                f"scene {k} has {np.shape(s.features)[2]} feature channels "
-                f"but scene 0 has {feature_dim}"
-            )
     c = graph.num_classes
-    params = init_params(feature_dim, c, config)
+    params = init_params(joints[0].features.shape[1], c, config)
+    for k, z in enumerate(joints):
+        _check_scene(params, z, graph, k)
     targets = [
         prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
         for s, z in zip(scenes, joints)
@@ -405,8 +414,8 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     arrays = (params.w1, params.b1, params.w2, params.b2)
     # the step buffers of each distinct scene shape, joint tensor included
     work = {
-        (h, w, d): _Buffers.empty(h * w, config.hidden, c, backward=True, width=d)
-        for h, w, d in {z.shape for z in joints}
+        shape: _Buffers.empty(params, shape[0] * shape[1], backward=True)
+        for shape in {z.shape for z in joints}
     }
 
     for epoch in range(config.epochs):
@@ -418,7 +427,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
             for idx in chunk:
                 drop = drop_rng.random() < config.modality_dropout_prob
                 z = dropped[idx] if drop else joints[idx]
-                y1, _, cache = _forward(params, z, z.coarse, work[z.shape])
+                y1, buffers = _forward(params, z, z.coarse, work[z.shape])
                 total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
                     raise TrainingError(
@@ -426,7 +435,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                         params=last_good,
                         history=history,
                     )
-                for g, d in zip(grads, _backward(params, cache, grad_pred)):
+                for g, d in zip(grads, _backward(params, buffers, grad_pred)):
                     g += d
                 for key in comps_sum:
                     comps_sum[key] += comps[key]
@@ -457,20 +466,10 @@ def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: 
         raise ValueError("dataset is empty")
     totals = dict.fromkeys(COMPONENTS + ("phys_argmax",), 0.0)
     terms = []
-    if params.w2.shape[0] != graph.num_classes:
-        raise ValueError(
-            f"the head predicts {params.w2.shape[0]} classes but the graph defines "
-            f"{graph.num_classes}"
-        )
-    feature_dim = params.w1.shape[1] - graph.num_classes - len(MODALITIES)
     for k, scene in enumerate(dataset):
         z = joint_parts(scene.features, scene.coarse, scene.rasters, graph)
-        if np.shape(scene.features)[2] != feature_dim:
-            raise ValueError(
-                f"scene {k} has {np.shape(scene.features)[2]} feature channels "
-                f"but the head expects {feature_dim}"
-            )
-        y1, _, _ = _forward(params, z, z.coarse)
+        _check_scene(params, z, graph, k)
+        y1, _ = _forward(params, z, z.coarse)
         _, comps, _ = total_loss(
             y1, scene.labels, scene.features, scene.rasters, graph, weights
         )

@@ -199,8 +199,7 @@ def test_criterion_2_gradient_checks():
         assert_grad_close(grad, numeric, rtol=1e-4)
         instances += 1
 
-    from physeg.refiner import _backward, _forward, init_params
-    from physeg.refiner import assemble_joint as assemble
+    from physeg.refiner import _backward, _forward, init_params, joint_parts
 
     for seed in range(4):  # full refine + total-loss composition w.r.t. parameters
         rng = np.random.default_rng(4000 + seed)
@@ -209,19 +208,19 @@ def test_criterion_2_gradient_checks():
         features = rng.normal(size=(h, w, d))
         coarse = rng.uniform(0.2, 0.8, size=(h, w, c))
         rasters = {"SAR": rng.uniform(-30.0, 0.0, size=(h, w))}
-        z = assemble(features, coarse, rasters, graph)
+        z = joint_parts(features, coarse, rasters, graph)
         params = init_params(d, c, TrainConfig(seed=seed, hidden=4, residual_scale=0.2))
         params.w2 = rng.normal(scale=0.1, size=params.w2.shape)
         params.b2 = rng.normal(scale=0.05, size=params.b2.shape)
         weights = LossWeights(alpha=0.8, lambda1=0.05, lambda2=0.4)
-        y1, _, cache = _forward(params, z, coarse)
+        y1, buffers = _forward(params, z, coarse)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph, weights)
-        analytic = dict(zip(("w1", "b1", "w2", "b2"), _backward(params, cache, grad_pred)))
+        analytic = dict(zip(("w1", "b1", "w2", "b2"), _backward(params, buffers, grad_pred)))
 
         def loss_with(name, value):
             trial = params.copy()
             setattr(trial, name, value)
-            y, _, _ = _forward(trial, z, coarse)
+            y, _ = _forward(trial, z, coarse)
             return total_loss(y, labels, features, rasters, graph, weights)[0]
 
         for name in ("w1", "b1", "w2", "b2"):

@@ -150,6 +150,25 @@ class TestSynthCommands:
         assert json.loads(err)["message"] == f"synth --demo does not use {unused}"
         assert not (tmp_path / "demo").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--scenes", "-2", "scenes must be >= 1, got -2"),
+            ("--scenes", "0", "scenes must be >= 1, got 0"),
+            ("--size", "0", "size must be >= 8 (one 8x8 class tile), got 0"),
+            ("--size", "-8", "size must be >= 8 (one 8x8 class tile), got -8"),
+            ("--size", "7", "size must be >= 8 (one 8x8 class tile), got 7"),
+        ],
+    )
+    def test_demo_rejects_an_empty_benchmark(self, tmp_path, capsys, flag, value, message):
+        # a demo needs a scene and one 8x8 class tile; the message names the setting
+        out = tmp_path / "demo"
+        code, stdout, err = run(capsys, "synth", "--demo", flag, value, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == message
+        assert not out.exists()
+
     def test_synth_from_mask(self, tmp_path, capsys):
         demo = tmp_path / "demo"
         run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
@@ -458,6 +477,60 @@ class TestTrainRefineEval:
         assert code == 1
         assert stdout == ""
         assert json.loads(err)["message"] == "batch_size must be >= 0 (0 = full batch)"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--residual-scale", "nan"), ("--alpha", "nan"),
+         ("--lambda2", "inf")],
+    )
+    def test_non_finite_train_setting_exit_1(self, pipeline_dir, capsys, monkeypatch, flag, value):
+        # nan and inf pass an `x <= 0` test; they must not reach training and fail
+        # there as "... became non-finite" (exit 2)
+        steps = []
+        monkeypatch.setattr("physeg.refiner.loss_step", lambda *args: steps.append(args))
+        out = pipeline_dir / f"non_finite{flag}_{value}.psp"
+        code, stdout, err = run(
+            capsys,
+            "train",
+            "--manifest", str(pipeline_dir / "demo" / "manifest.json"),
+            "--epochs", "3",
+            flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == {
+            "--lr": "learning_rate must be finite and > 0",
+            "--residual-scale": "residual_scale must be finite",
+            "--alpha": "loss weights must be finite and non-negative",
+            "--lambda2": "loss weights must be finite and non-negative",
+        }[flag]
+        assert steps == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma-rel", "nan"), ("--sigma-rel", "inf"), ("--tau-rel", "nan")]
+    )
+    def test_non_finite_attenuation_setting_exit_1(self, pipeline_dir, capsys, flag, value):
+        # nan would write NaN probabilities and inf would flip nothing
+        demo = pipeline_dir / "demo"
+        out = pipeline_dir / f"non_finite{flag}_{value}"
+        code, stdout, err = run(
+            capsys,
+            "refine",
+            "--params", str(pipeline_dir / "params.psp"),
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(demo / "scene_0.features.pgrd"),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
+            "--mode", "physical",
+            flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == "sigma_rel and tau_rel must be finite and > 0"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["refine", "train", "eval"])

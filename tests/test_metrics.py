@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from physeg import benchmark, losses
 from physeg.metrics import miou, plausibility_rate, reliability
 from physeg.priors import Interval, PriorEntry, PriorGraph
 from physeg.synth import SynthConfig, synthesize_raster, synthesize_scene
@@ -121,6 +122,24 @@ class TestPlausibility:
                 hits += iv.lo <= mean <= iv.hi
             per_modality.append(hits / 2)
         assert rate == pytest.approx(sum(per_modality) / 2, abs=1e-15)
+
+    @pytest.mark.parametrize("steps", range(-2, 3))
+    def test_inside_is_the_physics_hinge_rule_at_the_tolerance_edge(self, steps):
+        # grassland SAR is [-14, -8] with tol 1.4e-8: -8 + 1.4e-8 rounds onto the
+        # rounded hi + tol, but its exact mean - hi exceeds tol, so the hinge bites
+        graph = benchmark.demo_graph()
+        grassland = 3
+        iv = graph.interval(grassland, "SAR")
+        assert (iv.lo, iv.hi, iv.edge_tol) == (-14.0, -8.0, 1e-9 * 14)
+        mean = -8 + 1.4e-8
+        for _ in range(abs(steps)):
+            mean = np.nextafter(mean, np.sign(steps) * np.inf)
+        labels = np.full((4, 4), grassland, dtype=np.int32)
+        _, breakdown = plausibility_rate(labels, {"SAR": np.full((4, 4), mean)}, graph)
+        record = breakdown[grassland]["SAR"]
+        assert record["mean"] == mean
+        term, _ = losses._hinge_sq(mean, iv.lo, iv.hi, iv.edge_tol)
+        assert record["inside"] == (term == 0.0) == (steps < 0)
 
     def test_unknown_label_raises(self, graph2):
         labels = np.full((4, 4), 7, dtype=np.int32)

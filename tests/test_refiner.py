@@ -297,7 +297,7 @@ class TestTrain:
         scenes[1] = Scene(wide, bad.coarse, bad.rasters, bad.labels)
         steps = []
         monkeypatch.setattr("physeg.refiner.loss_step", lambda *args: steps.append(args))
-        message = "scene 1 has 4 feature channels but scene 0 has 3"
+        message = "scene 1 has 4 feature channels but the head expects 3"
         with pytest.raises(ValueError, match=f"^{message}$"):
             train(scenes, graph3, TrainConfig(epochs=1))
         assert steps == []
@@ -348,11 +348,12 @@ def reference_train(dataset, graph, config):
             for idx in chunk:
                 scene = dataset[idx]
                 drop = drop_rng.random() < config.modality_dropout_prob
-                y1, _, cache = _forward(params, z_dropped[idx] if drop else z_full[idx], scene.coarse)
+                z = refiner._as_parts(z_dropped[idx] if drop else z_full[idx])
+                y1, buffers = _forward(params, z, scene.coarse)
                 _, comps, grad_pred = total_loss(
                     y1, scene.labels, scene.features, scene.rasters, graph, config.weights
                 )
-                for acc, g in zip(grads, _backward(params, cache, grad_pred)):
+                for acc, g in zip(grads, _backward(params, buffers, grad_pred)):
                     acc += g
                 for key in sums:
                     sums[key] += comps[key]
@@ -488,12 +489,12 @@ class TestBuffers:
     def test_train_allocates_one_buffer_set_per_shape_and_returns_none_of_it(
         self, graph3, monkeypatch
     ):
-        caches = []
+        sets_used = []
         real_forward = refiner._forward
 
-        def spy(params, z, coarse, buffers=None):
-            out = real_forward(params, z, coarse, buffers)
-            caches.append(out[2])
+        def spy(params, z, coarse, buffers=None, dy=None):
+            out = real_forward(params, z, coarse, buffers, dy)
+            sets_used.append(out[1])
             return out
 
         monkeypatch.setattr(refiner, "_forward", spy)
@@ -501,10 +502,10 @@ class TestBuffers:
         config = TrainConfig(seed=2, epochs=4, batch_size=2, modality_dropout_prob=0.5)
         params, history = train(scenes, graph3, config)
 
-        assert len(caches) == config.epochs * len(scenes)
-        # every step's matmuls read the joint field of its shape's set
-        assert all(joint is buffers.joint for joint, buffers in caches)
-        sets = {id(buffers): buffers for _, buffers in caches}
+        assert len(sets_used) == config.epochs * len(scenes)
+        # every step runs in a backward set, which keeps all of its scene's rows
+        assert all(len(buffers.joint) == len(buffers.y1) for buffers in sets_used)
+        sets = {id(buffers): buffers for buffers in sets_used}
         width = 3 + 3 + len(MODALITIES)
         assert sorted(buffers.joint.shape for buffers in sets.values()) == [
             (8 * 8, width), (12 * 12, width)
@@ -527,14 +528,13 @@ class TestBuffers:
             z = refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
             return refiner._forward(params, z, z.coarse)
 
-        y1, dy, cache = forward(first)
-        assert cache[0] is cache[1].joint
-        kept = [a.copy() for a in (y1, dy, *cache[1][:-1])]
+        y1, buffers = forward(first)
+        kept = [a.copy() for a in (y1, *buffers[:-1])]
         forward(second)
-        assert [a.tobytes() for a in (y1, dy, *cache[1][:-1])] == [a.tobytes() for a in kept]
+        assert [a.tobytes() for a in (y1, *buffers[:-1])] == [a.tobytes() for a in kept]
         grad = rng.normal(size=y1.shape)
-        grads = refiner._backward(params, cache, grad)
-        fresh = refiner._backward(params, forward(first)[2], grad)
+        grads = refiner._backward(params, buffers, grad)
+        fresh = refiner._backward(params, forward(first)[1], grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
 
     def test_forward_on_parts_is_refine_on_the_assembled_tensor(self, graph3):
@@ -550,10 +550,10 @@ class TestBuffers:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
         dropped = assemble_joint(scene.features, scene.coarse, {}, graph3)
-        buffers = refiner._Buffers.empty(50 * 50, 32, 3, backward=True, width=parts.shape[2])
-        y1, _, cache = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
+        buffers = refiner._Buffers.empty(params, 50 * 50, backward=True)
+        y1, _ = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
         assert y1.tobytes() == refine(params, dropped, scene.coarse)[0].tobytes()
-        assert cache[0].tobytes() == dropped.tobytes()
+        assert buffers.joint.tobytes() == dropped.tobytes()
 
     def test_train_memory_does_not_grow_with_the_scene_count_by_joint_tensors(self, graph3):
         # each scene adds its loss targets; the joint tensor is one buffer per shape
@@ -679,20 +679,20 @@ class TestTiles:
     @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
     def test_backward_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, grad = self.head_case(h, w, seed=w)
-        buffers = refiner._Buffers.empty(h * w, params.w1.shape[0], 4, backward=True)
-        y1, _, cache = refiner._forward(params, z, coarse, buffers)
+        buffers = refiner._Buffers.empty(params, h * w, backward=True)
+        y1, _ = refiner._forward(params, refiner._as_parts(z), coarse, buffers)
         want_y1, _, want_cache = oracle_forward(params, z, coarse)
         assert y1.tobytes() == want_y1.tobytes()
-        grads = refiner._backward(params, cache, grad)
+        grads = refiner._backward(params, buffers, grad)
         want = oracle_backward(params, want_cache, grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
     def test_backward_rejects_a_forward_only_cache(self):
         params, z, coarse, grad = self.head_case(97, 100, seed=1)
-        _, _, cache = refiner._forward(params, z, coarse)
-        assert len(cache[1].hidden) < 97 * 100
+        _, buffers = refiner._forward(params, refiner._as_parts(z), coarse)
+        assert len(buffers.hidden) < 97 * 100
         with pytest.raises(ValueError, match="full-size buffer set"):
-            refiner._backward(params, cache, grad)
+            refiner._backward(params, buffers, grad)
 
     @pytest.mark.parametrize("h, w", [(41, 50), (97, 100), (250, 253)])
     def test_training_bytes_do_not_depend_on_the_blas_thread_count(self, h, w):
@@ -721,7 +721,7 @@ class TestComposedGradient:
             "NDVI": rng.uniform(-1, 1, size=(h, w)),
             "SAR": rng.uniform(-30, 0, size=(h, w)),
         }
-        z = assemble_joint(features, coarse, rasters, graph3)
+        z = refiner.joint_parts(features, coarse, rasters, graph3)
         config = TrainConfig(seed=seed, hidden=4, residual_scale=0.2)
         params = init_params(d, c, config)
         params.w2 = rng.normal(scale=0.1, size=params.w2.shape)
@@ -730,14 +730,14 @@ class TestComposedGradient:
 
         from physeg.refiner import _backward, _forward
 
-        y1, _, cache = _forward(params, z, coarse)
+        y1, buffers = _forward(params, z, coarse)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph3, weights)
-        g_w1, g_b1, g_w2, g_b2 = _backward(params, cache, grad_pred)
+        g_w1, g_b1, g_w2, g_b2 = _backward(params, buffers, grad_pred)
 
         def loss_for(theta_name, theta_value):
             trial = params.copy()
             setattr(trial, theta_name, theta_value)
-            y, _, _ = _forward(trial, z, coarse)
+            y, _ = _forward(trial, z, coarse)
             return total_loss(y, labels, features, rasters, graph3, weights)[0]
 
         for name, analytic in (("w1", g_w1), ("b1", g_b1), ("w2", g_w2), ("b2", g_b2)):
