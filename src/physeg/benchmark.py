@@ -112,6 +112,8 @@ def build_demo(
     out_dir, seed: int = 0, num_scenes: int = DEMO_SCENES, size: int = DEMO_SIZE
 ) -> dict:
     """Write graph, scenes and manifest under out_dir; returns the manifest dict."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if num_scenes < 1:
         raise ValueError(f"scenes must be >= 1, got {num_scenes}")
     if size < 8:
@@ -270,6 +272,8 @@ def evaluate_rows(
     ``__main__`` guard): for a main program read from standard input this
     call raises RuntimeError before any training or worker starts.
     """
+    if seed < 0:  # the baseline row alone builds no TrainConfig to reject it
+        raise ValueError(f"seed must be >= 0, got {seed}")
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
     ladder = LADDER[:1] if baseline_only else LADDER

@@ -55,7 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path, keys):
-    """The JSON object in ``path`` (``{}`` without one); ``keys`` are those it may set."""
+    """The JSON object in ``path`` (``{}`` without one).
+
+    ``keys`` maps each key it may set to the type of that key's flag; a value
+    must be the JSON kind of that type, and null means unset.
+    """
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -65,6 +69,14 @@ def _load_config_file(path, keys):
     unknown = ", ".join(key for key in config if key not in keys)
     if unknown:
         raise ValueError(f"config file {path} sets keys the command does not read: {unknown}")
+    kinds = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
+    wrong = "; ".join(
+        f"key {key!r} must be {kinds[keys[key]][0]}, got {json.dumps(value)}"
+        for key, value in config.items()
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kinds[keys[key]][1]))
+    )
+    if wrong:
+        raise ValueError(f"config file {path}: {wrong}")
     return config
 
 
@@ -78,7 +90,7 @@ def _resolve(args, config, key, default=None):
 
 # One table per config dataclass: flag / config-file key -> the field it sets.
 # The dataclass owns each default, and the type of that default is the type of
-# the flag and the cast of a config-file value.
+# the flag, which a config-file value must match (an integer also serves a float).
 PROVIDER_SETTINGS = {
     "endpoint": "endpoint",
     "fixtures": "fixture_dir",
@@ -448,6 +460,12 @@ def cmd_ablate(args, argv, config):
 # ---------------------------------------------------------------------------
 
 
+def _config_keys(parser, keys):
+    """Each key ``--config`` may set, mapped to the type of its flag in ``parser``."""
+    types = {action.dest: action.type or str for action in parser._actions}
+    return {key: types[key] for key in keys}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="physeg",
@@ -472,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--out", required=True)
     extract.add_argument("--report")
     extract.add_argument("--config")
-    extract.set_defaults(func=cmd_pckg_extract, config_keys=PROVIDER_SETTINGS)
+    extract.set_defaults(func=cmd_pckg_extract, config_keys=_config_keys(extract, PROVIDER_SETTINGS))
 
     synth = sub.add_parser("synth", help="synthesize physical rasters (or the demo benchmark)")
     synth.add_argument("--demo", action="store_true")
@@ -484,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(synth, SynthConfig, SYNTH_SETTINGS)
     synth.add_argument("--config")
     synth.add_argument("--out", required=True)
-    synth.set_defaults(func=cmd_synth, config_keys=[*SYNTH_SETTINGS, "modalities"])
+    synth.set_defaults(func=cmd_synth, config_keys=_config_keys(synth, [*SYNTH_SETTINGS, "modalities"]))
 
     train_p = sub.add_parser("train", help="train the residual refinement head")
     train_p.add_argument("--manifest")
@@ -499,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--losses")
     train_p.add_argument("--config")
     train_p.add_argument("--out", required=True)
-    train_p.set_defaults(func=cmd_train, config_keys=[*TRAIN_SETTINGS, *LOSS_SETTINGS])
+    train_p.set_defaults(func=cmd_train, config_keys=_config_keys(train_p, [*TRAIN_SETTINGS, *LOSS_SETTINGS]))
 
     refine_p = sub.add_parser("refine", help="refine a coarse map and re-weight with intervals")
     refine_p.add_argument("--params", required=True)
@@ -512,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(refine_p, AttenuationConfig, ATTENUATION_SETTINGS)
     refine_p.add_argument("--config")
     refine_p.add_argument("--out", required=True)
-    refine_p.set_defaults(func=cmd_refine, config_keys=[*ATTENUATION_SETTINGS, "mode", "available"])
+    refine_p.set_defaults(
+        func=cmd_refine, config_keys=_config_keys(refine_p, [*ATTENUATION_SETTINGS, "mode", "available"])
+    )
 
     eval_p = sub.add_parser("eval", help="evaluate predicted labels")
     eval_p.add_argument("--pred", required=True)
@@ -535,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--lr", type=float)
     ablate.add_argument("--config")
     ablate.add_argument("--out", required=True)
-    ablate.set_defaults(func=cmd_ablate, config_keys=["seed", "epochs", "lr"])
+    ablate.set_defaults(func=cmd_ablate, config_keys=_config_keys(ablate, ["seed", "epochs", "lr"]))
 
     return parser
 

@@ -9,8 +9,10 @@ class intervals.  The hinge is reported on hard argmax regions
 (``phys_loss_soft``) so it actually carries a gradient; the two coincide
 at one-hot predictions.
 
-Region-mean comparisons use a small edge tolerance so summation rounding
-on exactly-clipped rasters never registers as an interval violation.
+Hard-region means are ``priors.region_means``, the per-class sums that
+``metrics.plausibility_rate`` also takes.  Every hinge is ``Interval.hinge``,
+which counts a mean only past the interval's edge tolerance, so summation
+rounding on exactly-clipped rasters never registers as a violation.
 
 Everything that does not depend on the prediction (labeled pixel indices,
 per-class masks, float64 rasters, interval bounds) is laid out once by
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .priors import Interval, PriorGraph, check_labels, check_rasters
+from .priors import PriorGraph, check_labels, check_rasters, region_means
 
 CLAMP_EPS = 1e-7  # probability clamp inside cross-entropy
 COMPONENTS = ("seg", "region", "phys", "total")  # what ``loss_step`` returns and training records
@@ -65,11 +67,11 @@ class _Labels(NamedTuple):
 
 
 class _Raster(NamedTuple):
-    """One modality's float64 raster and its per-channel (lo, hi, edge tol) bounds."""
+    """One modality's float64 raster and its per-channel class intervals."""
 
     name: str
     values: np.ndarray  # (H, W)
-    bounds: object  # channel -> (lo, hi, tol)
+    bounds: tuple  # channel -> Interval
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,6 @@ class LossTargets:
     features: np.ndarray  # (H, W, D) float64
     rasters: tuple  # _Raster per supplied modality, in modality order
     categories: tuple  # class names for the hinge records of ``total_loss``
-
-
-def _bounds(interval: Interval) -> tuple:
-    return interval.lo, interval.hi, interval.edge_tol
 
 
 def _check_pred(pred) -> np.ndarray:
@@ -129,7 +127,7 @@ def _raster_targets(grids, graph: PriorGraph, num_classes: int) -> tuple:
         _Raster(
             name,
             values,
-            tuple(_bounds(graph.interval(ch + 1, name)) for ch in range(num_classes)),
+            tuple(graph.interval(ch + 1, name) for ch in range(num_classes)),
         )
         for name, values in grids.items()
     )
@@ -203,19 +201,8 @@ def region_stats(pred, targets: LossTargets) -> RegionStats:
     Ties in the argmax break toward the lower class id.  Empty classes
     (count 0) get zero mean rows.
     """
-    h, w, c = pred.shape
     region = np.argmax(pred, axis=2).astype(np.int32) + 1
-
-    flat = region.ravel() - 1
-    counts = np.bincount(flat, minlength=c).astype(np.int64)
-
-    d = targets.features.shape[2]
-    flat_features = targets.features.reshape(h * w, d)
-    feat_sums = np.zeros((c, d))
-    for k in range(d):
-        feat_sums[:, k] = np.bincount(flat, weights=flat_features[:, k], minlength=c)
-    feature_means = feat_sums / np.maximum(counts, 1)[:, None]
-    feature_means[counts == 0] = 0.0
+    counts, feature_means = region_means(region, targets.features, pred.shape[2])
     return RegionStats(counts=counts, feature_means=feature_means, region_map=region)
 
 
@@ -237,21 +224,6 @@ def region_loss(stats: RegionStats, targets: LossTargets) -> float:
     return float(sq.sum())
 
 
-def _hinge_sq(mean: float, lo: float, hi: float, tol: float):
-    """Squared interval hinge and its derivative w.r.t. the mean."""
-    over = mean - hi
-    under = lo - mean
-    term = 0.0
-    deriv = 0.0
-    if over > tol:
-        term += over * over
-        deriv += 2.0 * over
-    if under > tol:
-        term += under * under
-        deriv -= 2.0 * under
-    return term, deriv
-
-
 def phys_loss(stats: RegionStats, targets: LossTargets):
     """Interval hinge on hard-region raster means, averaged over modalities.
 
@@ -260,17 +232,14 @@ def phys_loss(stats: RegionStats, targets: LossTargets):
     calls it, a training step does not.
     """
     c = len(stats.counts)
-    flat = stats.region_map.ravel() - 1
-    safe = np.maximum(stats.counts, 1)
     nonempty = [ch for ch in range(c) if stats.counts[ch] != 0]
     terms = []
     total = 0.0
     for name, values, bounds in targets.rasters:
-        means = np.bincount(flat, weights=values.ravel(), minlength=c) / safe
+        _, means = region_means(stats.region_map, values, c)
         for ch in nonempty:
             mean = float(means[ch])
-            lo, hi, tol = bounds[ch]
-            term, _ = _hinge_sq(mean, lo, hi, tol)
+            term, _ = bounds[ch].hinge(mean)
             total += term
             terms.append(
                 {
@@ -278,8 +247,8 @@ def phys_loss(stats: RegionStats, targets: LossTargets):
                     "category": targets.categories[ch],
                     "modality": name,
                     "mean": mean,
-                    "lo": lo,
-                    "hi": hi,
+                    "lo": bounds[ch].lo,
+                    "hi": bounds[ch].hi,
                     "term": term,
                 }
             )
@@ -307,7 +276,7 @@ def phys_loss_soft(pred, targets: LossTargets):
             if mass[ch] < _SOFT_MASS_FLOOR:
                 continue
             mean = float(weighted[ch] / mass[ch])
-            term, deriv = _hinge_sq(mean, *bounds[ch])
+            term, deriv = bounds[ch].hinge(mean)
             total += term
             if deriv != 0.0:
                 if grad is None:

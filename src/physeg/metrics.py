@@ -3,7 +3,9 @@
 IoU is computed from confusion counts; classes absent from both masks have
 undefined IoU and are excluded from the mean.  Plausibility measures the
 fraction of labeled regions whose mean physical value sits inside its class
-interval (``Interval.contains``: the physics hinge's edge-tolerance test).  Reliability
+interval.  It takes the means with ``priors.region_means`` and counts a region
+inside exactly when ``Interval.hinge`` is 0, so on a ground-truth mask it
+agrees bit for bit with the physics hinge of its one-hot prediction.  Reliability
 compares a synthetic raster against a reference one using rank statistics
 (coverage, median offset from the interval midpoint, IQR) per class.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PriorGraph, check_labels, check_rasters
+from .priors import PriorGraph, check_labels, check_rasters, region_means
 
 
 @dataclass
@@ -69,10 +71,12 @@ def miou(pred, gt, num_classes: int, ignore_background: bool = True) -> IoURepor
 def plausibility_rate(labels, rasters, graph: PriorGraph):
     """Fraction of labeled regions whose mean physical value is inside its interval.
 
-    Per modality the fraction runs over classes present in the mask; the rate
-    averages the per-modality fractions.  Returns (rate, per-class breakdown).
+    A region is inside when its ``Interval.hinge`` term is 0.  Per modality the
+    fraction runs over classes present in the mask; the rate averages the
+    per-modality fractions.  Returns (rate, per-class breakdown).
     """
-    labels = check_labels(labels, graph.num_classes)
+    # region_means' np.bincount takes no uint64 mask
+    labels = check_labels(labels, graph.num_classes).astype(np.intp, copy=False)
     grids = check_rasters(rasters, labels.shape)
     present = [int(c) for c in np.unique(labels) if c != 0]
     breakdown = {cid: {} for cid in present}
@@ -80,11 +84,12 @@ def plausibility_rate(labels, rasters, graph: PriorGraph):
         return 1.0, breakdown
     fractions = []
     for name, values in grids.items():
+        _, means = region_means(labels, values, graph.num_classes)
         inside_count = 0
         for cid in present:
             iv = graph.interval(cid, name)
-            mean = float(values[labels == cid].mean())
-            inside = iv.contains(mean)
+            mean = float(means[cid - 1])
+            inside = iv.hinge(mean)[0] == 0.0
             breakdown[cid][name] = {"mean": mean, "lo": iv.lo, "hi": iv.hi, "inside": inside}
             inside_count += inside
         fractions.append(inside_count / len(present))

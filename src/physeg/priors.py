@@ -119,6 +119,8 @@ class Interval:
 
     lo: float
     hi: float
+    # slack for comparing region means to the endpoints (absorbs summation rounding)
+    edge_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = float(self.lo), float(self.hi)
@@ -129,6 +131,7 @@ class Interval:
             raise PriorValidationError(f"inverted interval [{lo:.2f}, {hi:.2f}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "edge_tol", 1e-9 * max(1.0, abs(lo), abs(hi)))
 
     @property
     def midpoint(self) -> float:
@@ -138,15 +141,37 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def edge_tol(self) -> float:
-        """Slack for comparing region means to the endpoints (absorbs summation rounding)."""
-        return 1e-9 * max(1.0, abs(self.lo), abs(self.hi))
+    def hinge(self, mean: float):
+        """Squared excess of a region mean past the interval, and its derivative in the mean.
 
-    def contains(self, mean: float) -> bool:
-        """Whether a region mean is inside up to ``edge_tol``, in the physics
-        hinge's form: ``mean - hi`` and ``lo - mean`` against the tolerance."""
-        return mean - self.hi <= self.edge_tol and self.lo - mean <= self.edge_tol
+        ``mean - hi`` and ``lo - mean`` count only beyond ``edge_tol``, so a
+        mean is inside exactly when the term is 0.0.
+        """
+        over = mean - self.hi
+        if over > self.edge_tol:
+            return over * over, 2.0 * over
+        under = self.lo - mean
+        if under > self.edge_tol:
+            return under * under, -2.0 * under
+        return 0.0, 0.0
+
+
+def region_means(region_map, values, num_classes: int):
+    """Per-class pixel counts (C,) and means over a map of class ids 0..C (0 is no class).
+
+    ``values`` is (H, W) or (H, W, D); the means are (C,) or (C, D).  Each sum
+    runs with ``np.bincount`` in pixel order, so the map's dtype must cast
+    safely to ``np.intp`` (not uint64).  An empty class gets zero means.
+    """
+    ids = np.ravel(region_map)
+    counts = np.bincount(ids, minlength=num_classes + 1)[1:]
+    trailing = np.shape(values)[2:]
+    flat = np.reshape(values, (ids.size, math.prod(trailing)))
+    means = np.empty((num_classes, flat.shape[1]))
+    for k in range(flat.shape[1]):
+        means[:, k] = np.bincount(ids, weights=flat[:, k], minlength=num_classes + 1)[1:]
+    means /= np.maximum(counts, 1)[:, None]
+    return counts, means.reshape((num_classes,) + trailing)
 
 
 def interval_distance_grid(values: np.ndarray, interval: Interval) -> np.ndarray:

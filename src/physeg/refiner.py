@@ -100,6 +100,8 @@ class TrainConfig:
     residual_scale: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if not np.isfinite(self.residual_scale):

@@ -25,6 +25,8 @@ class SynthConfig:
     smoothing_radius: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.noise_model not in ("truncated_gaussian", "uniform"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
         if self.smoothing_radius < 0:

@@ -751,6 +751,23 @@ _REFINE = [
             ["synth", "--config", {"pckg": "g.json", "labels": "l.pgrd"}],
             "config file config.json sets keys the command does not read: pckg, labels",
         ),
+        (
+            ["train", "--manifest", "m.json", "--config", {"epochs": 2.7, "seed": True, "dropout": "0.5"}],
+            "config file config.json: key 'epochs' must be an integer, got 2.7; key 'seed' must be"
+            ' an integer, got true; key \'dropout\' must be a number, got "0.5"',
+        ),
+        (
+            ["ablate", "--demo-dir", "demo", "--config", {"epochs": 1.9}],
+            "config file config.json: key 'epochs' must be an integer, got 1.9",
+        ),
+        (
+            [*_REFINE, "--config", {"available": ["SAR"]}],
+            "config file config.json: key 'available' must be a string, got [\"SAR\"]",
+        ),
+        (
+            ["ablate", "--demo-dir", "demo", "--config", {"lr": [1]}],
+            "config file config.json: key 'lr' must be a number, got [1]",
+        ),
     ],
     ids=[
         "train-pckg-labels",
@@ -771,6 +788,10 @@ _REFINE = [
         "ablate-config-typos",
         "refine-config-rasters-out",
         "synth-config-pckg-labels",
+        "train-config-float-bool-string",
+        "ablate-config-float-epochs",
+        "refine-config-list-available",
+        "ablate-config-list-lr",
     ],
 )
 def test_rejects_inputs_the_command_ignores(tmp_path, capsys, monkeypatch, argv, message):
@@ -852,6 +873,34 @@ def test_config_file_overridden_by_flags(tmp_path, capsys):
     assert main(base + ["--seed", "2", "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() != out_b.read_bytes()
+
+
+def test_config_file_null_is_unset_and_an_integer_is_a_number(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lr": 1, "seed": None, "mode": "visual"}))
+    config = cli._load_config_file(str(path), {"lr": float, "seed": int, "mode": str})
+    assert config == {"lr": 1, "seed": None, "mode": "visual"}
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["synth", "--demo", "--seed", "-1"], -1),
+        (["train", "--manifest", "{demo}/manifest.json", "--seed", "-1"], -1),
+        (["ablate", "--demo-dir", "{demo}", "--seed", "-2"], -2),
+        (["ablate", "--demo-dir", "{demo}", "--baseline-only", "--seed", "-2"], -2),
+    ],
+    ids=["synth-demo", "train", "ablate", "ablate-baseline-only"],
+)
+def test_negative_seed_exit_1_naming_seed_before_anything_is_written(
+    pipeline_dir, tmp_path, capsys, argv, seed
+):
+    argv = [arg.format(demo=pipeline_dir / "demo") for arg in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["message"] == f"seed must be >= 0, got {seed}"
+    assert os.listdir(tmp_path) == []
 
 
 class _Captured(Exception):

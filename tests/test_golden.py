@@ -55,7 +55,7 @@ DIGESTS = {
     "refined/labels.pgrd": "c439ffe2c449c917628fc9d80e74b79aed22577f67a8c3331b648a57ca6e3c69",
     "refined/probs.pgrd": "49b24711d27adecdf02a5d45b0d2df474187cc536d96940e6d41beb7471ec692",
     "refined/trace.jsonl": "cfd5ce7cff78f1ac2e6d65d1beb15398b460db4f06f7b86e012dc68435f39f92",
-    "eval.json": "d6094c9428e2a46c6e525bc6bf442d12ef68cc107a741578b13d7a1e4fbaf463",
+    "eval.json": "732203374e719842ee6b3489e9243919a25a84b4ab701210303c35ffc59d5491",
     "ablation/ablation.json": "dbf72cd1e8405b17d912e2b4e7e5c4605e0d2d9fadc13c3ee48c4ec7d47bf8bf",
 }
 

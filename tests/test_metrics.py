@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physeg import benchmark, losses
 from physeg.metrics import miou, plausibility_rate, reliability
-from physeg.priors import Interval, PriorEntry, PriorGraph
+from physeg.priors import MODALITIES, Interval, PriorEntry, PriorGraph
 from physeg.synth import SynthConfig, synthesize_raster, synthesize_scene
 
 
@@ -32,6 +34,14 @@ def graph2():
             entry("water", (-0.50, -0.10), (0.0, 20.0), (-26.0, -18.0)),
         )
     )
+
+
+def ground_truth_hinges(labels, rasters, graph):
+    """``total_loss``'s hard-region hinge records for the one-hot ground truth, by (class, modality)."""
+    one_hot = np.eye(graph.num_classes)[labels - 1]
+    features = np.zeros(labels.shape + (1,))
+    _, components, _ = losses.total_loss(one_hot, labels, features, rasters, graph)
+    return {(rec["class_id"], rec["modality"]): rec for rec in components["phys_terms"]}
 
 
 class TestMiou:
@@ -125,26 +135,67 @@ class TestPlausibility:
 
     @pytest.mark.parametrize("steps", range(-2, 3))
     def test_inside_is_the_physics_hinge_rule_at_the_tolerance_edge(self, steps):
-        # grassland SAR is [-14, -8] with tol 1.4e-8: -8 + 1.4e-8 rounds onto the
-        # rounded hi + tol, but its exact mean - hi exceeds tol, so the hinge bites
+        # grassland SAR is [-14, -8] with tol 1.4e-8.  Every cell is within a few
+        # ulps of hi + tol, and the region mean (16 sequential adds, then / 16)
+        # rounds across it: steps -2..0 read inside, 1 and 2 read outside
         graph = benchmark.demo_graph()
         grassland = 3
         iv = graph.interval(grassland, "SAR")
         assert (iv.lo, iv.hi, iv.edge_tol) == (-14.0, -8.0, 1e-9 * 14)
-        mean = -8 + 1.4e-8
+        cell = np.nextafter(-8 + 1.4e-8, np.inf)
         for _ in range(abs(steps)):
-            mean = np.nextafter(mean, np.sign(steps) * np.inf)
+            cell = np.nextafter(cell, np.sign(steps) * np.inf)
         labels = np.full((4, 4), grassland, dtype=np.int32)
-        _, breakdown = plausibility_rate(labels, {"SAR": np.full((4, 4), mean)}, graph)
+        rasters = {"SAR": np.full((4, 4), cell)}
+        _, breakdown = plausibility_rate(labels, rasters, graph)
         record = breakdown[grassland]["SAR"]
-        assert record["mean"] == mean
-        term, _ = losses._hinge_sq(mean, iv.lo, iv.hi, iv.edge_tol)
-        assert record["inside"] == (term == 0.0) == (steps < 0)
+        (hinge,) = ground_truth_hinges(labels, rasters, graph).values()
+        assert record["mean"].hex() == hinge["mean"].hex()
+        assert record["inside"] == (hinge["term"] == 0.0) == (steps < 1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_any_integer_mask_dtype(self, graph2, dtype):
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 3, size=(6, 6))
+        rasters = {"SAR": rng.uniform(-30, 0, size=(6, 6))}
+        expected = plausibility_rate(labels.astype(np.int32), rasters, graph2)
+        assert plausibility_rate(labels.astype(dtype), rasters, graph2) == expected
 
     def test_unknown_label_raises(self, graph2):
         labels = np.full((4, 4), 7, dtype=np.int32)
         with pytest.raises(ValueError, match=re.escape("mask label 7 outside 0..2")):
             plausibility_rate(labels, {"NDVI": np.zeros((4, 4))}, graph2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["spread", "ends"]), min_size=3, max_size=3),
+)
+def test_plausibility_is_the_hinge_of_the_ground_truth(h, w, seed, kinds):
+    # a fully labelled mask, scored by the metric and by total_loss's one-hot hinge
+    graph = benchmark.demo_graph()
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, graph.num_classes + 1, size=(h, w)).astype(np.int32)
+    rasters = {}
+    for name, kind in zip(MODALITIES, kinds):
+        ivs = [graph.interval(cid, name) for cid in range(1, graph.num_classes + 1)]
+        lo = np.array([iv.lo for iv in ivs])[labels - 1]
+        width = np.array([iv.width for iv in ivs])[labels - 1]
+        if kind == "spread":  # regions inside and past either end
+            where = rng.uniform(-0.3, 1.3, size=(h, w))
+        else:  # cells on an endpoint, give or take an edge tolerance
+            where = rng.integers(0, 2, size=(h, w)) + rng.normal(scale=1e-9, size=(h, w))
+        rasters[name] = lo + width * where
+    _, breakdown = plausibility_rate(labels, rasters, graph)
+    hinges = ground_truth_hinges(labels, rasters, graph)
+    records = {(cid, name): rec for cid, per in breakdown.items() for name, rec in per.items()}
+    assert records.keys() == hinges.keys()
+    for key, record in records.items():
+        assert record["mean"].hex() == hinges[key]["mean"].hex()
+        assert record["inside"] == (hinges[key]["term"] == 0.0)
 
 
 class TestReliability:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import interval_distance
 
 from physeg.inference import AttenuationConfig, infer, reweight
-from physeg.losses import prepare_targets, total_loss
+from physeg.losses import prepare_targets, region_stats, total_loss
 from physeg.metrics import confusion_counts, plausibility_rate, reliability
 from physeg.priors import (
     EmptyGraphWarning,
@@ -23,6 +23,7 @@ from physeg.priors import (
     PriorValidationError,
     modality_order,
     parse_pckg,
+    region_means,
     serialize_pckg,
 )
 from physeg.refiner import Scene, TrainConfig, assemble_joint, init_params, mock_backbone, train
@@ -104,6 +105,56 @@ class TestInterval:
         iv = Interval(lo, lo + width)
         lhs = abs(interval_distance(a, iv) - interval_distance(b, iv))
         assert lhs <= abs(a - b) + 1e-12
+
+    def test_hinge_is_zero_up_to_the_edge_tolerance(self):
+        iv = Interval(-14.0, -8.0)
+        assert iv.edge_tol == 1e-9 * 14
+        for inside in (-14.0 - 1e-8, -11.0, -8.0, -8.0 + 1e-8):
+            assert iv.hinge(inside) == (0.0, 0.0)
+        assert iv.hinge(-7.0) == (1.0, 2.0)
+        assert iv.hinge(-16.0) == (4.0, -4.0)
+
+    def test_edge_tol_is_derived_not_compared(self):
+        iv = Interval(-14.0, -8.0)
+        assert repr(iv) == "Interval(lo=-14.0, hi=-8.0)"
+        assert iv == Interval(-14.001, -7.999) and hash(iv) == hash(Interval(-14.0, -8.0))
+
+
+class TestRegionMeans:
+    def test_id_0_is_no_class(self):
+        region = np.array([[0, 1], [2, 0]])
+        counts, means = region_means(region, np.array([[100.0, 1.0], [2.0, -100.0]]), 2)
+        assert counts.tolist() == [1, 1]
+        assert means.tolist() == [1.0, 2.0]
+
+    def test_empty_class_has_count_0_and_zero_means(self):
+        counts, means = region_means(np.full((3, 3), 2), np.ones((3, 3, 2)), 3)
+        assert counts.tolist() == [0, 9, 0]
+        assert means.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 5), st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_argmax_feature_means_are_per_class_bincount_sums(self, h, w, c, d, seed):
+        # the sums region_stats took before it called region_means, one bincount per column
+        rng = np.random.default_rng(seed)
+        pred = rng.uniform(size=(h, w, c))
+        features = rng.normal(size=(h, w, d))
+        flat = np.argmax(pred, axis=2).ravel()
+        counts = np.bincount(flat, minlength=c)
+        sums = np.zeros((c, d))
+        for k in range(d):
+            sums[:, k] = np.bincount(flat, weights=features.reshape(h * w, d)[:, k], minlength=c)
+        expected = sums / np.maximum(counts, 1)[:, None]
+        expected[counts == 0] = 0.0
+        got_counts, got = region_means(flat.reshape(h, w) + 1, features, c)
+        assert got_counts.tolist() == counts.tolist()
+        assert got.tobytes() == expected.tobytes()
+        unlabelled = np.zeros((h, w), dtype=np.int32)
+        stats = region_stats(pred, prepare_targets(unlabelled, features, None, PriorGraph(()), pred.shape))
+        assert stats.feature_means.tobytes() == expected.tobytes()
 
 
 class TestEntryValidation:
