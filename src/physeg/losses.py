@@ -256,13 +256,13 @@ def phys_loss(stats: RegionStats, targets: LossTargets):
     return value, terms
 
 
-def phys_loss_soft(pred, targets: LossTargets):
+def phys_loss_soft(pred, targets: LossTargets, weight: float = 1.0):
     """Interval hinge on probability-weighted region means, with gradient.
 
     Means are w_c = sum_i p_ic v_i / sum_i p_ic, making the hinge
     differentiable in the prediction; equals the hard-region hinge when the
-    prediction is one-hot.  Returns (value, gradient w.r.t. pred, or None
-    when no hinge is active).
+    prediction is one-hot.  Returns (value, ``weight`` times the gradient
+    w.r.t. pred, or None when no hinge is active or ``weight`` is 0).
     """
     if not targets.rasters:
         return 0.0, None
@@ -278,7 +278,7 @@ def phys_loss_soft(pred, targets: LossTargets):
             mean = float(weighted[ch] / mass[ch])
             term, deriv = bounds[ch].hinge(mean)
             total += term
-            if deriv != 0.0:
+            if deriv != 0.0 and weight != 0.0:
                 if grad is None:
                     # step: (H, W) scratch for one class's gradient
                     grad, step = np.zeros((h, w, c)), np.empty((h, w))
@@ -290,6 +290,7 @@ def phys_loss_soft(pred, targets: LossTargets):
     m = len(targets.rasters)
     if grad is not None:
         grad /= m
+        grad *= weight
     return total / m, grad
 
 
@@ -304,10 +305,9 @@ def loss_step(pred, targets: LossTargets, weights: LossWeights = LossWeights()):
         raise ValueError(f"prediction shape {pred.shape} does not match the targets {targets.shape}")
     seg, grad = seg_loss(pred, targets, weights.alpha)
     region = region_loss(region_stats(pred, targets), targets)
-    phys, grad_phys = phys_loss_soft(pred, targets)
+    phys, grad_phys = phys_loss_soft(pred, targets, weights.lambda2)
     total = seg + weights.lambda1 * region + weights.lambda2 * phys
     if grad_phys is not None:
-        grad_phys *= weights.lambda2
         grad += grad_phys
     return total, dict(zip(COMPONENTS, (seg, region, phys, total))), grad
 

@@ -13,9 +13,9 @@ The head never needs the joint tensor whole and reads it in one form.
 ``joint_parts`` checks a scene and keeps its parts (flat features, flat
 coarse map, rasters with their standardisation); the forward pass writes
 each pixel block of the joint tensor into a buffer just before that block's
-first matmul.  Training keeps one full-size joint buffer per scene shape,
-which its backward pass reads; ``refine``, ``infer`` and ``evaluate_losses``
-keep one block.  A dropped scene's physical columns are written as zeros.
+first matmul, and every pass keeps one block of activations: training's
+backward pass runs each block's forward again before that block's gradient
+work.  A dropped scene's physical columns are written as zeros.
 ``assemble_joint`` writes every block of the same parts into one array, and
 ``refine`` takes such an array as parts whose features are all its columns.
 """
@@ -231,16 +231,12 @@ def _tiles(pixels: int) -> tuple:
 
 
 class _Buffers(NamedTuple):
-    """Work arrays of one forward (and backward) pass over N = H * W pixels.
+    """Work arrays of one pass over N = H * W pixels.
 
-    ``_forward`` and ``_backward`` work one tile of ``tiles`` at a time and
-    write every field in place, so a set serves one pass at a time.  In a
-    backward set (``train``: one per scene shape, reused on every step)
-    ``joint``, ``hidden``, ``squash`` and ``raw`` are N rows long, because
-    ``_backward`` reads, then overwrites them.  In a forward-only set (one
-    per ``refine`` or ``evaluate_losses`` call) they are one block, the
-    first and longest tile; ``_backward`` rejects such a set unless the
-    scene is one tile.
+    ``joint``, ``hidden``, ``squash`` and ``raw`` are one block (the first and
+    longest tile) long: ``_block`` writes each tile into their leading rows,
+    so a set serves one pass at a time.  ``y1``, which the loss reads, keeps
+    all N rows.  ``train`` reuses one set per scene shape on every step.
     """
 
     joint: np.ndarray  # (rows, D + C + M) joint tensor rows written from JointParts
@@ -251,10 +247,9 @@ class _Buffers(NamedTuple):
     tiles: tuple  # row slices of the N pixels
 
     @classmethod
-    def empty(cls, params: RefinerParams, pixels: int, backward: bool = False):
+    def empty(cls, params: RefinerParams, pixels: int):
         tiles = _tiles(pixels)
-        rows = pixels if backward else tiles[0].stop
-        (hidden, width), classes = params.w1.shape, params.w2.shape[0]
+        rows, (hidden, width), classes = tiles[0].stop, params.w1.shape, params.w2.shape[0]
         return cls(
             np.empty((rows, width)),
             np.empty((rows, hidden)),
@@ -265,49 +260,56 @@ class _Buffers(NamedTuple):
         )
 
 
-def _forward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers=None, dy=None):
-    """The head over the joint tensor's parts ``z``; returns (y1, buffers).
+def _block(params: RefinerParams, z: JointParts, flat_coarse, buffers, t: slice, dy=None):
+    """The head on pixel block ``t``, written into the leading rows of ``buffers``.
 
-    Each block's rows of the joint tensor are written into ``buffers.joint``
-    just before that block's first matmul.  The correction goes into
-    ``raw``, or into ``dy`` when the caller passes an (N, C) array for it,
-    and ``raw`` then adds the coarse map.
+    The correction goes into ``raw``, or into ``dy[t]`` when the caller
+    passes an (N, C) ``dy``; ``raw`` then adds the coarse map.  Returns the
+    block's (joint, hidden, squash, raw) rows.
     """
+    joint, hidden, squash, raw = (a[: t.stop - t.start] for a in buffers[:4])
+    t_dy = raw if dy is None else dy[t]
+    np.matmul(z.fill(joint, t), params.w1.T, out=hidden)
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, params.w2.T, out=squash)
+    squash += params.b2
+    np.tanh(squash, out=squash)
+    np.multiply(params.residual_scale, squash, out=t_dy)
+    np.add(t_dy, flat_coarse[t], out=raw)
+    return joint, hidden, squash, raw
+
+
+def _forward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers=None, dy=None):
+    """The head over the joint tensor's parts ``z``, one ``_block`` at a time;
+    returns (y1, buffers)."""
     h, w, _ = z.shape
-    n = h * w
-    flat_coarse = coarse.reshape(n, -1)
-    if buffers is None:
-        buffers = _Buffers.empty(params, n)
-    joint, hidden, squash, raw, y1, tiles = buffers
-    for t in tiles:
-        rows = t if len(hidden) == n else slice(0, t.stop - t.start)
-        t_hidden, t_squash, t_raw = hidden[rows], squash[rows], raw[rows]
-        t_dy = t_raw if dy is None else dy[t]
-        np.matmul(z.fill(joint[rows], t), params.w1.T, out=t_hidden)
-        t_hidden += params.b1
-        np.tanh(t_hidden, out=t_hidden)
-        np.matmul(t_hidden, params.w2.T, out=t_squash)
-        t_squash += params.b2
-        np.tanh(t_squash, out=t_squash)
-        np.multiply(params.residual_scale, t_squash, out=t_dy)
-        np.add(t_dy, flat_coarse[t], out=t_raw)
-        np.clip(t_raw, PROB_FLOOR, 1.0, out=y1[t])
-    return y1.reshape(h, w, -1), buffers
+    flat_coarse = coarse.reshape(h * w, -1)
+    buffers = _Buffers.empty(params, h * w) if buffers is None else buffers
+    for t in buffers.tiles:
+        raw = _block(params, z, flat_coarse, buffers, t, dy)[3]
+        np.clip(raw, PROB_FLOOR, 1.0, out=buffers.y1[t])
+    return buffers.y1.reshape(h, w, -1), buffers
 
 
-def _backward(params: RefinerParams, buffers: _Buffers, grad_y1: np.ndarray):
-    joint, hidden, squash, raw, y1, tiles = buffers
-    if len(hidden) != len(y1):
-        raise ValueError(
-            "the forward pass kept one tile of activations; backward needs a full-size buffer set"
-        )
-    g = grad_y1.reshape(raw.shape)
+def _backward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers, grad_y1):
+    """Gradients of w1, b1, w2, b2 from ``grad_y1``, the loss gradient at the
+    ``y1`` of ``_forward(params, z, coarse, buffers)``.
+
+    Each block's forward runs again just before its gradient work; a
+    one-block scene uses the activations its forward left in ``buffers``.
+    """
+    tiles = buffers.tiles
+    flat_coarse = coarse.reshape(len(buffers.y1), -1)
+    g = grad_y1.reshape(buffers.y1.shape)
     g_w1, g_b1 = np.zeros(params.w1.shape), np.zeros(params.b1.shape)
     g_w2, g_b2 = np.zeros(params.w2.shape), np.zeros(params.b2.shape)
-    g_pre1 = np.empty((tiles[0].stop, hidden.shape[1]))
+    g_pre1 = np.empty(buffers.hidden.shape)
     for t in tiles:
         # raw becomes g_dy, then g_pre2; squash and hidden become tanh'
-        t_g_pre2, t_squash, t_hidden = raw[t], squash[t], hidden[t]
+        t_joint, t_hidden, t_squash, t_g_pre2 = (
+            buffers[:4] if len(tiles) == 1 else _block(params, z, flat_coarse, buffers, t)
+        )
         t_g_pre1 = g_pre1[: t.stop - t.start]
         inside = (t_g_pre2 > PROB_FLOOR) & (t_g_pre2 < 1.0)
         t_g_pre2.fill(0.0)
@@ -322,7 +324,7 @@ def _backward(params: RefinerParams, buffers: _Buffers, grad_y1: np.ndarray):
         np.subtract(1.0, t_hidden, out=t_hidden)
         np.matmul(t_g_pre2, params.w2, out=t_g_pre1)
         t_g_pre1 *= t_hidden
-        g_w1 += t_g_pre1.T @ joint[t]
+        g_w1 += t_g_pre1.T @ t_joint
         g_b1 += t_g_pre1.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
 
@@ -414,11 +416,8 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     last_good = params.copy()
     # updated in place, so these stay the live parameter arrays
     arrays = (params.w1, params.b1, params.w2, params.b2)
-    # the step buffers of each distinct scene shape, joint tensor included
-    work = {
-        shape: _Buffers.empty(params, shape[0] * shape[1], backward=True)
-        for shape in {z.shape for z in joints}
-    }
+    # the step buffers of each distinct scene shape: one block and the (N, C) y1
+    work = {(h, w, d): _Buffers.empty(params, h * w) for h, w, d in {z.shape for z in joints}}
 
     for epoch in range(config.epochs):
         order = np.arange(n) if batch == n else batch_rng.permutation(n)
@@ -437,7 +436,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                         params=last_good,
                         history=history,
                     )
-                for g, d in zip(grads, _backward(params, buffers, grad_pred)):
+                for g, d in zip(grads, _backward(params, z, z.coarse, buffers, grad_pred)):
                     g += d
                 for key in comps_sum:
                     comps_sum[key] += comps[key]

@@ -215,7 +215,8 @@ def test_criterion_2_gradient_checks():
         weights = LossWeights(alpha=0.8, lambda1=0.05, lambda2=0.4)
         y1, buffers = _forward(params, z, coarse)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph, weights)
-        analytic = dict(zip(("w1", "b1", "w2", "b2"), _backward(params, buffers, grad_pred)))
+        grads = _backward(params, z, coarse, buffers, grad_pred)
+        analytic = dict(zip(("w1", "b1", "w2", "b2"), grads))
 
         def loss_with(name, value):
             trial = params.copy()

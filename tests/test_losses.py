@@ -258,6 +258,20 @@ class TestPhysLoss:
         numeric = central_difference(lambda p: soft_hinge(p, rasters, graph3)[0], pred)
         assert_grad_close(grad, numeric)
 
+    def test_soft_gradient_is_scaled_by_the_weight_and_not_built_at_zero(self, graph3):
+        rng = np.random.default_rng(6)
+        pred = rng.uniform(0.05, 0.95, size=(5, 4, 3))
+        rasters = {
+            "NDVI": rng.uniform(-1.0, 1.0, size=(5, 4)),
+            "SAR": rng.uniform(-30.0, 0.0, size=(5, 4)),
+        }
+        targets = targets_for(pred, rasters=rasters, graph=graph3)
+        value, grad = phys_loss_soft(pred, targets)
+        weighted_value, weighted = phys_loss_soft(pred, targets, 0.4)
+        assert weighted_value == value > 0.0
+        assert weighted.tobytes() == (grad * 0.4).tobytes()
+        assert phys_loss_soft(pred, targets, 0.0) == (value, None)
+
     def test_soft_equals_hard_at_one_hot(self, graph3):
         rng = np.random.default_rng(5)
         labels = rng.integers(1, 4, size=(6, 6))
@@ -279,6 +293,15 @@ class TestTotalLoss:
         seg_only, _ = seg_loss(pred, targets_for(pred, gt, features, graph=graph3), alpha=1.0)
         assert total == pytest.approx(seg_only, rel=1e-12)
         assert comps["phys"] == 0.0
+
+    def test_zero_physics_weight_gives_the_seg_gradient_and_reports_the_hinge(self, graph3):
+        rng = np.random.default_rng(3)
+        pred, gt, features = random_instance(rng)
+        rasters = {"NDVI": rng.uniform(-1, 1, size=pred.shape[:2])}
+        targets = targets_for(pred, gt, features, rasters, graph3)
+        _, comps, grad = loss_step(pred, targets, LossWeights(alpha=1.0, lambda1=0.05, lambda2=0.0))
+        assert comps["phys"] == phys_loss_soft(pred, targets)[0] > 0.0
+        assert grad.tobytes() == seg_loss(pred, targets, alpha=1.0)[1].tobytes()
 
     def test_defaults_are_paper_weights(self):
         w = LossWeights()

@@ -353,7 +353,7 @@ def reference_train(dataset, graph, config):
                 _, comps, grad_pred = total_loss(
                     y1, scene.labels, scene.features, scene.rasters, graph, config.weights
                 )
-                for acc, g in zip(grads, _backward(params, buffers, grad_pred)):
+                for acc, g in zip(grads, _backward(params, z, scene.coarse, buffers, grad_pred)):
                     acc += g
                 for key in sums:
                     sums[key] += comps[key]
@@ -503,7 +503,7 @@ class TestBuffers:
         params, history = train(scenes, graph3, config)
 
         assert len(sets_used) == config.epochs * len(scenes)
-        # every step runs in a backward set, which keeps all of its scene's rows
+        # a set is one block long; a scene of up to TILE_ROWS pixels is one block
         assert all(len(buffers.joint) == len(buffers.y1) for buffers in sets_used)
         sets = {id(buffers): buffers for buffers in sets_used}
         width = 3 + 3 + len(MODALITIES)
@@ -524,17 +524,19 @@ class TestBuffers:
         params = init_params(3, 3, TrainConfig(seed=3))
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
 
-        def forward(scene):
-            z = refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
-            return refiner._forward(params, z, z.coarse)
+        def parts(scene):
+            return refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
 
-        y1, buffers = forward(first)
+        z = parts(first)
+        y1, buffers = refiner._forward(params, z, z.coarse)
         kept = [a.copy() for a in (y1, *buffers[:-1])]
-        forward(second)
+        z2 = parts(second)
+        refiner._forward(params, z2, z2.coarse)
         assert [a.tobytes() for a in (y1, *buffers[:-1])] == [a.tobytes() for a in kept]
         grad = rng.normal(size=y1.shape)
-        grads = refiner._backward(params, buffers, grad)
-        fresh = refiner._backward(params, forward(first)[1], grad)
+        grads = refiner._backward(params, z, z.coarse, buffers, grad)
+        _, fresh_buffers = refiner._forward(params, z, z.coarse)
+        fresh = refiner._backward(params, z, z.coarse, fresh_buffers, grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
 
     def test_forward_on_parts_is_refine_on_the_assembled_tensor(self, graph3):
@@ -550,10 +552,52 @@ class TestBuffers:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
         dropped = assemble_joint(scene.features, scene.coarse, {}, graph3)
-        buffers = refiner._Buffers.empty(params, 50 * 50, backward=True)
+        buffers = refiner._Buffers.empty(params, 50 * 50)
         y1, _ = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
         assert y1.tobytes() == refine(params, dropped, scene.coarse)[0].tobytes()
-        assert buffers.joint.tobytes() == dropped.tobytes()
+        # the joint field holds the last block, written with zero physical columns
+        last = 50 * 50 - refiner.TILE_ROWS
+        tail = dropped.reshape(50 * 50, -1)[refiner.TILE_ROWS :]
+        assert buffers.joint[:last].tobytes() == tail.tobytes()
+
+    @pytest.mark.parametrize("size, blocks", [(32, 1), (50, 2)])
+    def test_backward_recomputes_the_blocks_of_a_multi_block_scene(
+        self, graph3, monkeypatch, size, blocks
+    ):
+        # a one-block scene reuses its forward's activations; a longer one
+        # runs each block's forward again in the backward pass
+        calls = []
+        real_block = refiner._block
+
+        def spy(*args):
+            calls.append(args[4])
+            return real_block(*args)
+
+        monkeypatch.setattr(refiner, "_block", spy)
+        scenes = make_dataset(graph3, seed=20, n=1, size=size)
+        train(scenes, graph3, TrainConfig(seed=6, epochs=1))
+        tiles = list(refiner._tiles(size * size))
+        assert len(tiles) == blocks
+        assert calls == (tiles if blocks == 1 else tiles + tiles)
+
+    def test_train_memory_grows_by_one_block_of_hidden_activations(self, graph3):
+        # widening the fusion layer grows the peak by one block of rows, not N
+        size = 128
+        scene = make_dataset(graph3, seed=21, n=1, size=size)[0]
+        assert len(refiner._tiles(size * size)) == 8
+
+        def peak(hidden):
+            config = TrainConfig(seed=7, epochs=1, hidden=hidden)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train([scene], graph3, config)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        full_rows = size * size * (64 - 8) * 8
+        assert peak(64) - peak(8) < full_rows / 2
 
     def test_train_memory_does_not_grow_with_the_scene_count_by_joint_tensors(self, graph3):
         # each scene adds its loss targets; the joint tensor is one buffer per shape
@@ -679,20 +723,14 @@ class TestTiles:
     @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
     def test_backward_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, grad = self.head_case(h, w, seed=w)
-        buffers = refiner._Buffers.empty(params, h * w, backward=True)
-        y1, _ = refiner._forward(params, refiner._as_parts(z), coarse, buffers)
+        parts = refiner._as_parts(z)
+        y1, buffers = refiner._forward(params, parts, coarse)
+        assert len(buffers.hidden) == refiner.TILE_ROWS < h * w
         want_y1, _, want_cache = oracle_forward(params, z, coarse)
         assert y1.tobytes() == want_y1.tobytes()
-        grads = refiner._backward(params, buffers, grad)
+        grads = refiner._backward(params, parts, coarse, buffers, grad)
         want = oracle_backward(params, want_cache, grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
-
-    def test_backward_rejects_a_forward_only_cache(self):
-        params, z, coarse, grad = self.head_case(97, 100, seed=1)
-        _, buffers = refiner._forward(params, refiner._as_parts(z), coarse)
-        assert len(buffers.hidden) < 97 * 100
-        with pytest.raises(ValueError, match="full-size buffer set"):
-            refiner._backward(params, buffers, grad)
 
     @pytest.mark.parametrize("h, w", [(41, 50), (97, 100), (250, 253)])
     def test_training_bytes_do_not_depend_on_the_blas_thread_count(self, h, w):
@@ -732,7 +770,7 @@ class TestComposedGradient:
 
         y1, buffers = _forward(params, z, coarse)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph3, weights)
-        g_w1, g_b1, g_w2, g_b2 = _backward(params, buffers, grad_pred)
+        g_w1, g_b1, g_w2, g_b2 = _backward(params, z, coarse, buffers, grad_pred)
 
         def loss_for(theta_name, theta_value):
             trial = params.copy()
