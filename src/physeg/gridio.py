@@ -8,8 +8,10 @@ Floats are written with repr so files are byte-stable and round-trip exactly.
 Parameter format (PSPARAMS): header ``PSPARAMS v1 <D> <C> <M> <H>`` followed
 by the fusion matrix, fusion bias, head matrix, head bias and residual scale,
 row-major ASCII.  FEAT, PROB and PSPARAMS values must be finite; modality
-rasters may hold nan or inf.  Readers take any whitespace between values and
-skip blank lines.
+rasters may hold nan or inf.  Writers raise GridFormatError on a non-finite
+FEAT, PROB or PSPARAMS value before the file is opened, and write PROB/FEAT
+planes row by row from views of the (H, W, C) array, never from a planar
+copy.  Readers take any whitespace between values and skip blank lines.
 """
 
 from __future__ import annotations
@@ -83,11 +85,13 @@ def write_grid(path, kind: str, values: np.ndarray) -> None:
     if arr.ndim != (3 if planar else 2):
         layout = "(H, W, C)" if planar else "(H, W)"
         raise GridFormatError(f"{kind} grids need a {layout} array, got shape {arr.shape}")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr)) if planar else 0
+    if bad:
+        raise GridFormatError(f"{path}: {kind} grid has {bad} non-finite cells")
     header = " ".join(["PGRD", kind, *map(str, arr.shape)])
-    if planar:
-        h, w, c = arr.shape
-        arr = np.moveaxis(arr, 2, 0).reshape(c * h, w)
-    _write_lines(path, header, (_format_row(row) for row in arr))
+    # plane c, row y is the view arr[:, :, c][y]: no planar copy of the array
+    rows = (row for c in range(arr.shape[2]) for row in arr[:, :, c]) if planar else arr
+    _write_lines(path, header, (_format_row(row) for row in rows))
 
 
 def _grid_layout(path, head: list[str]) -> tuple[str, int, int, int]:
@@ -174,12 +178,13 @@ def write_params(path, params) -> None:
     d = din - c - m
     if d < 0:
         raise GridFormatError(f"inconsistent parameter shapes: fused width {din} < C+M")
-    blocks = (params.w1, params.b1, params.w2, params.b2, params.residual_scale)
-    rows = (
-        _format_row(row)
-        for block in blocks
-        for row in np.atleast_2d(np.asarray(block, dtype=np.float64))
-    )
+    blocks = [
+        np.atleast_2d(np.asarray(block, dtype=np.float64))
+        for block in (params.w1, params.b1, params.w2, params.b2, params.residual_scale)
+    ]
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise GridFormatError(f"{path}: refiner parameters hold non-finite values")
+    rows = (_format_row(row) for block in blocks for row in block)
     _write_lines(path, f"PSPARAMS v1 {d} {c} {m} {hidden}", rows)
 
 

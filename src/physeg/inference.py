@@ -7,8 +7,9 @@ product of attenuations and renormalized.  With no modalities available the
 attenuation is identically 1 and the refined probabilities are simply
 renormalized (visual-only mode).  Every pixel whose argmax label changes is
 recorded in a trace carrying distances, attenuations and the knowledge-graph
-reasoning for the classes involved.  The trace is kept as columns (one list
-per field); per-flip record dicts are built only when ``trace.flips`` is
+reasoning for the classes involved.  The trace is kept as columns: int lists
+for pixels and labels, float64 arrays for each modality's values, distances
+and scores.  Per-flip record dicts are built only when ``trace.flips`` is
 read, and ``to_jsonl`` encodes the columns straight to the bytes a
 per-record ``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
 writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
@@ -19,9 +20,11 @@ Each large intermediate is held once: ``infer`` hands ``refine`` the
 scene's ``joint_parts``, the head's one input form, which it writes one
 pixel block at a time, so the joint tensor is never held whole.  ``infer``
 keeps only the refined map (the correction map is dropped before
-re-weighting), and ``reweight`` multiplies the refined map into its own
-attenuation product and normalises in that buffer, never writing the
-caller's refined map.
+re-weighting), and ``reweight`` holds one (H, W, C) array whatever the
+number of modalities: the attenuation product, which it multiplies by the
+refined map and normalises in place, never writing the caller's refined map.
+A flip's scores are the attenuation of the distances its trace records, so
+no per-modality grid is kept.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_numbers(column) -> list[str]:
-    """``json.dumps`` text of each number in ``column``: repr, or NaN/Infinity."""
-    text = list(map(float.__repr__, column))
+    """``json.dumps`` text of each number in a float64 column: repr, or NaN/Infinity."""
+    text = list(map(float.__repr__, column.tolist()))
     if "nan" in text or "inf" in text or "-inf" in text:
         text = [_JSON_NON_FINITE.get(t, t) for t in text]
     return text
@@ -84,10 +87,10 @@ class RefinementTrace:
     """Argmax flips caused by re-weighting, stored as columns, plus warnings.
 
     ``ys``, ``xs``, ``pre_labels`` and ``post_labels`` hold one entry per flip.
-    ``modalities`` maps each modality, in the order re-weighting used it, to
-    its ``FLIP_FIELDS`` columns; ``classes`` maps every class id a flip names
-    to its (category, reasoning).  ``flips`` builds one record dict per flip
-    on first read and keeps it; ``len(trace)`` is the flip count.
+    ``modalities`` maps each modality, in ``config.available`` order, to its
+    ``FLIP_FIELDS`` columns (float64 arrays); ``classes`` maps every class id
+    a flip names to its (category, reasoning).  ``flips`` builds one record
+    dict per flip on first read and keeps it; ``len(trace)`` is the flip count.
     """
 
     ys: list = field(default_factory=list)
@@ -105,7 +108,7 @@ class RefinementTrace:
     def flips(self) -> list:
         """One dict per flip: pixel, both labels and classes, per-modality values."""
         per_modality = {
-            name: list(zip(*(cols[f] for f in FLIP_FIELDS)))
+            name: list(zip(*(cols[f].tolist() for f in FLIP_FIELDS)))
             for name, cols in self.modalities.items()
         }
         flips = zip(self.ys, self.xs, self.pre_labels, self.post_labels)
@@ -189,22 +192,29 @@ def _available(rasters, config):
     return {name: rasters[name] for name in config.available}
 
 
+def _attenuation(d, tau, sigma):
+    """Gaussian attenuation ``exp(-min(d, tau)^2 / sigma^2)`` of interval distances d."""
+    d = np.minimum(d, tau)
+    return np.exp(-(d * d) / (sigma * sigma))
+
+
 def _attenuation_grids(rasters, graph, config, num_classes):
-    """Stack of per-class attenuation products S (H, W, C) and per-modality parts."""
+    """Per-class attenuation product S (H, W, C) over ``config.available``.
+
+    S is the one (H, W, C) array: the first modality in ``MODALITIES`` order
+    is written into it and each later one multiplied in, one class plane at a
+    time.
+    """
     shape = next(iter(rasters.values())).shape
-    scores = np.ones(shape + (num_classes,))
-    parts = {}
-    for name in modality_order(config.available):
-        values = rasters[name]
-        per_mod = np.empty(shape + (num_classes,))
+    scores = np.empty(shape + (num_classes,))
+    for k, name in enumerate(modality_order(config.available)):
         for ch in range(num_classes):
             iv = graph.interval(ch + 1, name)
-            tau, sigma = config.params_for(iv)
-            d = np.minimum(interval_distance_grid(values, iv), tau)
-            per_mod[:, :, ch] = np.exp(-(d * d) / (sigma * sigma))
-        parts[name] = per_mod
-        scores *= per_mod
-    return scores, parts
+            att = _attenuation(interval_distance_grid(rasters[name], iv), *config.params_for(iv))
+            if k:
+                att *= scores[:, :, ch]  # the same bits as scores * att
+            scores[:, :, ch] = att
+    return scores
 
 
 def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
@@ -237,11 +247,11 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     # probs is the one (H, W, C) buffer of this call: the attenuation product,
     # then the weighted scores, then (normalised in place) the probabilities
     if used:
-        probs, parts = _attenuation_grids(used, graph, config, c)
+        probs = _attenuation_grids(used, graph, config, c)
         probs *= refined
     else:
         # every attenuation is 1: the weighted scores are a copy of the refined ones
-        probs, parts = refined.copy(), {}
+        probs = refined.copy()
     denom = probs.sum(axis=2, keepdims=True)
     dead = denom[:, :, 0] < DENOM_FLOOR
     if np.any(dead):
@@ -256,10 +266,11 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     probs /= np.maximum(denom, DENOM_FLOOR)
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
 
-    # Flip columns: values and scores are gathered once and each class entry
-    # is resolved once.  Each distance stays one 1x1 interval_distance_grid
-    # call through this module's name: perfbench's traced runs patch it and
-    # check m * (C + 2 * flips) calls per re-weighting.
+    # Flip columns: values are gathered once, each class entry is resolved
+    # once, and each score is the attenuation of the distance recorded next
+    # to it.  Each distance stays one 1x1 interval_distance_grid call through
+    # this module's name: perfbench's traced runs patch it and check
+    # m * (C + 2 * flips) calls per re-weighting.
     ys, xs = np.nonzero(labels != pre_labels)
     pre_ids, post_ids = pre_labels[ys, xs], labels[ys, xs]
     trace.ys, trace.xs = ys.tolist(), xs.tolist()
@@ -268,21 +279,18 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     trace.classes = {cid: (entry.category, entry.reasoning) for cid, entry in entries.items()}
     for name, grid in used.items():
         intervals = {cid: entry.interval(name) for cid, entry in entries.items()}
+        settings = np.zeros((c + 1, 2))  # (tau, sigma) by class id
+        for cid, iv in intervals.items():
+            settings[cid] = config.params_for(iv)
         values = grid[ys, xs]
         cells = values.reshape(-1, 1, 1)  # iterates as one 1x1 grid per flip
-        trace.modalities[name] = {
-            "value": values.tolist(),
-            "distance_pre": [
-                interval_distance_grid(cell, intervals[cid]).item()
-                for cell, cid in zip(cells, trace.pre_labels)
-            ],
-            "score_pre": parts[name][ys, xs, pre_ids - 1].tolist(),
-            "distance_post": [
-                interval_distance_grid(cell, intervals[cid]).item()
-                for cell, cid in zip(cells, trace.post_labels)
-            ],
-            "score_post": parts[name][ys, xs, post_ids - 1].tolist(),
-        }
+        columns = {"value": values}
+        for tag, ids in (("pre", pre_ids), ("post", post_ids)):
+            pairs = zip(cells, ids.tolist())
+            d = np.array([interval_distance_grid(v, intervals[cid]).item() for v, cid in pairs])
+            columns[f"distance_{tag}"] = d
+            columns[f"score_{tag}"] = _attenuation(d, settings[ids, 0], settings[ids, 1])
+        trace.modalities[name] = {key: columns[key] for key in FLIP_FIELDS}
     return probs, labels, trace
 
 

@@ -512,7 +512,9 @@ def mock_backbone(
     directions = np.zeros((c + 1, c))
     for cid in range(1, c + 1):
         directions[cid, effective[cid] - 1] = 1.0
-    features = directions[labels] + rng.normal(scale=FEATURE_NOISE, size=(h, w, c))
+    # each map is its noise draw with the rest added in place: a + b == b + a bit for bit
+    features = rng.normal(scale=FEATURE_NOISE, size=(h, w, c))
+    features += directions[labels]
 
     base = np.full((h, w, c), 0.02)
     pair_members = {m for pair in ambiguity_pairs for m in pair}
@@ -527,6 +529,8 @@ def mock_backbone(
         else:
             base[mask, cid - 1] += 0.90
     base[labels == 0] = 1.0 / c
-    coarse = np.clip(base + rng.normal(scale=COARSE_NOISE, size=base.shape), 1e-4, None)
-    coarse = coarse / coarse.sum(axis=2, keepdims=True)
+    coarse = rng.normal(scale=COARSE_NOISE, size=base.shape)
+    coarse += base
+    np.maximum(coarse, 1e-4, out=coarse)
+    coarse /= coarse.sum(axis=2, keepdims=True)
     return features, coarse

@@ -395,7 +395,7 @@ class TestTrainRefineEval:
             xs=rng.integers(0, 256, size=n).tolist(),
             pre_labels=ids[0],
             post_labels=ids[1],
-            modalities={"SAR": {key: rng.normal(size=n).tolist() for key in FLIP_FIELDS}},
+            modalities={"SAR": {key: rng.normal(size=n) for key in FLIP_FIELDS}},
             classes={
                 cid: (graph.entry_for_id(cid).category, graph.entry_for_id(cid).reasoning)
                 for cid in range(1, graph.num_classes + 1)

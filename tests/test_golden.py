@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of the README quick-start at 32² with a short budget,
-and of a training over scenes of several sizes (32² to 64²).
+plus a physical refine with all three rasters (NDVI, DEM, SAR), and of a
+training over scenes of several sizes (32² to 64²).
 
 Every artifact the quick-start writes is byte-deterministic, so a refactor of
 the I/O layer, the training step or the ablation ladder must reproduce these
@@ -38,6 +39,12 @@ QUICK_START = (
         "--rasters", "sar=demo/scene_0.sar.pgrd", "--mode", "physical", "--out", "refined",
     ),
     (
+        "refine", "--params", "params.psp", "--pckg", "demo/pckg.json",
+        "--features", "demo/scene_0.features.pgrd", "--coarse", "demo/scene_0.coarse.pgrd",
+        "--rasters", "ndvi=demo/scene_0.ndvi.pgrd,dem=demo/scene_0.dem.pgrd,sar=demo/scene_0.sar.pgrd",
+        "--mode", "physical", "--out", "refined3",
+    ),
+    (
         "eval", "--pred", "refined/labels.pgrd", "--gt", "demo/scene_0.labels.pgrd",
         "--pckg", "demo/pckg.json", "--rasters", "sar=demo/scene_0.sar.pgrd", "--out", "eval.json",
     ),
@@ -55,6 +62,9 @@ DIGESTS = {
     "refined/labels.pgrd": "c439ffe2c449c917628fc9d80e74b79aed22577f67a8c3331b648a57ca6e3c69",
     "refined/probs.pgrd": "49b24711d27adecdf02a5d45b0d2df474187cc536d96940e6d41beb7471ec692",
     "refined/trace.jsonl": "cfd5ce7cff78f1ac2e6d65d1beb15398b460db4f06f7b86e012dc68435f39f92",
+    "refined3/labels.pgrd": "a43415f2637791d78bc23287f78873199ac3612806a5266407b0ed9a66384781",
+    "refined3/probs.pgrd": "4489bcaac5f9439b3ffec7b3fa1b87fbf29559027f543c970433aba52d5967ea",
+    "refined3/trace.jsonl": "a74aa8cc9b66411f6d4a9ac89ac46273ffbeeb24bc12f4204c987aac6665887b",
     "eval.json": "732203374e719842ee6b3489e9243919a25a84b4ab701210303c35ffc59d5491",
     "ablation/ablation.json": "dbf72cd1e8405b17d912e2b4e7e5c4605e0d2d9fadc13c3ee48c4ec7d47bf8bf",
 }

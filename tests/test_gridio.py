@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -51,6 +52,49 @@ def test_planar_round_trip(tmp_path, kind):
     back = read_grid_as(path, kind)
     assert back.shape == (4, 3, 6)
     assert back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["PROB", "FEAT"])
+def test_planar_write_streams_planes_from_views(tmp_path, kind):
+    values = np.random.default_rng(6).random((128, 128, 4))
+    path = tmp_path / "planes.pgrd"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_grid(path, kind, values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # no planar copy of the array: a row's text and the finiteness mask at most
+    assert peak < values.nbytes / 4
+    assert read_grid_as(path, kind).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["PROB", "FEAT"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_planar_writer_refuses_non_finite_values(tmp_path, kind, bad):
+    # what read_grid would reject is never written; the file is not even opened
+    values = np.full((2, 3, 2), 0.5)
+    values[1, 2, 1] = bad
+    path = tmp_path / "planes.pgrd"
+    path.write_text("old\n")
+    with pytest.raises(GridFormatError, match="1 non-finite cells"):
+        write_grid(path, kind, values)
+    assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2", "residual_scale"])
+def test_params_writer_refuses_non_finite_values(tmp_path, field):
+    params = init_params(4, 3, TrainConfig(seed=9, hidden=6))
+    if field == "residual_scale":
+        params.residual_scale = float("nan")
+    else:
+        getattr(params, field).flat[-1] = np.inf
+    path = tmp_path / "weights.psp"
+    path.write_text("old\n")
+    with pytest.raises(GridFormatError, match="non-finite"):
+        write_params(path, params)
+    assert path.read_text() == "old\n"
 
 
 def test_header_checked(tmp_path):

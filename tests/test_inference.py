@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import attenuation, interval_distance
 
-from physeg import inference
+from physeg import benchmark, inference
 from physeg.inference import (
     FLIP_FIELDS,
     SIGMA_FLOOR,
@@ -29,6 +29,7 @@ from physeg.priors import (
     interval_distance_grid,
 )
 from physeg.refiner import TrainConfig, init_params
+from physeg.synth import SynthConfig, synthesize_scene
 
 
 def assert_chunks_join_to_the_whole(trace):
@@ -252,6 +253,32 @@ class TestReweight:
         assert len(seen) == -(-len(trace) // 3)
         assert "".join(seen) == out.getvalue() == to_jsonl(trace)
 
+    def test_reweight_holds_one_map_whatever_the_sensor_count(self):
+        # a 128 x 128 demo scene whose refined map is sure of the true class: nothing flips
+        graph = benchmark.demo_graph()
+        labels = benchmark.demo_labels(0, size=128)
+        rasters = synthesize_scene(labels, graph, set(MODALITIES), SynthConfig(seed=0))
+        refined = np.full(labels.shape + (graph.num_classes,), 0.1)
+        np.put_along_axis(refined, labels[..., None] - 1, 0.7, axis=2)
+
+        def peak(available):
+            config = AttenuationConfig(available=available)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                trace = reweight(refined, rasters, graph, config)[2]
+                return tracemalloc.get_traced_memory()[1] - base, len(trace)
+            finally:
+                tracemalloc.stop()
+
+        reweight(refined, rasters, graph, AttenuationConfig(available=MODALITIES))  # warm-up
+        (one, flips_one), (three, flips_three) = peak(("SAR",)), peak(("NDVI", "DEM", "SAR"))
+        assert flips_one == flips_three == 0
+        # the attenuation product, which becomes the returned probabilities, and a
+        # few (H, W) planes; no (H, W, C) grid per modality
+        assert three <= 3 * refined.nbytes
+        assert abs(three - one) < refined.nbytes / 2
+
     def test_zero_width_interval_uses_sigma_floor(self):
         graph = PriorGraph(
             (
@@ -425,7 +452,11 @@ def test_trace_matches_per_pixel_reference():
     rasters = {"DEM": rng.uniform(-20, 150, size=(h, w)), "SAR": rng.uniform(-25, 5, size=(h, w))}
     config = AttenuationConfig(available=("SAR", "DEM"))
     _, labels, trace = reweight(refined, rasters, graph, config)
-    _, parts = _attenuation_grids(rasters, graph, config, 3)
+    # each modality's attenuation grid on its own
+    parts = {
+        name: _attenuation_grids(rasters, graph, AttenuationConfig(available=(name,)), 3)
+        for name in config.available
+    }
 
     pre_labels = refined.argmax(axis=2) + 1
     expected = []
@@ -497,7 +528,10 @@ def _columnar_traces(draw):
         xs=column(st.integers(0, 10**6)),
         pre_labels=column(ids),
         post_labels=column(ids),
-        modalities={name: {key: column(_NUMBERS) for key in FLIP_FIELDS} for name in names},
+        modalities={
+            name: {key: np.array(column(_NUMBERS), dtype=np.float64) for key in FLIP_FIELDS}
+            for name in names
+        },
         classes=classes,
         warnings=draw(st.lists(_TEXT, max_size=3)),
     )
