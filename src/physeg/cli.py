@@ -344,17 +344,23 @@ def cmd_refine(args, argv, config):
     if mode not in ("visual", "physical"):
         raise ValueError(f"unknown mode {mode!r}; expected visual or physical")
     _check_mode("refine", args, config, "--mode " + mode)
-    graph = load_graph(args.pckg)
-    params = read_params(args.params)
-    features = read_grid_as(args.features, "FEAT")
-    coarse = read_grid_as(args.coarse, "PROB")
-    rasters = _load_rasters(_parse_rasters(args.rasters))
+    raster_paths = _parse_rasters(args.rasters)
     if mode == "visual":
         available = ()
     else:
         available = _parse_modalities(
-            _resolve(args, config, "available"), default=tuple(sorted(rasters))
+            _resolve(args, config, "available"), default=tuple(sorted(raster_paths))
         )
+        if not available:
+            raise ValueError(
+                "refine --mode physical re-weights with at least one modality: "
+                "pass --rasters, or use --mode visual"
+            )
+    graph = load_graph(args.pckg)
+    params = read_params(args.params)
+    features = read_grid_as(args.features, "FEAT")
+    coarse = read_grid_as(args.coarse, "PROB")
+    rasters = _load_rasters(raster_paths)
     att_config, resolved = _settings(
         AttenuationConfig, ATTENUATION_SETTINGS, args, config, available=available
     )

@@ -17,10 +17,10 @@ each, so only one slice's text is alive at a time and a wrapper around
 ``to_jsonl`` still sees every byte.
 
 Each large intermediate is held once: ``infer`` hands ``refine`` the
-scene's ``joint_parts``, the head's one input form, which it writes one
-pixel block at a time, so the joint tensor is never held whole.  ``infer``
-keeps only the refined map (the correction map is dropped before
-re-weighting), and ``reweight`` holds one (H, W, C) array whatever the
+scene's ``JointParts`` from ``assemble_joint``, the head's one input form,
+which it writes one pixel block at a time, so the joint tensor is never held
+whole.  ``infer`` keeps only the refined map (the correction map is dropped
+before re-weighting), and ``reweight`` holds one (H, W, C) array whatever the
 number of modalities: the attenuation product, which it multiplies by the
 refined map and normalises in place, never writing the caller's refined map.
 A flip's scores are the attenuation of the distances its trace records, so
@@ -36,8 +36,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .priors import PriorGraph, check_rasters, interval_distance_grid, modality_order
-# assemble_joint is not called here; perfbench's tracer patches it under this module's name
-from .refiner import RefinerParams, assemble_joint, joint_parts, refine  # noqa: F401
+from .refiner import RefinerParams, assemble_joint, refine
 
 DENOM_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-3  # modality units; guards zero-width intervals
@@ -224,7 +223,8 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     ``config.available`` participate; an empty set degrades to plain
     renormalization of the refined scores.  If attenuation wipes out every
     class at a pixel the refined scores are used there and a warning is
-    recorded.  A non-finite or negative refined cell is a ValueError.
+    recorded.  A non-finite or negative refined cell, or a pixel whose refined
+    scores sum below ``DENOM_FLOOR``, is a ValueError.
     """
     refined = np.asarray(refined, dtype=np.float64)
     if refined.ndim != 3:
@@ -253,17 +253,22 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
         # every attenuation is 1: the weighted scores are a copy of the refined ones
         probs = refined.copy()
     denom = probs.sum(axis=2, keepdims=True)
-    dead = denom[:, :, 0] < DENOM_FLOOR
-    if np.any(dead):
-        refined_sum = refined.sum(axis=2, keepdims=True)
-        np.copyto(probs, refined, where=dead[:, :, None])
-        denom = np.where(dead[:, :, None], refined_sum, denom)
-        for y, x in np.argwhere(dead):
+    dead_ys, dead_xs = np.nonzero(denom[:, :, 0] < DENOM_FLOOR)
+    if len(dead_ys):
+        # attenuations are at most 1, so a pixel whose refined scores sum
+        # below the floor is always among these
+        kept = refined[dead_ys, dead_xs]
+        kept_sum = kept.sum(axis=1)
+        low = np.count_nonzero(kept_sum < DENOM_FLOOR)
+        if low:
+            raise ValueError(f"refined map has {low} pixels whose scores sum below {DENOM_FLOOR}")
+        probs[dead_ys, dead_xs] = kept
+        denom[dead_ys, dead_xs, 0] = kept_sum
+        for y, x in zip(dead_ys.tolist(), dead_xs.tolist()):
             trace.warnings.append(
-                f"pixel ({int(y)}, {int(x)}): all classes fully attenuated; "
-                "kept refined probabilities"
+                f"pixel ({y}, {x}): all classes fully attenuated; kept refined probabilities"
             )
-    probs /= np.maximum(denom, DENOM_FLOOR)
+    probs /= denom  # every pixel's denominator is now at least DENOM_FLOOR
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
 
     # Flip columns: values are gathered once, each class entry is resolved
@@ -310,6 +315,6 @@ def infer(
     """
     used = _available(rasters, config)
     # the correction map is freed before re-weighting
-    y1 = refine(params, joint_parts(features, coarse, used, graph), coarse)[0]
+    y1 = refine(params, assemble_joint(features, coarse, used, graph), coarse)[0]
     probs, labels, trace = reweight(y1, used, graph, config)
     return labels, probs, trace

@@ -10,14 +10,14 @@ joint objective, with per-scene modality dropout so one weight set serves
 both visual-only and visual-physical inference.
 
 The head never needs the joint tensor whole and reads it in one form.
-``joint_parts`` checks a scene and keeps its parts (flat features, flat
-coarse map, rasters with their standardisation); the forward pass writes
-each pixel block of the joint tensor into a buffer just before that block's
-first matmul, and every pass keeps one block of activations: training's
-backward pass runs each block's forward again before that block's gradient
-work.  A dropped scene's physical columns are written as zeros.
-``assemble_joint`` writes every block of the same parts into one array, and
-``refine`` takes such an array as parts whose features are all its columns.
+``assemble_joint`` checks a scene and keeps its parts (flat features, flat
+coarse map, rasters with their standardisation) as ``JointParts``; the
+forward pass writes each pixel block of the joint tensor into a buffer just
+before that block's first matmul, and every pass keeps one block of
+activations: training's backward pass runs each block's forward again before
+that block's gradient work.  A dropped scene's physical columns are written
+as zeros.  ``refine`` takes only these parts; ``train`` and
+``evaluate_losses`` build them with ``assemble_joint`` too.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class JointParts(NamedTuple):
         return out
 
 
-def joint_parts(features, coarse, rasters, graph: PriorGraph) -> JointParts:
+def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> JointParts:
     """Check a scene and return its joint tensor as ``JointParts``.
 
     Physical channels are standardized by the graph-level interval-midpoint
@@ -195,18 +195,6 @@ def joint_parts(features, coarse, rasters, graph: PriorGraph) -> JointParts:
     )
 
 
-def assemble_joint(features, coarse, rasters, graph: PriorGraph) -> np.ndarray:
-    """Stack [features | coarse | NDVI | DEM | SAR] channels per pixel.
-
-    The scene's ``joint_parts`` (which check it), written into one
-    (H, W, D + C + M) array; absent modalities stay all-zero.
-    """
-    parts = joint_parts(features, coarse, rasters, graph)
-    h, w, width = parts.shape
-    joint = np.empty((h * w, width))
-    return parts.fill(joint, slice(0, h * w)).reshape(parts.shape)
-
-
 def init_params(feature_dim: int, num_classes: int, config: TrainConfig) -> RefinerParams:
     """Seeded fusion weights; zero residual head so training starts at identity."""
     din = feature_dim + num_classes + len(MODALITIES)
@@ -225,7 +213,7 @@ def _tiles(pixels: int) -> tuple:
     """Row slices of ``TILE_ROWS`` pixels; the last one is shorter when
     ``TILE_ROWS`` does not divide ``pixels``.
 
-    ``pixels`` must be positive (``joint_parts`` rejects empty scenes).
+    ``pixels`` must be positive (``assemble_joint`` rejects empty scenes).
     """
     return tuple(slice(a, min(a + TILE_ROWS, pixels)) for a in range(0, pixels, TILE_ROWS))
 
@@ -329,27 +317,18 @@ def _backward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers,
     return g_w1, g_b1, g_w2, g_b2
 
 
-def _as_parts(z) -> JointParts:
-    """An assembled (H, W, D + C + M) joint tensor as parts whose features are
-    all of its columns, so ``fill`` copies each block unchanged."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 3:
-        raise ValueError(f"joint tensor must be (H, W, D + C + M), got shape {z.shape}")
-    flat = z.reshape(-1, z.shape[2])
-    return JointParts(z.shape, flat, flat[:, :0], ())
-
-
 def refine(params: RefinerParams, z, coarse: np.ndarray):
     """Apply the residual head: returns (refined map, correction).
 
-    ``z`` is the joint tensor: an (H, W, D + C + M) array from
-    ``assemble_joint``, or the scene's ``joint_parts``.  Either way the head
-    writes it one pixel block at a time, and both give the same bytes.
-    Refined values are clamped into [1e-6, 1] so downstream re-weighting is
-    always well-defined.
+    ``z`` is the scene's ``JointParts`` from ``assemble_joint``; the head
+    writes the joint tensor one pixel block at a time.  Refined values are
+    clamped into [1e-6, 1] so downstream re-weighting is always well-defined.
     """
+    if not isinstance(z, JointParts):
+        raise TypeError(
+            f"refine takes the scene's JointParts from assemble_joint, got {type(z).__name__}"
+        )
     params.validate()
-    z = z if isinstance(z, JointParts) else _as_parts(z)
     coarse = np.asarray(coarse, dtype=np.float64)
     if coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
         raise ValueError(
@@ -397,7 +376,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     if not dataset:
         raise ValueError("training dataset is empty")
     scenes = list(dataset)
-    joints = [joint_parts(s.features, s.coarse, s.rasters, graph) for s in scenes]
+    joints = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in scenes]
     dropped = [z._replace(rasters=()) for z in joints]  # physical columns all zero
     c = graph.num_classes
     params = init_params(joints[0].features.shape[1], c, config)
@@ -468,7 +447,7 @@ def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: 
     totals = dict.fromkeys(COMPONENTS + ("phys_argmax",), 0.0)
     terms = []
     for k, scene in enumerate(dataset):
-        z = joint_parts(scene.features, scene.coarse, scene.rasters, graph)
+        z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
         _check_scene(params, z, graph, k)
         y1, _ = _forward(params, z, z.coarse)
         _, comps, _ = total_loss(

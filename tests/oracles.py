@@ -1,9 +1,13 @@
-"""Scalar references that tests check the vectorised interval distances and
-attenuations against."""
+"""References that tests check physeg against: scalar interval distances and
+attenuations, and the refinement head's joint tensor written whole."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from physeg.refiner import JointParts
 
 
 def interval_distance(value: float, interval) -> float:
@@ -23,3 +27,26 @@ def attenuation(d: float, tau: float, sigma: float) -> float:
         raise ValueError("attenuation cap tau must be > 0")
     capped = min(float(d), tau)
     return math.exp(-(capped * capped) / (sigma * sigma))
+
+
+def dense_joint(parts: JointParts) -> np.ndarray:
+    """The (H, W, D + C + M) joint tensor of ``parts`` written whole.
+
+    [features | coarse | NDVI | DEM | SAR] per pixel; each supplied raster is
+    standardised into its column and every other physical column is zero.
+    """
+    d, c = parts.features.shape[1], parts.coarse.shape[1]
+    joint = np.zeros((len(parts.features), parts.shape[2]))
+    joint[:, :d] = parts.features
+    joint[:, d : d + c] = parts.coarse
+    for column, grid, mu, sigma in parts.rasters:
+        joint[:, column] = (grid - mu) / sigma
+    return joint.reshape(parts.shape)
+
+
+def as_parts(z) -> JointParts:
+    """A whole (H, W, D + C + M) joint tensor as parts whose features are all
+    of its columns, so ``JointParts.fill`` copies each block unchanged."""
+    z = np.asarray(z, dtype=np.float64)
+    flat = z.reshape(-1, z.shape[2])
+    return JointParts(z.shape, flat, flat[:, :0], ())

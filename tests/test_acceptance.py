@@ -199,7 +199,7 @@ def test_criterion_2_gradient_checks():
         assert_grad_close(grad, numeric, rtol=1e-4)
         instances += 1
 
-    from physeg.refiner import _backward, _forward, init_params, joint_parts
+    from physeg.refiner import _backward, _forward, assemble_joint, init_params
 
     for seed in range(4):  # full refine + total-loss composition w.r.t. parameters
         rng = np.random.default_rng(4000 + seed)
@@ -208,7 +208,7 @@ def test_criterion_2_gradient_checks():
         features = rng.normal(size=(h, w, d))
         coarse = rng.uniform(0.2, 0.8, size=(h, w, c))
         rasters = {"SAR": rng.uniform(-30.0, 0.0, size=(h, w))}
-        z = joint_parts(features, coarse, rasters, graph)
+        z = assemble_joint(features, coarse, rasters, graph)
         params = init_params(d, c, TrainConfig(seed=seed, hidden=4, residual_scale=0.2))
         params.w2 = rng.normal(scale=0.1, size=params.w2.shape)
         params.b2 = rng.normal(scale=0.05, size=params.b2.shape)

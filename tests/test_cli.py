@@ -533,6 +533,38 @@ class TestTrainRefineEval:
         assert json.loads(err)["message"] == "sigma_rel and tau_rel must be finite and > 0"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--rasters", "sar={sar}", "--available", ""]],
+        ids=["no-rasters", "none-available"],
+    )
+    def test_physical_refine_without_a_modality_exit_1(
+        self, pipeline_dir, capsys, monkeypatch, extra
+    ):
+        # physical is the default mode; without a modality it would write visual results
+        demo = pipeline_dir / "demo"
+        reads = []
+        monkeypatch.setattr(cli, "read_grid_as", lambda *args: reads.append(args))
+        out = pipeline_dir / f"no_modality_{len(extra)}"
+        code, stdout, err = run(
+            capsys,
+            "refine",
+            "--params", str(pipeline_dir / "params.psp"),
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(demo / "scene_0.features.pgrd"),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+            *(arg.format(sar=demo / "scene_0.sar.pgrd") for arg in extra),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert json.loads(err)["message"] == (
+            "refine --mode physical re-weights with at least one modality: "
+            "pass --rasters, or use --mode visual"
+        )
+        assert reads == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["refine", "train", "eval"])
     def test_repeated_raster_modality_exit_1(self, pipeline_dir, capsys, command):
         # sar= and SAR= name one modality: neither file may silently win
@@ -980,12 +1012,14 @@ def test_config_file_and_flags_set_the_same_config(pipeline_dir, tmp_path, monke
                 "--pckg", str(demo / "pckg.json"),
                 "--features", str(demo / "scene_0.features.pgrd"),
                 "--coarse", str(demo / "scene_0.coarse.pgrd"),
+                "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
                 "--out", str(tmp_path / "r"),
             ],
             "infer",
             5,
             [cli.ATTENUATION_SETTINGS],
-            AttenuationConfig(),
+            # physical mode needs a modality, so the bare run supplies SAR
+            AttenuationConfig(available=("SAR",)),
         ),
     }[command]
     values = _NON_DEFAULT[command]

@@ -317,13 +317,27 @@ class TestReweight:
     @pytest.mark.parametrize("available", [(), ("SAR",)])
     @pytest.mark.parametrize(
         "cells, count",
-        [([np.nan], 1), ([np.inf], 1), ([-np.inf, np.nan], 2), ([-1.0, -1.0, -1.0], 3)],
+        [
+            ([np.nan], 1),
+            ([np.inf], 1),
+            ([-np.inf, np.nan], 2),
+            ([-1.0, -1.0, -1.0], 3),
+            # whole score rows: a zero-sum pixel, and two whose sum 2e-13 is below DENOM_FLOOR
+            ([[0.0, 0.0]], 1),
+            ([[1e-13, 1e-13]] * 2, 2),
+        ],
     )
     def test_non_finite_or_negative_refined_cells_rejected(self, graph2, available, cells, count):
         refined = np.full((3, 3, 2), 0.5)
-        refined[0, : len(cells), 0] = cells
+        cells = np.array(cells)
+        if cells.ndim == 1:  # cells of the first class
+            refined[0, : len(cells), 0] = cells
+            message = f"^refined map has {count} non-finite or negative cells$"
+        else:  # the score rows of the first pixels
+            refined[0, : len(cells)] = cells
+            message = f"^refined map has {count} pixels whose scores sum below 1e-12$"
         rasters = {"SAR": np.full((3, 3), -10.0)}
-        with pytest.raises(ValueError, match=f"{count} non-finite or negative cells"):
+        with pytest.raises(ValueError, match=message):
             reweight(refined, rasters, graph2, AttenuationConfig(available=available))
 
 

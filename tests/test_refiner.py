@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from fdcheck import assert_grad_close, central_difference
+from oracles import as_parts, dense_joint
 
 from physeg import benchmark, losses, refiner
 from physeg.inference import AttenuationConfig, infer
@@ -83,22 +84,26 @@ class TestAssembleJoint:
         assert z.shape == (4, 4, 10)
 
     def test_no_modalities_zero_filled(self, graph3):
-        z = assemble_joint(np.ones((2, 2, 2)), np.full((2, 2, 3), 0.3), {}, graph3)
+        parts = assemble_joint(np.ones((2, 2, 2)), np.full((2, 2, 3), 0.3), {}, graph3)
+        z = dense_joint(parts)
         assert np.all(z[:, :, -3:] == 0.0)
 
     def test_single_modality_populates_its_slot(self, graph3):
         rasters = {"NDVI": np.full((2, 2), 0.5)}
-        z = assemble_joint(np.ones((2, 2, 2)), np.full((2, 2, 3), 0.3), rasters, graph3)
+        parts = assemble_joint(np.ones((2, 2, 2)), np.full((2, 2, 3), 0.3), rasters, graph3)
+        z = dense_joint(parts)
         assert np.all(z[:, :, -3] != 0.0)  # NDVI slot populated
         assert np.all(z[:, :, -2:] == 0.0)  # DEM and SAR slots zero
 
     def test_standardization_uses_graph_stats(self, graph3):
         mu, sigma = graph3.modality_stats("SAR")
         rasters = {"SAR": np.full((1, 1), mu)}
-        z = assemble_joint(np.zeros((1, 1, 1)), np.full((1, 1, 3), 0.3), rasters, graph3)
+        parts = assemble_joint(np.zeros((1, 1, 1)), np.full((1, 1, 3), 0.3), rasters, graph3)
+        z = dense_joint(parts)
         assert z[0, 0, -1] == pytest.approx(0.0, abs=1e-12)
         rasters = {"SAR": np.full((1, 1), mu + sigma)}
-        z = assemble_joint(np.zeros((1, 1, 1)), np.full((1, 1, 3), 0.3), rasters, graph3)
+        parts = assemble_joint(np.zeros((1, 1, 1)), np.full((1, 1, 3), 0.3), rasters, graph3)
+        z = dense_joint(parts)
         assert z[0, 0, -1] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch_names_input(self, graph3):
@@ -164,14 +169,14 @@ class TestRefine:
     def test_non_finite_params_rejected(self, graph3):
         params = init_params(2, 3, TrainConfig(seed=1))
         params.w1[0, 0] = np.nan
-        z = np.zeros((2, 2, 8))
+        z = as_parts(np.zeros((2, 2, 8)))
         with pytest.raises(ArithmeticError):
             refine(params, z, np.full((2, 2, 3), 0.3))
 
     def test_coarse_channels_must_match_the_head(self):
         # 5 features + 3 classes has the fused width of a head built for 4 + 4
         params = init_params(4, 4, TrainConfig(seed=1))
-        z = np.zeros((3, 3, 5 + 3 + len(MODALITIES)))
+        z = as_parts(np.zeros((3, 3, 5 + 3 + len(MODALITIES))))
         with pytest.raises(ValueError, match="3 channels but the head predicts 4 classes"):
             refine(params, z, np.full((3, 3, 3), 0.3))
 
@@ -183,10 +188,20 @@ class TestRefine:
         params = init_params(2, 3, TrainConfig(seed=5))
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
         z_absent = assemble_joint(features, coarse, {}, graph3)
-        z_zeroed = zero_phys_channels(assemble_joint(features, coarse, rasters, graph3))
+        full = dense_joint(assemble_joint(features, coarse, rasters, graph3))
+        z_zeroed = as_parts(zero_phys_channels(full))
         y_absent, _ = refine(params, z_absent, coarse)
         y_zeroed, _ = refine(params, z_zeroed, coarse)
         assert y_absent.tobytes() == y_zeroed.tobytes()
+
+    def test_a_dense_array_is_rejected_naming_assemble_joint(self, graph3):
+        rng = np.random.default_rng(5)
+        coarse = rng.uniform(0.1, 0.9, size=(3, 3, 3))
+        z = dense_joint(assemble_joint(rng.normal(size=(3, 3, 2)), coarse, {}, graph3))
+        params = init_params(2, 3, TrainConfig(seed=6))
+        message = "refine takes the scene's JointParts from assemble_joint, got ndarray"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            refine(params, z, coarse)
 
 
 def make_dataset(graph, seed=0, n=2, size=12, pairs=((1, 2),)):
@@ -331,7 +346,7 @@ def reference_train(dataset, graph, config):
     from physeg.refiner import _backward, _forward
 
     params = init_params(dataset[0].features.shape[2], graph.num_classes, config)
-    z_full = [assemble_joint(s.features, s.coarse, s.rasters, graph) for s in dataset]
+    z_full = [dense_joint(assemble_joint(s.features, s.coarse, s.rasters, graph)) for s in dataset]
     z_dropped = [zero_phys_channels(z) for z in z_full]
     drop_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 1])))
     batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 2])))
@@ -348,7 +363,7 @@ def reference_train(dataset, graph, config):
             for idx in chunk:
                 scene = dataset[idx]
                 drop = drop_rng.random() < config.modality_dropout_prob
-                z = refiner._as_parts(z_dropped[idx] if drop else z_full[idx])
+                z = as_parts(z_dropped[idx] if drop else z_full[idx])
                 y1, buffers = _forward(params, z, scene.coarse)
                 _, comps, grad_pred = total_loss(
                     y1, scene.labels, scene.features, scene.rasters, graph, config.weights
@@ -525,7 +540,7 @@ class TestBuffers:
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
 
         def parts(scene):
-            return refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
+            return assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
 
         z = parts(first)
         y1, buffers = refiner._forward(params, z, z.coarse)
@@ -544,17 +559,27 @@ class TestBuffers:
         scene = make_dataset(graph3, seed=17, n=1, size=50)[0]
         params = init_params(3, 3, TrainConfig(seed=4))
         params.w2 = np.random.default_rng(18).normal(scale=0.5, size=params.w2.shape)
-        parts = refiner.joint_parts(scene.features, scene.coarse, scene.rasters, graph3)
-        assert len(parts.rasters) == 3 and len(refiner._tiles(50 * 50)) == 2
+        parts = assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
+        tiles = refiner._tiles(50 * 50)
+        assert len(parts.rasters) == 3 and len(tiles) == 2
 
-        assembled = assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
-        got, want = refine(params, parts, scene.coarse), refine(params, assembled, scene.coarse)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for z in (parts, parts._replace(rasters=())):
+            # each block ``fill`` writes is those rows of the whole joint tensor
+            dense = dense_joint(z)
+            block = np.empty((refiner.TILE_ROWS, z.shape[2]))
+            for t in tiles:
+                rows = block[: t.stop - t.start]
+                assert z.fill(rows, t).tobytes() == dense.reshape(50 * 50, -1)[t].tobytes()
+            got = refine(params, z, scene.coarse)
+            want = refine(params, as_parts(dense), scene.coarse)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-        dropped = assemble_joint(scene.features, scene.coarse, {}, graph3)
+        # a dropped scene is the scene assembled without rasters
+        dropped = dense_joint(assemble_joint(scene.features, scene.coarse, {}, graph3))
+        assert np.all(dropped[:, :, -len(MODALITIES) :] == 0.0)
         buffers = refiner._Buffers.empty(params, 50 * 50)
         y1, _ = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
-        assert y1.tobytes() == refine(params, dropped, scene.coarse)[0].tobytes()
+        assert y1.tobytes() == refine(params, as_parts(dropped), scene.coarse)[0].tobytes()
         # the joint field holds the last block, written with zero physical columns
         last = 50 * 50 - refiner.TILE_ROWS
         tail = dropped.reshape(50 * 50, -1)[refiner.TILE_ROWS :]
@@ -714,7 +739,7 @@ class TestTiles:
     def test_refine_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, _ = self.head_case(h, w, seed=h)
         assert len(refiner._tiles(h * w)) > 1
-        y1, dy = refine(params, z, coarse)
+        y1, dy = refine(params, as_parts(z), coarse)
         want_y1, want_dy, _ = oracle_forward(params, z, coarse)
         assert y1.shape == (h, w, 4)
         assert y1.tobytes() == want_y1.tobytes()
@@ -723,7 +748,7 @@ class TestTiles:
     @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
     def test_backward_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, grad = self.head_case(h, w, seed=w)
-        parts = refiner._as_parts(z)
+        parts = as_parts(z)
         y1, buffers = refiner._forward(params, parts, coarse)
         assert len(buffers.hidden) == refiner.TILE_ROWS < h * w
         want_y1, _, want_cache = oracle_forward(params, z, coarse)
@@ -759,7 +784,7 @@ class TestComposedGradient:
             "NDVI": rng.uniform(-1, 1, size=(h, w)),
             "SAR": rng.uniform(-30, 0, size=(h, w)),
         }
-        z = refiner.joint_parts(features, coarse, rasters, graph3)
+        z = assemble_joint(features, coarse, rasters, graph3)
         config = TrainConfig(seed=seed, hidden=4, residual_scale=0.2)
         params = init_params(d, c, config)
         params.w2 = rng.normal(scale=0.1, size=params.w2.shape)
