@@ -272,8 +272,11 @@ def evaluate_rows(
     ``__main__`` guard): for a main program read from standard input this
     call raises RuntimeError before any training or worker starts.
     """
-    if seed < 0:  # the baseline row alone builds no TrainConfig to reject it
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    # built first, so a bad seed, epoch count or rate fails even with nothing to train
+    configs = {
+        phys: demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2 if phys else 0.0)
+        for phys in (False, True)
+    }
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
     ladder = LADDER[:1] if baseline_only else LADDER
@@ -286,14 +289,11 @@ def evaluate_rows(
         context = multiprocessing.get_context()
         _check_main_reimportable(context)
         receiver, sender = context.Pipe(duplex=False)
-        config = demo_train_config(seed, epochs, learning_rate, DEMO_PHYS_LAMBDA2)
-        worker = context.Process(target=_send_head, args=(sender, scenes, graph, config))
+        worker = context.Process(target=_send_head, args=(sender, scenes, graph, configs[True]))
         worker.start()
         sender.close()
         try:
-            heads[False] = train(
-                scenes, graph, demo_train_config(seed, epochs, learning_rate, 0.0)
-            )[0]
+            heads[False] = train(scenes, graph, configs[False])[0]
             phys = _receive_head(receiver, worker)
             if isinstance(phys, Exception):
                 raise phys

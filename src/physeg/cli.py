@@ -279,11 +279,11 @@ def cmd_synth(args, argv, config):
 
     if not args.pckg or not args.labels:
         raise ValueError("synth needs --pckg and --labels (or --demo)")
+    modalities = _parse_modalities(_resolve(args, config, "modalities"), default=MODALITIES)
+    if not modalities:
+        raise ValueError("synth --modalities names no modality; omit it to synthesize all of them")
     graph = load_graph(args.pckg)
     labels = read_grid_as(args.labels, "LABEL")
-    modalities = _parse_modalities(
-        _resolve(args, config, "modalities"), default=MODALITIES
-    )
     resolved["modalities"] = list(modalities)
     provenance = _provenance(argv, seed, resolved)
     rasters = synthesize_scene(labels, graph, modalities, synth_config)

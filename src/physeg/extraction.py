@@ -84,6 +84,8 @@ class ProviderConfig:
             raise ValueError("live mode needs an endpoint URL")
         if self.max_retries < 0 or self.parallelism < 1:
             raise ValueError("max_retries must be >= 0 and parallelism >= 1")
+        if not 0 < self.request_timeout < float("inf"):  # nan fails both
+            raise ValueError(f"request_timeout must be finite and > 0, got {self.request_timeout}")
 
 
 def build_prompt(vocab: str) -> str:

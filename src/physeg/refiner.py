@@ -9,15 +9,13 @@ start as the identity.  Training is plain seeded gradient descent on the
 joint objective, with per-scene modality dropout so one weight set serves
 both visual-only and visual-physical inference.
 
-The head never needs the joint tensor whole and reads it in one form.
-``assemble_joint`` checks a scene and keeps its parts (flat features, flat
-coarse map, rasters with their standardisation) as ``JointParts``; the
-forward pass writes each pixel block of the joint tensor into a buffer just
-before that block's first matmul, and every pass keeps one block of
-activations: training's backward pass runs each block's forward again before
-that block's gradient work.  A dropped scene's physical columns are written
-as zeros.  ``refine`` takes only these parts; ``train`` and
-``evaluate_losses`` build them with ``assemble_joint`` too.
+The head reads one input form, a scene's ``JointParts`` from
+``assemble_joint``: flat features, the flat coarse map it corrects, and
+rasters with their standardisation.  The forward pass writes each pixel block
+of the joint tensor into a buffer just before that block's first matmul and
+keeps one block of activations; training's backward pass runs each block's
+forward again first.  A dropped scene's physical columns are written as zeros.
+``refine``'s ``coarse`` must be the map in its parts.
 """
 
 from __future__ import annotations
@@ -248,12 +246,12 @@ class _Buffers(NamedTuple):
         )
 
 
-def _block(params: RefinerParams, z: JointParts, flat_coarse, buffers, t: slice, dy=None):
+def _block(params: RefinerParams, z: JointParts, buffers, t: slice, dy=None):
     """The head on pixel block ``t``, written into the leading rows of ``buffers``.
 
     The correction goes into ``raw``, or into ``dy[t]`` when the caller
-    passes an (N, C) ``dy``; ``raw`` then adds the coarse map.  Returns the
-    block's (joint, hidden, squash, raw) rows.
+    passes an (N, C) ``dy``; ``raw`` then adds ``z``'s coarse map.  Returns
+    the block's (joint, hidden, squash, raw) rows.
     """
     joint, hidden, squash, raw = (a[: t.stop - t.start] for a in buffers[:4])
     t_dy = raw if dy is None else dy[t]
@@ -264,31 +262,29 @@ def _block(params: RefinerParams, z: JointParts, flat_coarse, buffers, t: slice,
     squash += params.b2
     np.tanh(squash, out=squash)
     np.multiply(params.residual_scale, squash, out=t_dy)
-    np.add(t_dy, flat_coarse[t], out=raw)
+    np.add(t_dy, z.coarse[t], out=raw)
     return joint, hidden, squash, raw
 
 
-def _forward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers=None, dy=None):
+def _forward(params: RefinerParams, z: JointParts, buffers=None, dy=None):
     """The head over the joint tensor's parts ``z``, one ``_block`` at a time;
     returns (y1, buffers)."""
     h, w, _ = z.shape
-    flat_coarse = coarse.reshape(h * w, -1)
     buffers = _Buffers.empty(params, h * w) if buffers is None else buffers
     for t in buffers.tiles:
-        raw = _block(params, z, flat_coarse, buffers, t, dy)[3]
+        raw = _block(params, z, buffers, t, dy)[3]
         np.clip(raw, PROB_FLOOR, 1.0, out=buffers.y1[t])
     return buffers.y1.reshape(h, w, -1), buffers
 
 
-def _backward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers, grad_y1):
+def _backward(params: RefinerParams, z: JointParts, buffers, grad_y1):
     """Gradients of w1, b1, w2, b2 from ``grad_y1``, the loss gradient at the
-    ``y1`` of ``_forward(params, z, coarse, buffers)``.
+    ``y1`` of ``_forward(params, z, buffers)``.
 
     Each block's forward runs again just before its gradient work; a
     one-block scene uses the activations its forward left in ``buffers``.
     """
     tiles = buffers.tiles
-    flat_coarse = coarse.reshape(len(buffers.y1), -1)
     g = grad_y1.reshape(buffers.y1.shape)
     g_w1, g_b1 = np.zeros(params.w1.shape), np.zeros(params.b1.shape)
     g_w2, g_b2 = np.zeros(params.w2.shape), np.zeros(params.b2.shape)
@@ -296,7 +292,7 @@ def _backward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers,
     for t in tiles:
         # raw becomes g_dy, then g_pre2; squash and hidden become tanh'
         t_joint, t_hidden, t_squash, t_g_pre2 = (
-            buffers[:4] if len(tiles) == 1 else _block(params, z, flat_coarse, buffers, t)
+            buffers[:4] if len(tiles) == 1 else _block(params, z, buffers, t)
         )
         t_g_pre1 = g_pre1[: t.stop - t.start]
         inside = (t_g_pre2 > PROB_FLOOR) & (t_g_pre2 < 1.0)
@@ -320,44 +316,32 @@ def _backward(params: RefinerParams, z: JointParts, coarse: np.ndarray, buffers,
 def refine(params: RefinerParams, z, coarse: np.ndarray):
     """Apply the residual head: returns (refined map, correction).
 
-    ``z`` is the scene's ``JointParts`` from ``assemble_joint``; the head
-    writes the joint tensor one pixel block at a time.  Refined values are
-    clamped into [1e-6, 1] so downstream re-weighting is always well-defined.
+    ``z`` is the scene's ``JointParts`` from ``assemble_joint`` and ``coarse``
+    the coarse map it holds; the head reads that map from ``z`` and writes the
+    joint tensor one pixel block at a time.  Refined values are clamped into
+    [1e-6, 1] so downstream re-weighting is always well-defined.
     """
     if not isinstance(z, JointParts):
         raise TypeError(
             f"refine takes the scene's JointParts from assemble_joint, got {type(z).__name__}"
         )
     params.validate()
-    coarse = np.asarray(coarse, dtype=np.float64)
-    if coarse.ndim != 3 or z.shape[:2] != coarse.shape[:2]:
-        raise ValueError(
-            f"joint tensor shape {z.shape} does not align with coarse map {coarse.shape}"
-        )
-    if z.shape[2] != params.w1.shape[1]:
-        raise ValueError(
-            f"joint tensor has {z.shape[2]} channels but fusion expects {params.w1.shape[1]}"
-        )
-    if coarse.shape[2] != params.w2.shape[0]:
-        raise ValueError(
-            f"coarse map has {coarse.shape[2]} channels but the head predicts "
-            f"{params.w2.shape[0]} classes"
-        )
-    dy = np.empty(coarse.shape)
-    y1, _ = _forward(params, z, coarse, dy=dy.reshape(-1, coarse.shape[2]))
+    _check_scene(params, z, 0)
+    coarse_map = z.coarse.reshape(*z.shape[:2], -1)
+    if not np.array_equal(coarse, coarse_map):
+        raise ValueError("refine's coarse map is not the one in its parts from assemble_joint")
+    dy = np.empty(coarse_map.shape)
+    y1, _ = _forward(params, z, dy=dy.reshape(z.coarse.shape))
     return y1, dy
 
 
-def _check_scene(params: RefinerParams, parts: JointParts, graph: PriorGraph, k: int):
-    """Reject scene ``k`` unless the head fits it: the graph's class count,
-    then the scene's feature width."""
-    if params.w2.shape[0] != graph.num_classes:
-        raise ValueError(
-            f"the head predicts {params.w2.shape[0]} classes but the graph defines "
-            f"{graph.num_classes}"
-        )
-    d = parts.features.shape[1]
-    expected = params.w1.shape[1] - graph.num_classes - len(MODALITIES)
+def _check_scene(params: RefinerParams, parts: JointParts, k: int):
+    """Reject scene ``k`` unless the head fits it: its coarse channels, then
+    its feature channels."""
+    c, d = parts.coarse.shape[1], parts.features.shape[1]
+    classes, expected = params.w2.shape[0], params.w1.shape[1] - c - len(MODALITIES)
+    if c != classes:
+        raise ValueError(f"scene {k} has {c} coarse channels but the head predicts {classes} classes")
     if d != expected:
         raise ValueError(f"scene {k} has {d} feature channels but the head expects {expected}")
 
@@ -381,7 +365,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     c = graph.num_classes
     params = init_params(joints[0].features.shape[1], c, config)
     for k, z in enumerate(joints):
-        _check_scene(params, z, graph, k)
+        _check_scene(params, z, k)
     targets = [
         prepare_targets(s.labels, s.features, s.rasters, graph, z.shape[:2] + (c,))
         for s, z in zip(scenes, joints)
@@ -407,7 +391,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
             for idx in chunk:
                 drop = drop_rng.random() < config.modality_dropout_prob
                 z = dropped[idx] if drop else joints[idx]
-                y1, buffers = _forward(params, z, z.coarse, work[z.shape])
+                y1, buffers = _forward(params, z, work[z.shape])
                 total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
                     raise TrainingError(
@@ -415,7 +399,7 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                         params=last_good,
                         history=history,
                     )
-                for g, d in zip(grads, _backward(params, z, z.coarse, buffers, grad_pred)):
+                for g, d in zip(grads, _backward(params, z, buffers, grad_pred)):
                     g += d
                 for key in comps_sum:
                     comps_sum[key] += comps[key]
@@ -448,11 +432,9 @@ def evaluate_losses(params: RefinerParams, dataset, graph: PriorGraph, weights: 
     terms = []
     for k, scene in enumerate(dataset):
         z = assemble_joint(scene.features, scene.coarse, scene.rasters, graph)
-        _check_scene(params, z, graph, k)
-        y1, _ = _forward(params, z, z.coarse)
-        _, comps, _ = total_loss(
-            y1, scene.labels, scene.features, scene.rasters, graph, weights
-        )
+        _check_scene(params, z, k)
+        y1, _ = _forward(params, z)
+        _, comps, _ = total_loss(y1, scene.labels, scene.features, scene.rasters, graph, weights)
         for key in totals:
             totals[key] += comps[key]
         terms.append(comps["phys_terms"])

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from physeg.priors import MODALITIES
 from physeg.refiner import JointParts
 
 
@@ -44,9 +45,15 @@ def dense_joint(parts: JointParts) -> np.ndarray:
     return joint.reshape(parts.shape)
 
 
-def as_parts(z) -> JointParts:
-    """A whole (H, W, D + C + M) joint tensor as parts whose features are all
-    of its columns, so ``JointParts.fill`` copies each block unchanged."""
+def as_parts(z, num_classes: int) -> JointParts:
+    """A whole (H, W, D + C + M) joint tensor split into its parts.
+
+    The last M columns become rasters with ``mu = 0`` and ``sigma = 1``, so
+    ``JointParts.fill`` writes every block of ``z`` back bit for bit.
+    """
     z = np.asarray(z, dtype=np.float64)
     flat = z.reshape(-1, z.shape[2])
-    return JointParts(z.shape, flat, flat[:, :0], ())
+    phys = z.shape[2] - len(MODALITIES)
+    d = phys - num_classes
+    rasters = tuple((column, flat[:, column], 0.0, 1.0) for column in range(phys, z.shape[2]))
+    return JointParts(z.shape, flat[:, :d], flat[:, d:phys], rasters)

@@ -213,15 +213,15 @@ def test_criterion_2_gradient_checks():
         params.w2 = rng.normal(scale=0.1, size=params.w2.shape)
         params.b2 = rng.normal(scale=0.05, size=params.b2.shape)
         weights = LossWeights(alpha=0.8, lambda1=0.05, lambda2=0.4)
-        y1, buffers = _forward(params, z, coarse)
+        y1, buffers = _forward(params, z)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph, weights)
-        grads = _backward(params, z, coarse, buffers, grad_pred)
+        grads = _backward(params, z, buffers, grad_pred)
         analytic = dict(zip(("w1", "b1", "w2", "b2"), grads))
 
         def loss_with(name, value):
             trial = params.copy()
             setattr(trial, name, value)
-            y, _ = _forward(trial, z, coarse)
+            y, _ = _forward(trial, z)
             return total_loss(y, labels, features, rasters, graph, weights)[0]
 
         for name in ("w1", "b1", "w2", "b2"):

@@ -107,6 +107,28 @@ class TestPckgCommands:
         assert code == 3
         assert json.loads(err)["error"] == "TransportError"
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "-1", "0"])
+    def test_extract_bad_timeout_exit_1_before_any_request(
+        self, tmp_path, capsys, monkeypatch, timeout
+    ):
+        # a bad timeout is an input error (exit 1), not a socket failure (exit 2 or 3)
+        requests = []
+        monkeypatch.setattr("physeg.extraction._post_chat", lambda *args: requests.append(args))
+        code, out, err = run(
+            capsys,
+            "pckg", "extract",
+            "--vocab", "water",
+            "--live", "--endpoint", "http://127.0.0.1:9/v1",
+            "--retries", "0",
+            "--timeout", timeout,
+            "--out", str(tmp_path / "g.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["message"].startswith("request_timeout must be finite and > 0")
+        assert requests == []
+        assert os.listdir(tmp_path) == []
+
 
 class TestSynthCommands:
     def test_demo_writes_manifest_and_scenes(self, tmp_path, capsys):
@@ -207,6 +229,29 @@ class TestSynthCommands:
         assert code == 1
         assert stdout == ""
         assert json.loads(err)["message"] == "modality 'SAR' named more than once"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modalities", ["", " , "], ids=["empty", "blank"])
+    def test_modality_list_naming_none_exit_1(self, tmp_path, capsys, monkeypatch, modalities):
+        # an empty list would make an empty --out directory and write nothing
+        demo = tmp_path / "demo"
+        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
+        reads = []
+        monkeypatch.setattr(cli, "read_grid_as", lambda *args: reads.append(args))
+        out = tmp_path / "rasters"
+        code, stdout, err = run(
+            capsys,
+            "synth",
+            "--pckg", str(demo / "pckg.json"),
+            "--labels", str(demo / "scene_0.labels.pgrd"),
+            "--modalities", modalities,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        message = "synth --modalities names no modality; omit it to synthesize all of them"
+        assert json.loads(err)["message"] == message
+        assert reads == []
         assert not out.exists()
 
     def test_bad_labels_class_exit_1(self, tmp_path, capsys):
@@ -932,6 +977,28 @@ def test_negative_seed_exit_1_naming_seed_before_anything_is_written(
     assert code == 1
     assert out == ""
     assert json.loads(err)["message"] == f"seed must be >= 0, got {seed}"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", "-1"], "epochs and hidden width must be >= 1"),
+        (["--epochs", "0"], "epochs and hidden width must be >= 1"),
+        (["--lr", "nan"], "learning_rate must be finite and > 0"),
+        (["--lr", "-0.1"], "learning_rate must be finite and > 0"),
+    ],
+    ids=["epochs-negative", "epochs-zero", "lr-nan", "lr-negative"],
+)
+def test_baseline_only_ablate_checks_epochs_and_lr_before_anything_is_written(
+    pipeline_dir, tmp_path, capsys, flags, message
+):
+    # the baseline row trains nothing, but its provenance records both settings
+    argv = ["ablate", "--demo-dir", str(pipeline_dir / "demo"), "--baseline-only", *flags]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["message"] == message
     assert os.listdir(tmp_path) == []
 
 

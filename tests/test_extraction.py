@@ -288,3 +288,9 @@ class TestProviderConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProviderConfig(mode="cached", fixture_dir="x")
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_request_timeout_must_be_finite_and_positive(self, timeout):
+        # inf overflows the socket deadline and nan or -1 fail inside the socket
+        with pytest.raises(ValueError, match=r"^request_timeout must be finite and > 0, got "):
+            ProviderConfig(mode="live", endpoint="http://127.0.0.1:9/v1", request_timeout=timeout)

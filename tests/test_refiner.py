@@ -169,16 +169,17 @@ class TestRefine:
     def test_non_finite_params_rejected(self, graph3):
         params = init_params(2, 3, TrainConfig(seed=1))
         params.w1[0, 0] = np.nan
-        z = as_parts(np.zeros((2, 2, 8)))
+        z = as_parts(np.zeros((2, 2, 8)), 3)
         with pytest.raises(ArithmeticError):
-            refine(params, z, np.full((2, 2, 3), 0.3))
+            refine(params, z, np.zeros((2, 2, 3)))
 
     def test_coarse_channels_must_match_the_head(self):
         # 5 features + 3 classes has the fused width of a head built for 4 + 4
         params = init_params(4, 4, TrainConfig(seed=1))
-        z = as_parts(np.zeros((3, 3, 5 + 3 + len(MODALITIES))))
-        with pytest.raises(ValueError, match="3 channels but the head predicts 4 classes"):
-            refine(params, z, np.full((3, 3, 3), 0.3))
+        z = as_parts(np.zeros((3, 3, 5 + 3 + len(MODALITIES))), 3)
+        message = "scene 0 has 3 coarse channels but the head predicts 4 classes"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refine(params, z, np.zeros((3, 3, 3)))
 
     def test_zero_pad_equivalence(self, graph3):
         rng = np.random.default_rng(4)
@@ -189,7 +190,7 @@ class TestRefine:
         params.w2 = rng.normal(scale=0.5, size=params.w2.shape)
         z_absent = assemble_joint(features, coarse, {}, graph3)
         full = dense_joint(assemble_joint(features, coarse, rasters, graph3))
-        z_zeroed = as_parts(zero_phys_channels(full))
+        z_zeroed = as_parts(zero_phys_channels(full), 3)
         y_absent, _ = refine(params, z_absent, coarse)
         y_zeroed, _ = refine(params, z_zeroed, coarse)
         assert y_absent.tobytes() == y_zeroed.tobytes()
@@ -202,6 +203,20 @@ class TestRefine:
         message = "refine takes the scene's JointParts from assemble_joint, got ndarray"
         with pytest.raises(TypeError, match=f"^{message}$"):
             refine(params, z, coarse)
+
+    def test_a_coarse_map_other_than_the_one_in_its_parts_is_rejected(self, graph3):
+        # the head reads the coarse map from its parts; a different one would be ignored
+        rng = np.random.default_rng(7)
+        coarse = rng.uniform(0.1, 0.9, size=(3, 3, 3))
+        z = assemble_joint(rng.normal(size=(3, 3, 2)), coarse, {}, graph3)
+        params = init_params(2, 3, TrainConfig(seed=8))
+        other = coarse.copy()
+        other[1, 2, 0] += 0.1
+        message = "refine's coarse map is not the one in its parts from assemble_joint"
+        for bad in (other, coarse[:2], coarse[:, :, :2], coarse.reshape(9, 3)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                refine(params, z, bad)
+        assert refine(params, z, coarse.copy())[0].tobytes() == coarse.tobytes()
 
 
 def make_dataset(graph, seed=0, n=2, size=12, pairs=((1, 2),)):
@@ -320,7 +335,7 @@ class TestTrain:
         message = "scene 1 has 4 feature channels but the head expects 3"
         with pytest.raises(ValueError, match=f"^{message}$"):
             evaluate_losses(params, scenes, graph3)
-        message = "the head predicts 4 classes but the graph defines 3"
+        message = "scene 0 has 3 coarse channels but the head predicts 4 classes"
         with pytest.raises(ValueError, match=f"^{message}$"):
             evaluate_losses(init_params(2, 4, TrainConfig()), scenes[:1], graph3)
 
@@ -363,12 +378,12 @@ def reference_train(dataset, graph, config):
             for idx in chunk:
                 scene = dataset[idx]
                 drop = drop_rng.random() < config.modality_dropout_prob
-                z = as_parts(z_dropped[idx] if drop else z_full[idx])
-                y1, buffers = _forward(params, z, scene.coarse)
+                z = as_parts(z_dropped[idx] if drop else z_full[idx], graph.num_classes)
+                y1, buffers = _forward(params, z)
                 _, comps, grad_pred = total_loss(
                     y1, scene.labels, scene.features, scene.rasters, graph, config.weights
                 )
-                for acc, g in zip(grads, _backward(params, z, scene.coarse, buffers, grad_pred)):
+                for acc, g in zip(grads, _backward(params, z, buffers, grad_pred)):
                     acc += g
                 for key in sums:
                     sums[key] += comps[key]
@@ -507,8 +522,8 @@ class TestBuffers:
         sets_used = []
         real_forward = refiner._forward
 
-        def spy(params, z, coarse, buffers=None, dy=None):
-            out = real_forward(params, z, coarse, buffers, dy)
+        def spy(params, z, buffers=None, dy=None):
+            out = real_forward(params, z, buffers, dy)
             sets_used.append(out[1])
             return out
 
@@ -543,15 +558,14 @@ class TestBuffers:
             return assemble_joint(scene.features, scene.coarse, scene.rasters, graph3)
 
         z = parts(first)
-        y1, buffers = refiner._forward(params, z, z.coarse)
+        y1, buffers = refiner._forward(params, z)
         kept = [a.copy() for a in (y1, *buffers[:-1])]
-        z2 = parts(second)
-        refiner._forward(params, z2, z2.coarse)
+        refiner._forward(params, parts(second))
         assert [a.tobytes() for a in (y1, *buffers[:-1])] == [a.tobytes() for a in kept]
         grad = rng.normal(size=y1.shape)
-        grads = refiner._backward(params, z, z.coarse, buffers, grad)
-        _, fresh_buffers = refiner._forward(params, z, z.coarse)
-        fresh = refiner._backward(params, z, z.coarse, fresh_buffers, grad)
+        grads = refiner._backward(params, z, buffers, grad)
+        _, fresh_buffers = refiner._forward(params, z)
+        fresh = refiner._backward(params, z, fresh_buffers, grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh]
 
     def test_forward_on_parts_is_refine_on_the_assembled_tensor(self, graph3):
@@ -571,15 +585,15 @@ class TestBuffers:
                 rows = block[: t.stop - t.start]
                 assert z.fill(rows, t).tobytes() == dense.reshape(50 * 50, -1)[t].tobytes()
             got = refine(params, z, scene.coarse)
-            want = refine(params, as_parts(dense), scene.coarse)
+            want = refine(params, as_parts(dense, 3), scene.coarse)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
         # a dropped scene is the scene assembled without rasters
         dropped = dense_joint(assemble_joint(scene.features, scene.coarse, {}, graph3))
         assert np.all(dropped[:, :, -len(MODALITIES) :] == 0.0)
         buffers = refiner._Buffers.empty(params, 50 * 50)
-        y1, _ = refiner._forward(params, parts._replace(rasters=()), parts.coarse, buffers)
-        assert y1.tobytes() == refine(params, as_parts(dropped), scene.coarse)[0].tobytes()
+        y1, _ = refiner._forward(params, parts._replace(rasters=()), buffers)
+        assert y1.tobytes() == refine(params, as_parts(dropped, 3), scene.coarse)[0].tobytes()
         # the joint field holds the last block, written with zero physical columns
         last = 50 * 50 - refiner.TILE_ROWS
         tail = dropped.reshape(50 * 50, -1)[refiner.TILE_ROWS :]
@@ -595,7 +609,7 @@ class TestBuffers:
         real_block = refiner._block
 
         def spy(*args):
-            calls.append(args[4])
+            calls.append(args[3])
             return real_block(*args)
 
         monkeypatch.setattr(refiner, "_block", spy)
@@ -733,13 +747,14 @@ class TestTiles:
         # cells clip at both ends, so the backward mask matters
         coarse = rng.uniform(-0.2, 1.2, size=(h, w, c))
         z = rng.normal(size=(h, w, d + c + len(MODALITIES)))
+        z[:, :, d : d + c] = coarse
         return params, z, coarse, rng.normal(size=(h, w, c))
 
     @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
     def test_refine_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, _ = self.head_case(h, w, seed=h)
         assert len(refiner._tiles(h * w)) > 1
-        y1, dy = refine(params, as_parts(z), coarse)
+        y1, dy = refine(params, as_parts(z, 4), coarse)
         want_y1, want_dy, _ = oracle_forward(params, z, coarse)
         assert y1.shape == (h, w, 4)
         assert y1.tobytes() == want_y1.tobytes()
@@ -748,12 +763,12 @@ class TestTiles:
     @pytest.mark.parametrize("h, w", [(97, 100), (70, 130)])
     def test_backward_is_bitwise_the_full_array_pass(self, h, w):
         params, z, coarse, grad = self.head_case(h, w, seed=w)
-        parts = as_parts(z)
-        y1, buffers = refiner._forward(params, parts, coarse)
+        parts = as_parts(z, 4)
+        y1, buffers = refiner._forward(params, parts)
         assert len(buffers.hidden) == refiner.TILE_ROWS < h * w
         want_y1, _, want_cache = oracle_forward(params, z, coarse)
         assert y1.tobytes() == want_y1.tobytes()
-        grads = refiner._backward(params, parts, coarse, buffers, grad)
+        grads = refiner._backward(params, parts, buffers, grad)
         want = oracle_backward(params, want_cache, grad)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
@@ -793,14 +808,14 @@ class TestComposedGradient:
 
         from physeg.refiner import _backward, _forward
 
-        y1, buffers = _forward(params, z, coarse)
+        y1, buffers = _forward(params, z)
         _, _, grad_pred = total_loss(y1, labels, features, rasters, graph3, weights)
-        g_w1, g_b1, g_w2, g_b2 = _backward(params, z, coarse, buffers, grad_pred)
+        g_w1, g_b1, g_w2, g_b2 = _backward(params, z, buffers, grad_pred)
 
         def loss_for(theta_name, theta_value):
             trial = params.copy()
             setattr(trial, theta_name, theta_value)
-            y, _ = _forward(trial, z, coarse)
+            y, _ = _forward(trial, z)
             return total_loss(y, labels, features, rasters, graph3, weights)[0]
 
         for name, analytic in (("w1", g_w1), ("b1", g_b1), ("w2", g_w2), ("b2", g_b2)):
