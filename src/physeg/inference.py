@@ -9,8 +9,8 @@ renormalized (visual-only mode).  Every pixel whose argmax label changes is
 recorded in a trace carrying distances, attenuations and the knowledge-graph
 reasoning for the classes involved.  The trace is kept as columns: int lists
 for pixels and labels, float64 arrays for each modality's values, distances
-and scores.  Per-flip record dicts are built only when ``trace.flips`` is
-read, and ``to_jsonl`` encodes the columns straight to the bytes a
+and scores.  ``trace.flips`` is a view that builds each record dict when read
+and keeps none.  ``to_jsonl`` encodes the columns straight to the bytes a
 per-record ``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
 writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
 each, so only one slice's text is alive at a time and a wrapper around
@@ -29,8 +29,8 @@ no per-modality grid is kept.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,7 +40,7 @@ from .refiner import RefinerParams, assemble_joint, refine
 
 DENOM_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-3  # modality units; guards zero-width intervals
-JSONL_CHUNK = 1024  # flip records per ``to_jsonl`` slice in ``write_jsonl``
+JSONL_CHUNK = 1024  # flips per ``write_jsonl`` slice and per column slice of ``iter(flips)``
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,59 @@ def _json_numbers(column) -> list[str]:
     return text
 
 
+class FlipView(Sequence):
+    """A trace's flips as record dicts, each built when read and never kept.
+
+    ``len`` and truth build nothing, and iteration streams ``JSONL_CHUNK``-flip
+    column slices; ``==`` and ``repr`` are the list's.
+    """
+
+    def __init__(self, trace: RefinementTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self._records(k))
+        k = range(len(self))[k]  # IndexError past either end
+        return next(self._records(slice(k, k + 1)))
+
+    def __iter__(self):
+        for start in range(0, len(self), JSONL_CHUNK):
+            yield from self._records(slice(start, start + JSONL_CHUNK))
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _records(self, rows: slice):
+        """One dict per flip in ``rows``: pixel, both labels and classes, per-modality values."""
+        t = self._trace
+        per_modality = {
+            name: list(zip(*(cols[f][rows].tolist() for f in FLIP_FIELDS)))
+            for name, cols in t.modalities.items()
+        }
+        flips = zip(t.ys[rows], t.xs[rows], t.pre_labels[rows], t.post_labels[rows])
+        for k, (y, x, pre, post) in enumerate(flips):
+            yield {
+                "y": y,
+                "x": x,
+                "pre_label": pre,
+                "post_label": post,
+                "pre_category": t.classes[pre][0],
+                "post_category": t.classes[post][0],
+                "modalities": {
+                    name: dict(zip(FLIP_FIELDS, values[k])) for name, values in per_modality.items()
+                },
+                "pre_reasoning": t.classes[pre][1],
+                "post_reasoning": t.classes[post][1],
+            }
+
+
 @dataclass
 class RefinementTrace:
     """Argmax flips caused by re-weighting, stored as columns, plus warnings.
@@ -88,8 +141,8 @@ class RefinementTrace:
     ``ys``, ``xs``, ``pre_labels`` and ``post_labels`` hold one entry per flip.
     ``modalities`` maps each modality, in ``config.available`` order, to its
     ``FLIP_FIELDS`` columns (float64 arrays); ``classes`` maps every class id
-    a flip names to its (category, reasoning).  ``flips`` builds one record
-    dict per flip on first read and keeps it; ``len(trace)`` is the flip count.
+    a flip names to its (category, reasoning).  ``flips`` is a ``FlipView``,
+    whose records are built when read and never kept; ``len(trace)`` is the flip count.
     """
 
     ys: list = field(default_factory=list)
@@ -103,30 +156,7 @@ class RefinementTrace:
     def __len__(self) -> int:
         return len(self.ys)
 
-    @cached_property
-    def flips(self) -> list:
-        """One dict per flip: pixel, both labels and classes, per-modality values."""
-        per_modality = {
-            name: list(zip(*(cols[f].tolist() for f in FLIP_FIELDS)))
-            for name, cols in self.modalities.items()
-        }
-        flips = zip(self.ys, self.xs, self.pre_labels, self.post_labels)
-        return [
-            {
-                "y": y,
-                "x": x,
-                "pre_label": pre,
-                "post_label": post,
-                "pre_category": self.classes[pre][0],
-                "post_category": self.classes[post][0],
-                "modalities": {
-                    name: dict(zip(FLIP_FIELDS, rows[k])) for name, rows in per_modality.items()
-                },
-                "pre_reasoning": self.classes[pre][1],
-                "post_reasoning": self.classes[post][1],
-            }
-            for k, (y, x, pre, post) in enumerate(flips)
-        ]
+    flips = property(FlipView)
 
     def to_jsonl(self, start: int = 0, stop: int | None = None) -> str:
         """``json.dumps(record, sort_keys=True)`` per flip in [start, stop), one a line,

@@ -62,7 +62,7 @@ class _Labels(NamedTuple):
     """Labeled pixels of a ground-truth mask as flat row-major pixel indices."""
 
     pixels: np.ndarray  # (N,) flat indices of the labeled pixels
-    channels: np.ndarray  # (N,) their class channel (label - 1)
+    cells: np.ndarray  # (N,) flat (H, W, C) index of each one's class: pixel * C + label - 1
     classes: tuple  # (channel, mask over ``pixels``, pixel count) per present class
 
 
@@ -115,7 +115,7 @@ def _label_targets(gt, num_classes: int) -> _Labels:
     for ch in np.unique(channels):
         in_class = channels == ch
         classes.append((int(ch), in_class, int(in_class.sum())))
-    return _Labels(pixels, channels, tuple(classes))
+    return _Labels(pixels, pixels * num_classes + channels, tuple(classes))
 
 
 def _raster_targets(grids, graph: PriorGraph, num_classes: int) -> tuple:
@@ -169,12 +169,12 @@ def seg_loss(pred, targets: LossTargets, alpha: float):
     flat_pred = pred.reshape(h * w, c)
     flat_grad = grad.reshape(h * w, c)
 
-    p_true = flat_pred[labels.pixels, labels.channels]
+    p_true = pred.take(labels.cells)
     clipped = np.clip(p_true, CLAMP_EPS, 1.0 - CLAMP_EPS)
     ce = float(-np.log(clipped).mean())
     interior = (p_true > CLAMP_EPS) & (p_true < 1.0 - CLAMP_EPS)
     # labeled pixels are distinct, so one assignment is the whole accumulation
-    flat_grad[labels.pixels, labels.channels] = np.where(interior, -1.0 / (n_lab * clipped), 0.0)
+    grad.reshape(-1)[labels.cells] = np.where(interior, -1.0 / (n_lab * clipped), 0.0)
 
     dice_value = 0.0
     if alpha != 0.0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -233,7 +234,7 @@ class TestReweight:
         _, _, trace = reweight(refined, {"SAR": sar}, graph2, config)
         assert refined.tobytes() == before.tobytes()
         assert len(trace) >= 8 and len(trace.warnings) >= 8
-        records = trace.flips + [{"warning": msg} for msg in trace.warnings]
+        records = list(trace.flips) + [{"warning": msg} for msg in trace.warnings]
         assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         assert_chunks_join_to_the_whole(trace)
         assert_chunks_join_to_the_whole(RefinementTrace(warnings=trace.warnings))
@@ -501,8 +502,10 @@ def test_trace_matches_per_pixel_reference():
     assert len(expected) >= 5
     assert len(trace) == len(expected)
     assert trace.flips == expected
-    assert json.dumps(trace.flips) == json.dumps(expected)  # the same key order too
-    assert trace.flips is trace.flips  # built once, then kept
+    assert json.dumps(list(trace.flips)) == json.dumps(expected)  # the same key order too
+    # reading every record kept none: the trace holds only its columns, the view only the trace
+    assert vars(trace).keys() == {f.name for f in dataclasses.fields(trace)}
+    assert vars(trace.flips) == {"_trace": trace}
     assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
     assert_chunks_join_to_the_whole(trace)
 
@@ -510,6 +513,63 @@ def test_trace_matches_per_pixel_reference():
 def test_trace_jsonl_empty():
     assert RefinementTrace().to_jsonl() == ""
     assert_chunks_join_to_the_whole(RefinementTrace())
+
+
+class TestFlipView:
+    @pytest.fixture
+    def trace(self, graph4):
+        # 64 x 64, all three modalities, random scores and rasters: a few thousand flips
+        rng = np.random.default_rng(47)
+        h = w = 64
+        refined = rng.uniform(1e-6, 1.0, size=(h, w, 4))
+        rasters = {
+            "NDVI": rng.uniform(-1.0, 0.7, size=(h, w)),
+            "DEM": rng.uniform(0.0, 200.0, size=(h, w)),
+            "SAR": rng.uniform(-30.0, 2.0, size=(h, w)),
+        }
+        trace = reweight(refined, rasters, graph4, AttenuationConfig(available=MODALITIES))[2]
+        assert len(trace) > 2 * inference.JSONL_CHUNK  # iteration crosses column slices
+        return trace
+
+    def test_count_truth_and_one_record_build_only_what_is_read(self, trace):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count, truth, last = len(trace.flips), bool(trace.flips), trace.flips[-1]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (count, truth) == (len(trace), True)
+        assert last == list(trace.flips)[len(trace) - 1]
+        # one record's dicts; the list of every record takes several MB
+        assert peak < 8 * 1024
+        assert not RefinementTrace().flips and len(RefinementTrace().flips) == 0
+
+    def test_reads_match_the_list_of_records(self, trace):
+        records = list(trace.flips)
+        n = len(records)
+        for k in (0, 1, inference.JSONL_CHUNK, n - 1, -1, -n):
+            assert trace.flips[k] == records[k]
+        assert trace.flips[np.int64(3)] == records[3]
+        for k in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                trace.flips[k]
+        for rows in (
+            slice(None),
+            slice(5, 17),
+            slice(-9, None),
+            slice(None, None, -1),
+            slice(3, n, 700),
+            slice(n, n + 5),
+            slice(-3, 2),
+        ):
+            assert trace.flips[rows] == records[rows]
+        assert [trace.flips[k] for k in range(n)] == records  # indexing agrees with iteration
+        assert list(reversed(trace.flips)) == records[::-1]
+        assert trace.flips == records and records == trace.flips
+        assert trace.flips != records[:-1] and trace.flips != records + [{}]
+        assert trace.flips == trace.flips
+        assert repr(trace.flips) == repr(records)
 
 
 _NUMBERS = st.one_of(
@@ -554,7 +614,7 @@ def _columnar_traces(draw):
 @settings(max_examples=150, deadline=None)
 @given(_columnar_traces())
 def test_to_jsonl_is_json_dumps_of_each_record_property(trace):
-    records = trace.flips + [{"warning": msg} for msg in trace.warnings]
+    records = list(trace.flips) + [{"warning": msg} for msg in trace.warnings]
     assert len(trace) == len(trace.flips)
     assert trace.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     assert_chunks_join_to_the_whole(trace)
