@@ -159,8 +159,17 @@ def build_demo(
 
 def load_manifest(demo_dir):
     """Load a demo directory back into (graph, scenes, manifest)."""
-    with open(os.path.join(demo_dir, MANIFEST_NAME), encoding="utf-8") as fh:
+    path = os.path.join(demo_dir, MANIFEST_NAME)
+    with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("scenes"), list)
+        and isinstance(manifest.get("pckg"), str)
+    ):
+        raise ValueError(
+            f"{path}: manifest must be a JSON object with a 'scenes' list and a 'pckg' string"
+        )
     graph = load_graph(os.path.join(demo_dir, manifest["pckg"]))
     scenes = []
     for names in manifest["scenes"]:

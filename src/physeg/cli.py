@@ -390,6 +390,8 @@ def cmd_eval(args, argv, config):
     both = args.synthetic and args.reference
     mode = ("with" if both else "without both") + " --synthetic and --reference"
     _check_mode("eval", args, config, mode)
+    modality = (args.modality or "SAR").upper()
+    modality_order([modality])  # an unknown name fails before any file is read
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")
@@ -405,7 +407,6 @@ def cmd_eval(args, argv, config):
             "per_class": {str(k): v for k, v in breakdown.items()},
         }
     if both:
-        modality = (args.modality or "SAR").upper()
         grids = []
         for path in (args.synthetic, args.reference):
             grid = read_grid_as(path, modality)

@@ -1,9 +1,10 @@
 """ASCII grid and parameter files.
 
 Grid format (PGRD): line 1 is ``PGRD <KIND> <H> <W> [<C>]`` where KIND is a
-modality (NDVI/DEM/SAR), LABEL, PROB or FEAT.  Values follow row-major, one
-row per line; PROB/FEAT store C planes sequentially (plane c = channel c).
-Floats are written with repr so files are byte-stable and round-trip exactly.
+modality (NDVI/DEM/SAR), LABEL, PROB or FEAT, and every dimension is >= 1.
+Values follow row-major, one row per line; PROB/FEAT store C planes
+sequentially (plane c = channel c).  Floats are written with repr so files
+are byte-stable and round-trip exactly.
 
 Parameter format (PSPARAMS): header ``PSPARAMS v1 <D> <C> <M> <H>`` followed
 by the fusion matrix, fusion bias, head matrix, head bias and residual scale,
@@ -107,6 +108,8 @@ def _grid_layout(path, head: list[str]) -> tuple[str, int, int, int]:
         dims = [int(t) for t in head[2:]]
     except ValueError as exc:
         raise GridFormatError(f"{path}: non-integer dimension in header") from exc
+    if min(dims) < 1:
+        raise GridFormatError(f"{path}: header dimensions must be >= 1, got {' '.join(head[2:])}")
     return kind, dims[0], dims[1], dims[2] if planar else 1
 
 

@@ -3,16 +3,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import tracemalloc
 
+import cli_rejections
 import numpy as np
 import pytest
 
 from physeg import cli
 from physeg.cli import main
 from physeg.extraction import ProviderConfig
-from physeg.gridio import read_grid_as, write_grid
+from physeg.gridio import read_grid_as
 from physeg.inference import FLIP_FIELDS, AttenuationConfig, RefinementTrace
 from physeg.priors import load_graph
 from physeg.refiner import TrainConfig
@@ -35,47 +35,20 @@ def dir_bytes(root):
     return table
 
 
-VALID_ENTRY = {
-    "Category": "water",
-    "Meaning": "open water",
-    "Modifier Analysis": "none",
-    "Coarse Class": "water",
-    "NDVI Range": [-0.50, 0.10],
-    "DEM Range": [0.00, 50.00],
-    "SAR Range": [-25.00, -15.00],
-    "Reasoning": "radar mirrors away",
-}
-
-
 class TestPckgCommands:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps([VALID_ENTRY]))
+        path.write_text(json.dumps([cli_rejections.VALID_ENTRY]))
         code, out, _ = run(capsys, "pckg", "validate", "--pckg", str(path))
         assert code == 0
         assert json.loads(out)["valid"] is True
-
-    def test_validate_inverted_interval_exit_1(self, tmp_path, capsys):
-        bad = dict(VALID_ENTRY, **{"NDVI Range": [0.6, 0.2]})
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps([bad]))
-        code, _, err = run(capsys, "pckg", "validate", "--pckg", str(path))
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == "PriorValidationError"
-        assert "water" in payload["message"]
-        assert "NDVI Range" in payload["message"]
-
-    def test_validate_missing_file_exit_1(self, tmp_path, capsys):
-        code, _, err = run(capsys, "pckg", "validate", "--pckg", str(tmp_path / "nope.json"))
-        assert code == 1
 
     def test_extract_fixture_mode(self, tmp_path, capsys):
         fixtures = tmp_path / "fx"
         fixtures.mkdir()
         terms = ["water", "bare soil", "urban park", "forest", "road"]
         for term in terms:
-            obj = dict(VALID_ENTRY, Category=term)
+            obj = dict(cli_rejections.VALID_ENTRY, Category=term)
             name = term.replace(" ", "%20") + ".json"
             (fixtures / name).write_text(json.dumps(obj))
         out_graph = tmp_path / "graph.json"
@@ -93,42 +66,6 @@ class TestPckgCommands:
         graph = load_graph(out_graph)
         assert graph.num_classes == 5
         assert json.loads(report.read_text())["succeeded"] == 5
-
-    def test_extract_missing_fixture_exit_3(self, tmp_path, capsys):
-        fixtures = tmp_path / "fx"
-        fixtures.mkdir()
-        code, _, err = run(
-            capsys,
-            "pckg", "extract",
-            "--vocab", "water",
-            "--fixtures", str(fixtures),
-            "--out", str(tmp_path / "g.json"),
-        )
-        assert code == 3
-        assert json.loads(err)["error"] == "TransportError"
-
-    @pytest.mark.parametrize("timeout", ["inf", "nan", "-1", "0"])
-    def test_extract_bad_timeout_exit_1_before_any_request(
-        self, tmp_path, capsys, monkeypatch, timeout
-    ):
-        # a bad timeout is an input error (exit 1), not a socket failure (exit 2 or 3)
-        requests = []
-        monkeypatch.setattr("physeg.extraction._post_chat", lambda *args: requests.append(args))
-        code, out, err = run(
-            capsys,
-            "pckg", "extract",
-            "--vocab", "water",
-            "--live", "--endpoint", "http://127.0.0.1:9/v1",
-            "--retries", "0",
-            "--timeout", timeout,
-            "--out", str(tmp_path / "g.json"),
-        )
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["message"].startswith("request_timeout must be finite and > 0")
-        assert requests == []
-        assert os.listdir(tmp_path) == []
-
 
 class TestSynthCommands:
     def test_demo_writes_manifest_and_scenes(self, tmp_path, capsys):
@@ -149,47 +86,6 @@ class TestSynthCommands:
         for name in bytes_a:
             if name != "manifest.json":
                 assert bytes_a[name] == bytes_b[name], name
-
-    @pytest.mark.parametrize(
-        "flags, config, unused",
-        [
-            (["--noise", "uniform"], {}, "--noise"),
-            (["--smoothing", "3"], {}, "--smoothing"),
-            (["--modalities", "SAR"], {}, "--modalities"),
-            (["--pckg", "missing.json", "--labels", "missing.pgrd"], {}, "--pckg, --labels"),
-            ([], {"noise": "uniform", "smoothing": 3}, "--noise, --smoothing"),
-            ([], {"modalities": "SAR", "seed": 2}, "--modalities"),
-        ],
-        ids=["noise", "smoothing", "modalities", "pckg-labels", "config-noise-smoothing", "config-modalities"],
-    )
-    def test_demo_rejects_mask_settings(self, tmp_path, capsys, flags, config, unused):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv = ["synth", "--demo", "--out", str(tmp_path / "demo"), "--config", str(path)]
-        code, out, err = run(capsys, *argv, *flags)
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["message"] == f"synth --demo does not use {unused}"
-        assert not (tmp_path / "demo").exists()
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--scenes", "-2", "scenes must be >= 1, got -2"),
-            ("--scenes", "0", "scenes must be >= 1, got 0"),
-            ("--size", "0", "size must be >= 8 (one 8x8 class tile), got 0"),
-            ("--size", "-8", "size must be >= 8 (one 8x8 class tile), got -8"),
-            ("--size", "7", "size must be >= 8 (one 8x8 class tile), got 7"),
-        ],
-    )
-    def test_demo_rejects_an_empty_benchmark(self, tmp_path, capsys, flag, value, message):
-        # a demo needs a scene and one 8x8 class tile; the message names the setting
-        out = tmp_path / "demo"
-        code, stdout, err = run(capsys, "synth", "--demo", flag, value, "--out", str(out))
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == message
-        assert not out.exists()
 
     def test_synth_from_mask(self, tmp_path, capsys):
         demo = tmp_path / "demo"
@@ -213,107 +109,6 @@ class TestSynthCommands:
             vals = sar[labels == cid]
             assert vals.min() >= iv.lo and vals.max() <= iv.hi
         assert not (out / "dem.pgrd").exists()
-
-    def test_repeated_modality_exit_1(self, tmp_path, capsys):
-        demo = tmp_path / "demo"
-        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
-        out = tmp_path / "rasters"
-        code, stdout, err = run(
-            capsys,
-            "synth",
-            "--pckg", str(demo / "pckg.json"),
-            "--labels", str(demo / "scene_0.labels.pgrd"),
-            "--modalities", "SAR,SAR",
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == "modality 'SAR' named more than once"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("modalities", ["", " , "], ids=["empty", "blank"])
-    def test_modality_list_naming_none_exit_1(self, tmp_path, capsys, monkeypatch, modalities):
-        # an empty list would make an empty --out directory and write nothing
-        demo = tmp_path / "demo"
-        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
-        reads = []
-        monkeypatch.setattr(cli, "read_grid_as", lambda *args: reads.append(args))
-        out = tmp_path / "rasters"
-        code, stdout, err = run(
-            capsys,
-            "synth",
-            "--pckg", str(demo / "pckg.json"),
-            "--labels", str(demo / "scene_0.labels.pgrd"),
-            "--modalities", modalities,
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        message = "synth --modalities names no modality; omit it to synthesize all of them"
-        assert json.loads(err)["message"] == message
-        assert reads == []
-        assert not out.exists()
-
-    def test_bad_labels_class_exit_1(self, tmp_path, capsys):
-        demo = tmp_path / "demo"
-        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
-        bad = np.full((4, 4), 9, dtype=np.int32)
-        write_grid(tmp_path / "bad.pgrd", "LABEL", bad)
-        code, _, err = run(
-            capsys,
-            "synth",
-            "--pckg", str(demo / "pckg.json"),
-            "--labels", str(tmp_path / "bad.pgrd"),
-            "--out", str(tmp_path / "x"),
-        )
-        assert code == 1
-        assert "9" in json.loads(err)["message"]
-        assert not (tmp_path / "x").exists()
-
-    def test_non_ascii_labels_exit_1_naming_file(self, tmp_path, capsys):
-        demo = tmp_path / "demo"
-        run(capsys, "synth", "--demo", "--out", str(demo), "--seed", "0")
-        labels = tmp_path / "labels.pgrd"
-        labels.write_bytes("PGRD LABEL 1 2\n1 \u00e9\n".encode("utf-8"))
-        code, _, err = run(
-            capsys,
-            "synth",
-            "--pckg", str(demo / "pckg.json"),
-            "--labels", str(labels),
-            "--out", str(tmp_path / "x"),
-        )
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == "GridFormatError"
-        assert str(labels) in payload["message"]
-
-    @pytest.mark.parametrize(
-        "document, error",
-        [
-            ("", "PriorParseError"),
-            ("not json", "PriorParseError"),
-            ("\u00e9", "PriorParseError"),
-            (json.dumps([{"Category": "water"}]), "PriorSchemaError"),
-            (json.dumps([dict(VALID_ENTRY, **{"NDVI Range": [0.6, 0.2]})]), "PriorValidationError"),
-        ],
-        ids=["", "not json", "\u00e9", "missing field", "inverted interval"],
-    )
-    def test_unreadable_graph_exit_1_naming_file(self, tmp_path, capsys, document, error):
-        graph = tmp_path / "graph.json"
-        graph.write_bytes(document.encode("latin-1"))
-        write_grid(tmp_path / "labels.pgrd", "LABEL", np.ones((2, 2), dtype=np.int32))
-        code, _, err = run(
-            capsys,
-            "synth",
-            "--pckg", str(graph),
-            "--labels", str(tmp_path / "labels.pgrd"),
-            "--out", str(tmp_path / "x"),
-        )
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == error
-        assert str(graph) in payload["message"]
-
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -474,237 +269,6 @@ class TestTrainRefineEval:
         # whole-trace text, its lines and its UTF-8 copy are never alive at once
         assert peak < text_length / 2
 
-    def test_unknown_raster_modality_exit_1(self, pipeline_dir, capsys):
-        demo = pipeline_dir / "demo"
-        code, _, err = run(
-            capsys,
-            "refine",
-            "--params", str(pipeline_dir / "params.psp"),
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(demo / "scene_0.features.pgrd"),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-            "--rasters", "lst=whatever.pgrd",
-            "--out", str(pipeline_dir / "zz"),
-        )
-        assert code == 1
-        assert "lst" in json.loads(err)["message"]
-
-    def test_repeated_available_modality_exit_1(self, pipeline_dir, capsys):
-        demo = pipeline_dir / "demo"
-        out = pipeline_dir / "sar_twice"
-        code, stdout, err = run(
-            capsys,
-            "refine",
-            "--params", str(pipeline_dir / "params.psp"),
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(demo / "scene_0.features.pgrd"),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
-            "--available", "SAR,SAR",
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == "modality 'SAR' named more than once"
-        assert not out.exists()
-
-    def test_negative_batch_size_exit_1(self, pipeline_dir, capsys):
-        # a negative batch made range(0, n, batch) empty: zero steps, an untrained head
-        out = pipeline_dir / "negative_batch.psp"
-        code, stdout, err = run(
-            capsys,
-            "train",
-            "--manifest", str(pipeline_dir / "demo" / "manifest.json"),
-            "--epochs", "3",
-            "--batch-size", "-2",
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == "batch_size must be >= 0 (0 = full batch)"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--lr", "nan"), ("--lr", "inf"), ("--residual-scale", "nan"), ("--alpha", "nan"),
-         ("--lambda2", "inf")],
-    )
-    def test_non_finite_train_setting_exit_1(self, pipeline_dir, capsys, monkeypatch, flag, value):
-        # nan and inf pass an `x <= 0` test; they must not reach training and fail
-        # there as "... became non-finite" (exit 2)
-        steps = []
-        monkeypatch.setattr("physeg.refiner.loss_step", lambda *args: steps.append(args))
-        out = pipeline_dir / f"non_finite{flag}_{value}.psp"
-        code, stdout, err = run(
-            capsys,
-            "train",
-            "--manifest", str(pipeline_dir / "demo" / "manifest.json"),
-            "--epochs", "3",
-            flag, value,
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == {
-            "--lr": "learning_rate must be finite and > 0",
-            "--residual-scale": "residual_scale must be finite",
-            "--alpha": "loss weights must be finite and non-negative",
-            "--lambda2": "loss weights must be finite and non-negative",
-        }[flag]
-        assert steps == []
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value", [("--sigma-rel", "nan"), ("--sigma-rel", "inf"), ("--tau-rel", "nan")]
-    )
-    def test_non_finite_attenuation_setting_exit_1(self, pipeline_dir, capsys, flag, value):
-        # nan would write NaN probabilities and inf would flip nothing
-        demo = pipeline_dir / "demo"
-        out = pipeline_dir / f"non_finite{flag}_{value}"
-        code, stdout, err = run(
-            capsys,
-            "refine",
-            "--params", str(pipeline_dir / "params.psp"),
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(demo / "scene_0.features.pgrd"),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
-            "--mode", "physical",
-            flag, value,
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == "sigma_rel and tau_rel must be finite and > 0"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "extra",
-        [[], ["--rasters", "sar={sar}", "--available", ""]],
-        ids=["no-rasters", "none-available"],
-    )
-    def test_physical_refine_without_a_modality_exit_1(
-        self, pipeline_dir, capsys, monkeypatch, extra
-    ):
-        # physical is the default mode; without a modality it would write visual results
-        demo = pipeline_dir / "demo"
-        reads = []
-        monkeypatch.setattr(cli, "read_grid_as", lambda *args: reads.append(args))
-        out = pipeline_dir / f"no_modality_{len(extra)}"
-        code, stdout, err = run(
-            capsys,
-            "refine",
-            "--params", str(pipeline_dir / "params.psp"),
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(demo / "scene_0.features.pgrd"),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-            *(arg.format(sar=demo / "scene_0.sar.pgrd") for arg in extra),
-            "--out", str(out),
-        )
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == (
-            "refine --mode physical re-weights with at least one modality: "
-            "pass --rasters, or use --mode visual"
-        )
-        assert reads == []
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["refine", "train", "eval"])
-    def test_repeated_raster_modality_exit_1(self, pipeline_dir, capsys, command):
-        # sar= and SAR= name one modality: neither file may silently win
-        demo = pipeline_dir / "demo"
-        raw = f"sar={demo / 'scene_0.sar.pgrd'},SAR={demo / 'scene_0.sar.pgrd'}"
-        labels = str(demo / "scene_0.labels.pgrd")
-        scene = [
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(demo / "scene_0.features.pgrd"),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-        ]
-        argv = {
-            "refine": ["refine", "--params", str(pipeline_dir / "params.psp"), *scene],
-            "train": ["train", "--labels", labels, *scene],
-            "eval": ["eval", "--pckg", str(demo / "pckg.json"), "--pred", labels, "--gt", labels],
-        }[command]
-        out = pipeline_dir / f"sar_twice_{command}"
-        code, stdout, err = run(capsys, *argv, "--rasters", raw, "--out", str(out))
-        assert code == 1
-        assert stdout == ""
-        assert json.loads(err)["message"] == (
-            f"raster argument {raw!r}: modality 'SAR' named more than once"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize("bad_input", ["params", "features"])
-    def test_non_finite_input_exit_1(self, pipeline_dir, capsys, bad_input):
-        demo = pipeline_dir / "demo"
-        paths = {"params": pipeline_dir / "params.psp", "features": demo / "scene_0.features.pgrd"}
-        lines = paths[bad_input].read_text().splitlines()
-        lines[1] = "nan " + lines[1].split(" ", 1)[1]  # first value after the header
-        bad = pipeline_dir / f"nan_{paths[bad_input].name}"
-        bad.write_text("\n".join(lines) + "\n")
-        paths[bad_input] = bad
-        out = pipeline_dir / f"nan_{bad_input}_out"
-        code, _, err = run(
-            capsys,
-            "refine",
-            "--params", str(paths["params"]),
-            "--pckg", str(demo / "pckg.json"),
-            "--features", str(paths["features"]),
-            "--coarse", str(demo / "scene_0.coarse.pgrd"),
-            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
-            "--out", str(out),
-        )
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["error"] == "GridFormatError"
-        assert str(bad) in payload["message"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command", ["refine", "train", "ablate", "eval-rasters", "eval-synthetic-reference"]
-    )
-    def test_non_finite_raster_exit_1(self, pipeline_dir, capsys, command):
-        # a raster may hold nan on disk, but no stage may compute with it
-        demo = pipeline_dir / "demo"
-        bad_demo = pipeline_dir / f"nan_raster_{command}_demo"
-        shutil.copytree(demo, bad_demo)
-        sar = read_grid_as(demo / "scene_0.sar.pgrd", "SAR")
-        sar[:, 16] = np.nan
-        write_grid(bad_demo / "scene_0.sar.pgrd", "SAR", sar)
-        scene = [
-            "--pckg", str(bad_demo / "pckg.json"),
-            "--features", str(bad_demo / "scene_0.features.pgrd"),
-            "--coarse", str(bad_demo / "scene_0.coarse.pgrd"),
-            "--rasters", f"sar={bad_demo / 'scene_0.sar.pgrd'}",
-        ]
-        labels = str(bad_demo / "scene_0.labels.pgrd")
-        masks = ["eval", "--pckg", str(bad_demo / "pckg.json"), "--pred", labels, "--gt", labels]
-        out = pipeline_dir / f"nan_raster_{command}_out"
-        argv = {
-            "refine": ["refine", "--params", str(pipeline_dir / "params.psp"), *scene],
-            "train": ["train", "--labels", str(bad_demo / "scene_0.labels.pgrd"), *scene],
-            "ablate": ["ablate", "--demo-dir", str(bad_demo), "--epochs", "2"],
-            "eval-rasters": [*masks, "--rasters", f"sar={bad_demo / 'scene_0.sar.pgrd'}"],
-            "eval-synthetic-reference": [
-                *masks,
-                "--synthetic", str(demo / "scene_0.sar.pgrd"),
-                "--reference", str(bad_demo / "scene_0.sar.pgrd"),
-            ],
-        }[command]
-        message = "raster 'SAR' has 32 non-finite cells"
-        if command == "eval-synthetic-reference":
-            # both files are read as SAR; the message names the bad one
-            message = f"{bad_demo / 'scene_0.sar.pgrd'}: {message}"
-        code, stdout, err = run(capsys, *argv, "--out", str(out))
-        assert code == 1
-        assert stdout == ""
-        payload = json.loads(err)
-        assert payload["error"] == "ValueError"
-        assert payload["message"] == message
-        assert not out.exists()
-
-
 class TestAblate:
     def test_four_rows_and_artifacts(self, tmp_path, capsys):
         demo = tmp_path / "demo"
@@ -740,149 +304,6 @@ class TestAblate:
         table = json.loads((out / "ablation.json").read_text())
         assert len(table["rows"]) == 1
         assert table["rows"][0]["name"] == "baseline"
-
-
-_REFINE = [
-    "refine", "--params", "p.psp", "--pckg", "g.json", "--features", "f.pgrd", "--coarse", "c.pgrd"
-]
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (
-            ["train", "--manifest", "m.json", "--pckg", "g.json", "--labels", "l.pgrd"],
-            "train --manifest does not use --pckg, --labels",
-        ),
-        (
-            ["train", "--manifest", "m.json", "--features", "f.pgrd", "--coarse", "c.pgrd"],
-            "train --manifest does not use --features, --coarse",
-        ),
-        (
-            ["train", "--manifest", "m.json", "--rasters", "sar=s.pgrd"],
-            "train --manifest does not use --rasters",
-        ),
-        (
-            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--synthetic", "s.pgrd"],
-            "eval without both --synthetic and --reference does not use --synthetic",
-        ),
-        (
-            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--reference", "r.pgrd"],
-            "eval without both --synthetic and --reference does not use --reference",
-        ),
-        (
-            ["eval", "--pred", "p.pgrd", "--gt", "g.pgrd", "--pckg", "g.json", "--modality", "SAR"],
-            "eval without both --synthetic and --reference does not use --modality",
-        ),
-        (
-            ["pckg", "extract", "--vocab", "water", "--vocab-file", "v.txt"],
-            "pckg extract --vocab-file without --live does not use --vocab",
-        ),
-        (
-            [
-                "pckg", "extract", "--vocab", "water", "--fixtures", "fx",
-                "--endpoint", "http://localhost:9/v1", "--timeout", "3", "--model", "m",
-            ],
-            "pckg extract --vocab without --live does not use --endpoint, --timeout, --model",
-        ),
-        (
-            ["pckg", "extract", "--vocab", "water", "--fixtures", "fx", "--config", {"model": "m"}],
-            "pckg extract --vocab without --live does not use --model",
-        ),
-        (
-            [
-                "pckg", "extract", "--vocab", "water", "--live",
-                "--endpoint", "http://localhost:9/v1", "--fixtures", "fx",
-            ],
-            "pckg extract --vocab --live does not use --fixtures",
-        ),
-        (
-            [*_REFINE, "--mode", "visual", "--available", "SAR"],
-            "refine --mode visual does not use --available",
-        ),
-        (
-            [*_REFINE, "--mode", "visual", "--sigma-rel", "0.9", "--tau-rel", "3"],
-            "refine --mode visual does not use --sigma-rel, --tau-rel",
-        ),
-        (
-            [*_REFINE, "--config", {"mode": "visual", "tau_rel": 3}],
-            "refine --mode visual does not use --tau-rel",
-        ),
-        (
-            ["synth", "--pckg", "g.json", "--labels", "l.pgrd", "--scenes", "5", "--size", "64"],
-            "synth without --demo does not use --scenes, --size",
-        ),
-        (
-            ["train", "--manifest", "m.json", "--config", {"epoch": 5, "lamda2": 1.0}],
-            "config file config.json sets keys the command does not read: epoch, lamda2",
-        ),
-        (
-            ["ablate", "--demo-dir", "demo", "--config", {"dropout": 0.9, "hidden": 4}],
-            "config file config.json sets keys the command does not read: dropout, hidden",
-        ),
-        (
-            [*_REFINE, "--config", {"rasters": "sar=s.pgrd", "out": "elsewhere"}],
-            "config file config.json sets keys the command does not read: rasters, out",
-        ),
-        (
-            ["synth", "--config", {"pckg": "g.json", "labels": "l.pgrd"}],
-            "config file config.json sets keys the command does not read: pckg, labels",
-        ),
-        (
-            ["train", "--manifest", "m.json", "--config", {"epochs": 2.7, "seed": True, "dropout": "0.5"}],
-            "config file config.json: key 'epochs' must be an integer, got 2.7; key 'seed' must be"
-            ' an integer, got true; key \'dropout\' must be a number, got "0.5"',
-        ),
-        (
-            ["ablate", "--demo-dir", "demo", "--config", {"epochs": 1.9}],
-            "config file config.json: key 'epochs' must be an integer, got 1.9",
-        ),
-        (
-            [*_REFINE, "--config", {"available": ["SAR"]}],
-            "config file config.json: key 'available' must be a string, got [\"SAR\"]",
-        ),
-        (
-            ["ablate", "--demo-dir", "demo", "--config", {"lr": [1]}],
-            "config file config.json: key 'lr' must be a number, got [1]",
-        ),
-    ],
-    ids=[
-        "train-pckg-labels",
-        "train-features-coarse",
-        "train-rasters",
-        "eval-synthetic",
-        "eval-reference",
-        "eval-modality",
-        "extract-vocab-both",
-        "extract-fixtures-endpoint-timeout-model",
-        "extract-fixtures-config-model",
-        "extract-live-fixtures",
-        "refine-visual-available",
-        "refine-visual-sigma-tau",
-        "refine-config-visual-tau",
-        "synth-mask-scenes-size",
-        "train-config-typos",
-        "ablate-config-typos",
-        "refine-config-rasters-out",
-        "synth-config-pckg-labels",
-        "train-config-float-bool-string",
-        "ablate-config-float-epochs",
-        "refine-config-list-available",
-        "ablate-config-list-lr",
-    ],
-)
-def test_rejects_inputs_the_command_ignores(tmp_path, capsys, monkeypatch, argv, message):
-    # every named path is missing: the flag combination is rejected before any read
-    monkeypatch.chdir(tmp_path)
-    written = []
-    if isinstance(argv[-1], dict):  # a config file, the one path that exists
-        (tmp_path / "config.json").write_text(json.dumps(argv[-1]))
-        argv, written = [*argv[:-1], "config.json"], ["config.json"]
-    code, out, err = run(capsys, *argv, "--out", "result")
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["message"] == message
-    assert os.listdir(tmp_path) == written
 
 
 # per subcommand, the inputs it reads in every mode; cli.MODE_INPUTS holds the others
@@ -921,6 +342,36 @@ def test_every_input_is_read_in_every_mode_or_declared_for_one():
         assert set(every + one) == dests, command
 
 
+@pytest.fixture(scope="module")
+def rejection_fixtures(pipeline_dir, tmp_path_factory):
+    return cli_rejections.Fixtures(
+        tmp_path_factory.mktemp("fixtures"),
+        demo=pipeline_dir / "demo",
+        params=pipeline_dir / "params.psp",
+    )
+
+
+@pytest.mark.parametrize("row", cli_rejections.ROWS, ids=lambda row: row.id)
+def test_rejection(rejection_fixtures, tmp_path, capsys, monkeypatch, row):
+    argv = cli_rejections.prepare(row, rejection_fixtures, tmp_path)
+    calls = []
+    for name in row.never_called:
+        monkeypatch.setattr(name, lambda *args, name=name: calls.append(name))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert cli_rejections.failure(row, rejection_fixtures, tmp_path, code, out, err) is None
+    assert calls == []
+
+
+def test_rejection_table_covers_every_subcommand():
+    ids = [row.id for row in cli_rejections.ROWS]
+    assert len(set(ids)) == len(ids)
+    # 82 cases folded from earlier tests, then manifest, zero-size grid and modality rows
+    assert len(ids) >= 82 + 5
+    for command in dict(_subcommand_parsers(cli.build_parser())):
+        assert any(f"{row.argv} ".startswith(f"{command} ") for row in cli_rejections.ROWS), command
+
+
 def test_usage_error_exits_1_with_one_json_line(capsys):
     code, out, err = run(capsys, "train", "--epochs", "abc", "--out", "x")
     assert code == 1
@@ -957,49 +408,6 @@ def test_config_file_null_is_unset_and_an_integer_is_a_number(tmp_path):
     path.write_text(json.dumps({"lr": 1, "seed": None, "mode": "visual"}))
     config = cli._load_config_file(str(path), {"lr": float, "seed": int, "mode": str})
     assert config == {"lr": 1, "seed": None, "mode": "visual"}
-
-
-@pytest.mark.parametrize(
-    "argv, seed",
-    [
-        (["synth", "--demo", "--seed", "-1"], -1),
-        (["train", "--manifest", "{demo}/manifest.json", "--seed", "-1"], -1),
-        (["ablate", "--demo-dir", "{demo}", "--seed", "-2"], -2),
-        (["ablate", "--demo-dir", "{demo}", "--baseline-only", "--seed", "-2"], -2),
-    ],
-    ids=["synth-demo", "train", "ablate", "ablate-baseline-only"],
-)
-def test_negative_seed_exit_1_naming_seed_before_anything_is_written(
-    pipeline_dir, tmp_path, capsys, argv, seed
-):
-    argv = [arg.format(demo=pipeline_dir / "demo") for arg in argv]
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["message"] == f"seed must be >= 0, got {seed}"
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--epochs", "-1"], "epochs and hidden width must be >= 1"),
-        (["--epochs", "0"], "epochs and hidden width must be >= 1"),
-        (["--lr", "nan"], "learning_rate must be finite and > 0"),
-        (["--lr", "-0.1"], "learning_rate must be finite and > 0"),
-    ],
-    ids=["epochs-negative", "epochs-zero", "lr-nan", "lr-negative"],
-)
-def test_baseline_only_ablate_checks_epochs_and_lr_before_anything_is_written(
-    pipeline_dir, tmp_path, capsys, flags, message
-):
-    # the baseline row trains nothing, but its provenance records both settings
-    argv = ["ablate", "--demo-dir", str(pipeline_dir / "demo"), "--baseline-only", *flags]
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["message"] == message
-    assert os.listdir(tmp_path) == []
 
 
 class _Captured(Exception):

@@ -111,6 +111,18 @@ def test_row_count_checked(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize(
+    "header", ["PGRD LABEL 0 0", "PGRD SAR 0 3", "PGRD PROB -1 2 1", "PGRD FEAT 2 2 0"]
+)
+def test_header_dimension_below_1_rejected_with_path(tmp_path, header):
+    # an empty grid would reach numpy's padding or score 0 as a mask
+    path = tmp_path / "empty.pgrd"
+    path.write_text(header + "\n")
+    with pytest.raises(GridFormatError, match="header dimensions must be >= 1") as info:
+        read_grid(path)
+    assert str(path) in str(info.value)
+
+
 def test_kind_mismatch(tmp_path):
     path = tmp_path / "grid.pgrd"
     write_grid(path, "NDVI", np.zeros((2, 2)))
