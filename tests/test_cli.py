@@ -35,6 +35,35 @@ def dir_bytes(root):
     return table
 
 
+# Every row id a test below runs. A row keeps the test name its case had before
+# the table; test_rejection runs the rows that no other test names.
+_ROWS_RUN = []
+ROW = {row.id: row for row in cli_rejections.ROWS}
+
+
+def _runs_rows(cases, method=True):
+    """A test running table rows through ``reject``: one row id, or {case id: row id}."""
+    if isinstance(cases, str):
+        _ROWS_RUN.append(cases)
+
+        def test(self, reject):
+            reject(cases)
+
+        return test
+    _ROWS_RUN.extend(cases.values())
+    if method:
+
+        def test(self, reject, row_id):
+            reject(row_id)
+
+    else:
+
+        def test(reject, row_id):
+            reject(row_id)
+
+    return pytest.mark.parametrize("row_id", [pytest.param(r, id=c) for c, r in cases.items()])(test)
+
+
 class TestPckgCommands:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -66,6 +95,13 @@ class TestPckgCommands:
         graph = load_graph(out_graph)
         assert graph.num_classes == 5
         assert json.loads(report.read_text())["succeeded"] == 5
+
+    test_validate_inverted_interval_exit_1 = _runs_rows("validate-inverted-interval")
+    test_validate_missing_file_exit_1 = _runs_rows("validate-missing-file")
+    test_extract_missing_fixture_exit_3 = _runs_rows("extract-missing-fixture")
+    test_extract_bad_timeout_exit_1_before_any_request = _runs_rows(
+        {case: f"extract-timeout-{case}" for case in ("inf", "nan", "-1", "0")}
+    )
 
 class TestSynthCommands:
     def test_demo_writes_manifest_and_scenes(self, tmp_path, capsys):
@@ -109,6 +145,20 @@ class TestSynthCommands:
             vals = sar[labels == cid]
             assert vals.min() >= iv.lo and vals.max() <= iv.hi
         assert not (out / "dem.pgrd").exists()
+
+    test_demo_rejects_mask_settings = _runs_rows({case: f"demo-{case}" for case in (
+        "noise", "smoothing", "modalities", "pckg-labels", "config-noise-smoothing", "config-modalities")})
+    # case id: flag, value and message
+    test_demo_rejects_an_empty_benchmark = _runs_rows({
+        "-".join([*ROW[r].argv.split()[2:], ROW[r].message]): r
+        for r in ("demo-scenes-negative", "demo-scenes-zero", "demo-size-0", "demo-size--8", "demo-size-7")})
+    test_repeated_modality_exit_1 = _runs_rows("synth-repeated-modality")
+    test_modality_list_naming_none_exit_1 = _runs_rows({c: f"synth-modalities-{c}" for c in ("empty", "blank")})
+    test_bad_labels_class_exit_1 = _runs_rows("synth-labels-class-9")
+    test_non_ascii_labels_exit_1_naming_file = _runs_rows("synth-labels-non-ascii")
+    test_unreadable_graph_exit_1_naming_file = _runs_rows(dict(zip(
+        ["", "not json", "\u00e9", "missing field", "inverted interval"],
+        ["graph-empty", "graph-not-json", "graph-latin-1", "graph-missing-field", "graph-inverted-interval"])))
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -269,6 +319,22 @@ class TestTrainRefineEval:
         # whole-trace text, its lines and its UTF-8 copy are never alive at once
         assert peak < text_length / 2
 
+    test_unknown_raster_modality_exit_1 = _runs_rows("refine-unknown-raster-modality")
+    test_repeated_available_modality_exit_1 = _runs_rows("refine-repeated-available")
+    test_negative_batch_size_exit_1 = _runs_rows("train-negative-batch")
+    test_non_finite_train_setting_exit_1 = _runs_rows({f"--{c}": f"train-{c}" for c in (
+        "lr-nan", "lr-inf", "residual-scale-nan", "alpha-nan", "lambda2-inf")})
+    test_non_finite_attenuation_setting_exit_1 = _runs_rows(
+        {f"--{c}": f"refine-{c}" for c in ("sigma-rel-nan", "sigma-rel-inf", "tau-rel-nan")})
+    test_physical_refine_without_a_modality_exit_1 = _runs_rows(
+        {c: f"refine-{c}" for c in ("no-rasters", "none-available")})
+    test_repeated_raster_modality_exit_1 = _runs_rows(
+        {c: f"{c}-repeated-raster" for c in ("refine", "train", "eval")})
+    test_non_finite_input_exit_1 = _runs_rows({c: f"refine-nan-{c}" for c in ("params", "features")})
+    test_non_finite_raster_exit_1 = _runs_rows({
+        "refine": "refine-nan-raster", "train": "train-nan-raster", "ablate": "ablate-nan-raster",
+        "eval-rasters": "eval-nan-raster", "eval-synthetic-reference": "eval-nan-reference"})
+
 class TestAblate:
     def test_four_rows_and_artifacts(self, tmp_path, capsys):
         demo = tmp_path / "demo"
@@ -351,16 +417,39 @@ def rejection_fixtures(pipeline_dir, tmp_path_factory):
     )
 
 
-@pytest.mark.parametrize("row", cli_rejections.ROWS, ids=lambda row: row.id)
-def test_rejection(rejection_fixtures, tmp_path, capsys, monkeypatch, row):
-    argv = cli_rejections.prepare(row, rejection_fixtures, tmp_path)
-    calls = []
-    for name in row.never_called:
-        monkeypatch.setattr(name, lambda *args, name=name: calls.append(name))
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert cli_rejections.failure(row, rejection_fixtures, tmp_path, code, out, err) is None
-    assert calls == []
+@pytest.fixture
+def reject(rejection_fixtures, tmp_path, capsys, monkeypatch):
+    """Runs one table row through main(), with its never_called callables patched."""
+
+    def check(row_id):
+        row = ROW[row_id]
+        argv = cli_rejections.prepare(row, rejection_fixtures, tmp_path)
+        calls = []
+        for name in row.never_called:
+            monkeypatch.setattr(name, lambda *args, name=name: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert cli_rejections.failure(row, rejection_fixtures, tmp_path, code, out, err) is None
+        assert calls == []
+
+    return check
+
+
+# row ids are the case ids
+test_rejects_inputs_the_command_ignores = _runs_rows({r: r for r in """
+    train-pckg-labels train-features-coarse train-rasters eval-synthetic eval-reference eval-modality
+    extract-vocab-both extract-fixtures-endpoint-timeout-model extract-fixtures-config-model
+    extract-live-fixtures refine-visual-available refine-visual-sigma-tau refine-config-visual-tau
+    synth-mask-scenes-size train-config-typos ablate-config-typos refine-config-rasters-out
+    synth-config-pckg-labels train-config-float-bool-string ablate-config-float-epochs
+    refine-config-list-available ablate-config-list-lr""".split()}, method=False)
+test_negative_seed_exit_1_naming_seed_before_anything_is_written = _runs_rows({
+    "synth-demo": "demo-negative-seed", "train": "train-negative-seed", "ablate": "ablate-negative-seed",
+    "ablate-baseline-only": "baseline-only-seed--2"}, method=False)
+test_baseline_only_ablate_checks_epochs_and_lr_before_anything_is_written = _runs_rows({
+    "epochs-negative": "baseline-only-epochs--1", "epochs-zero": "baseline-only-epochs-0",
+    "lr-nan": "baseline-only-lr-nan", "lr-negative": "baseline-only-lr--0.1"}, method=False)
+test_rejection = _runs_rows({r.id: r.id for r in cli_rejections.ROWS if r.id not in _ROWS_RUN}, method=False)
 
 
 def test_rejection_table_covers_every_subcommand():
@@ -368,6 +457,8 @@ def test_rejection_table_covers_every_subcommand():
     assert len(set(ids)) == len(ids)
     # 82 cases folded from earlier tests, then manifest, zero-size grid and modality rows
     assert len(ids) >= 82 + 5
+    # each row runs under exactly one test name
+    assert sorted(_ROWS_RUN) == sorted(ids)
     for command in dict(_subcommand_parsers(cli.build_parser())):
         assert any(f"{row.argv} ".startswith(f"{command} ") for row in cli_rejections.ROWS), command
 
