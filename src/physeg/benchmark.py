@@ -170,6 +170,22 @@ def load_manifest(demo_dir):
         raise ValueError(
             f"{path}: manifest must be a JSON object with a 'scenes' list and a 'pckg' string"
         )
+    if not manifest["scenes"]:
+        raise ValueError(f"{path}: manifest lists no scenes")
+    for k, names in enumerate(manifest["scenes"]):
+        if not isinstance(names, dict):
+            raise ValueError(f"{path}: scene {k} is not a JSON object")
+        missing = [key for key in ("features", "coarse", "labels", "rasters") if key not in names]
+        if missing:
+            raise ValueError(f"{path}: scene {k} lacks {', '.join(map(repr, missing))}")
+        if not isinstance(names["rasters"], dict):
+            raise ValueError(f"{path}: scene {k} 'rasters' is not a JSON object")
+        bad = [key for key in ("features", "coarse", "labels") if not isinstance(names[key], str)]
+        bad += [m for m, file in names["rasters"].items() if not isinstance(file, str)]
+        if bad:
+            raise ValueError(
+                f"{path}: scene {k} file paths are not strings: {', '.join(map(repr, bad))}"
+            )
     graph = load_graph(os.path.join(demo_dir, manifest["pckg"]))
     scenes = []
     for names in manifest["scenes"]:

@@ -65,7 +65,7 @@ def _load_config_file(path, keys):
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = ", ".join(key for key in config if key not in keys)
     if unknown:
         raise ValueError(f"config file {path} sets keys the command does not read: {unknown}")

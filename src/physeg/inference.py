@@ -24,7 +24,8 @@ before re-weighting), and ``reweight`` holds one (H, W, C) array whatever the
 number of modalities: the attenuation product, which it multiplies by the
 refined map and normalises in place, never writing the caller's refined map.
 A flip's scores are the attenuation of the distances its trace records, so
-no per-modality grid is kept.
+no per-modality grid is kept; each distance is an ``interval_distance_grid``
+call on a Python float, which gives a 1x1 grid's bits without numpy's overhead.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
 
     # Flip columns: values are gathered once, each class entry is resolved
     # once, and each score is the attenuation of the distance recorded next
-    # to it.  Each distance stays one 1x1 interval_distance_grid call through
-    # this module's name: perfbench's traced runs patch it and check
+    # to it.  Each distance stays one interval_distance_grid call, on a float,
+    # through this module's name: perfbench's traced runs patch it and check
     # m * (C + 2 * flips) calls per re-weighting.
     ys, xs = np.nonzero(labels != pre_labels)
     pre_ids, post_ids = pre_labels[ys, xs], labels[ys, xs]
@@ -318,11 +319,11 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
         for cid, iv in intervals.items():
             settings[cid] = config.params_for(iv)
         values = grid[ys, xs]
-        cells = values.reshape(-1, 1, 1)  # iterates as one 1x1 grid per flip
+        floats = values.tolist()  # Python floats take interval_distance_grid's float branch
         columns = {"value": values}
         for tag, ids in (("pre", pre_ids), ("post", post_ids)):
-            pairs = zip(cells, ids.tolist())
-            d = np.array([interval_distance_grid(v, intervals[cid]).item() for v, cid in pairs])
+            pairs = zip(floats, ids.tolist())
+            d = np.fromiter((interval_distance_grid(v, intervals[cid]) for v, cid in pairs), float)
             columns[f"distance_{tag}"] = d
             columns[f"score_{tag}"] = _attenuation(d, settings[ids, 0], settings[ids, 1])
         trace.modalities[name] = {key: columns[key] for key in FLIP_FIELDS}

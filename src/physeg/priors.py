@@ -174,8 +174,17 @@ def region_means(region_map, values, num_classes: int):
     return counts, means.reshape((num_classes,) + trailing)
 
 
-def interval_distance_grid(values: np.ndarray, interval: Interval) -> np.ndarray:
-    """Vectorized point-to-interval distance over a grid of values."""
+def interval_distance_grid(values: np.ndarray | float, interval: Interval) -> np.ndarray | float:
+    """Vectorized point-to-interval distance over a grid of values.
+
+    A Python float gives a float with a 1x1 grid's bits: numpy's ``maximum`` rule in float
+    arithmetic (NaN wins, a tie gives the second operand, so 0.0 beats -0.0).  Temporary:
+    it serves ``reweight``'s per-flip calls until one call per (modality, class) column does.
+    """
+    if type(values) is float:
+        a, b = interval.lo - values, values - interval.hi
+        d = a if (a > b or a != a) else b
+        return d if (d > 0.0 or d != d) else 0.0
     v = np.asarray(values, dtype=float)
     return np.maximum(np.maximum(interval.lo - v, v - interval.hi), 0.0)
 

@@ -115,6 +115,16 @@ SETUP = {
     "no_fixtures": lambda fx, path: os.makedirs(path),
     "manifest_list": _manifest("[]"),
     "manifest_scenes_int": _manifest('{"pckg": "pckg.json", "scenes": 3}'),
+    "manifest_no_scenes": _manifest('{"pckg": "pckg.json", "scenes": []}'),
+    "manifest_scene_int": _manifest('{"pckg": "pckg.json", "scenes": [1]}'),
+    "manifest_scene_empty": _manifest('{"pckg": "pckg.json", "scenes": [{}]}'),
+    "manifest_scene_rasters_list": _manifest(json.dumps({"pckg": "pckg.json", "scenes": [
+        {"features": "f.pgrd", "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {}},
+        {"features": "f.pgrd", "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": ["s.pgrd"]},
+    ]})),
+    "manifest_scene_path_int": _manifest(json.dumps({"pckg": "pckg.json", "scenes": [
+        {"features": 1, "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {"SAR": 5}},
+    ]})),
 }
 
 
@@ -136,6 +146,7 @@ class Fixtures(dict):
 POST_CHAT = ("physeg.extraction._post_chat",)
 LOSS_STEP = ("physeg.refiner.loss_step",)
 READ_GRID = ("physeg.cli.read_grid_as",)
+LOAD_GRAPH = ("physeg.benchmark.load_graph",)
 
 LIVE = "pckg extract --vocab water --live --endpoint http://127.0.0.1:9/v1 --retries 0"
 MASK = "synth --pckg {demo}/pckg.json --labels"
@@ -248,7 +259,7 @@ ROWS = [
     Row("train-rasters", "train --manifest m.json --rasters sar=s.pgrd",
         "train --manifest does not use --rasters"),
     Row("train-config-not-object", "train --manifest m.json --config config.json",
-        "config file must hold a JSON object", config=[1]),
+        "config file config.json must hold a JSON object", config=[1]),
     Row("train-config-typos", "train --manifest m.json --config config.json",
         NOT_USED + "epoch, lamda2", config={"epoch": 5, "lamda2": 1.0}),
     Row("train-config-float-bool-string", "train --manifest m.json --config config.json",
@@ -257,6 +268,20 @@ ROWS = [
         config={"epochs": 2.7, "seed": True, "dropout": "0.5"}),
     Row("train-manifest-list", "train --manifest {manifest_list}/manifest.json",
         f"{{manifest_list}}/manifest.json: {BAD_MANIFEST}"),
+    # every scene entry is checked before the graph or any grid is read
+    Row("train-manifest-scene-not-object", "train --manifest {manifest_scene_int}/manifest.json",
+        "{manifest_scene_int}/manifest.json: scene 0 is not a JSON object", never_called=LOAD_GRAPH),
+    Row("train-manifest-scene-missing-keys", "train --manifest {manifest_scene_empty}/manifest.json",
+        "{manifest_scene_empty}/manifest.json: scene 0 lacks 'features', 'coarse', 'labels', 'rasters'",
+        never_called=LOAD_GRAPH),
+    Row("train-manifest-scene-rasters-list", "train --manifest {manifest_scene_rasters_list}/manifest.json",
+        "{manifest_scene_rasters_list}/manifest.json: scene 1 'rasters' is not a JSON object",
+        never_called=LOAD_GRAPH),
+    Row("train-manifest-scene-path-not-string", "train --manifest {manifest_scene_path_int}/manifest.json",
+        "{manifest_scene_path_int}/manifest.json: scene 0 file paths are not strings: 'features', 'SAR'",
+        never_called=LOAD_GRAPH),
+    Row("train-manifest-no-scenes", "train --manifest {manifest_no_scenes}/manifest.json",
+        "{manifest_no_scenes}/manifest.json: manifest lists no scenes", never_called=LOAD_GRAPH),
     Row("train-negative-seed", f"{TRAIN} --seed -1", "seed must be >= 0, got -1"),
     # a negative batch made range(0, n, batch) empty: zero steps, an untrained head
     Row("train-negative-batch", f"{TRAIN} --epochs 3 --batch-size -2",
@@ -343,6 +368,8 @@ ROWS = [
         "config file config.json: key 'lr' must be a number, got [1]", config={"lr": [1]}),
     Row("ablate-manifest-scenes-int", "ablate --demo-dir {manifest_scenes_int}",
         f"{{manifest_scenes_int}}/manifest.json: {BAD_MANIFEST}"),
+    Row("ablate-baseline-only-no-scenes", "ablate --demo-dir {manifest_no_scenes} --baseline-only",
+        "{manifest_no_scenes}/manifest.json: manifest lists no scenes", never_called=LOAD_GRAPH),
     Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2"),
     Row("ablate-nan-raster", "ablate --demo-dir {nan_demo} --epochs 2", NAN_CELLS, error="ValueError"),
     # the baseline row trains nothing, but its provenance records each setting

@@ -280,6 +280,27 @@ class TestReweight:
         assert three <= 3 * refined.nbytes
         assert abs(three - one) < refined.nbytes / 2
 
+    @pytest.mark.parametrize("available", [("SAR",), MODALITIES])
+    def test_one_distance_call_per_class_and_per_flip_side(self, available, monkeypatch):
+        # perfbench's traced check: m * (C + 2 * flips) calls through this module's name
+        graph = benchmark.demo_graph()
+        labels = benchmark.demo_labels(0, size=32)
+        rasters = synthesize_scene(labels, graph, set(MODALITIES), SynthConfig(seed=0))
+        refined = np.random.default_rng(5).uniform(1e-3, 1.0, size=labels.shape + (graph.num_classes,))
+        calls = []
+
+        def counted(values, interval):
+            calls.append(type(values))
+            return interval_distance_grid(values, interval)
+
+        monkeypatch.setattr(inference, "interval_distance_grid", counted)
+        trace = reweight(refined, rasters, graph, AttenuationConfig(available=available))[2]
+        m, flips = len(available), len(trace)
+        assert flips > 0
+        assert len(calls) == m * (graph.num_classes + 2 * flips)
+        # each flip's distances take the float branch
+        assert calls.count(float) == 2 * m * flips
+
     def test_zero_width_interval_uses_sigma_floor(self):
         graph = PriorGraph(
             (

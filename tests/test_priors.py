@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from physeg.priors import (
     PriorParseError,
     PriorSchemaError,
     PriorValidationError,
+    interval_distance_grid,
     modality_order,
     parse_pckg,
     region_means,
@@ -105,6 +107,23 @@ class TestInterval:
         iv = Interval(lo, lo + width)
         lhs = abs(interval_distance(a, iv) - interval_distance(b, iv))
         assert lhs <= abs(a - b) + 1e-12
+
+    @settings(max_examples=500)
+    @given(
+        v=st.floats()
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324]),
+        iv=st.builds(
+            lambda lo, width: Interval(lo, lo + width), st.floats(-100, 100), st.floats(0, 50)
+        )
+        # a -0.0 endpoint: _quantize rounds -0.004 and -0.001 to -0.0
+        | st.sampled_from([Interval(-0.004, 0.004), Interval(-0.001, 0.5), Interval(-3.0, -0.001)]),
+    )
+    def test_float_distance_has_the_bits_of_a_1x1_grid(self, v, iv):
+        d = interval_distance_grid(v, iv)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            grid = interval_distance_grid(np.array([[v]]), iv)
+        assert type(d) is float
+        assert np.float64(d).view(np.int64) == grid[0, 0].view(np.int64)
 
     def test_hinge_is_zero_up_to_the_edge_tolerance(self):
         iv = Interval(-14.0, -8.0)
