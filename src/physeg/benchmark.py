@@ -19,10 +19,11 @@ import os
 import numpy as np
 
 from .gridio import read_grid_as, write_grid
-from .inference import AttenuationConfig, infer
+# infer is not called here; perfbench's traced runs patch it under this module's name
+from .inference import AttenuationConfig, attenuate, infer  # noqa: F401
 from .losses import LossWeights
 from .metrics import confusion_counts, miou_from_confusion
-from .priors import Interval, PriorEntry, PriorGraph, load_graph, save_graph
+from .priors import Interval, PriorEntry, PriorGraph, load_graph, modality_order, save_graph
 from .refiner import Scene, TrainConfig, assemble_joint, mock_backbone, refine, train
 from .synth import SynthConfig, synthesize_scene
 
@@ -172,6 +173,16 @@ def load_manifest(demo_dir):
         )
     if not manifest["scenes"]:
         raise ValueError(f"{path}: manifest lists no scenes")
+    # the modalities the re-weighting rows read: every scene must name a raster for each
+    available = manifest.get("inference_available", [])
+    if "inference_available" in manifest:
+        named = isinstance(available, list) and all(isinstance(m, str) for m in available)
+        if not (named and available):
+            raise ValueError(f"{path}: 'inference_available' must be a non-empty list of modalities")
+        try:
+            modality_order(available)
+        except ValueError as exc:
+            raise ValueError(f"{path}: 'inference_available': {exc}") from None
     for k, names in enumerate(manifest["scenes"]):
         if not isinstance(names, dict):
             raise ValueError(f"{path}: scene {k} is not a JSON object")
@@ -185,6 +196,12 @@ def load_manifest(demo_dir):
         if bad:
             raise ValueError(
                 f"{path}: scene {k} file paths are not strings: {', '.join(map(repr, bad))}"
+            )
+        lacking = [m for m in available if m not in names["rasters"]]
+        if lacking:
+            raise ValueError(
+                f"{path}: scene {k} 'rasters' lacks {', '.join(map(repr, lacking))}"
+                " from 'inference_available'"
             )
     graph = load_graph(os.path.join(demo_dir, manifest["pckg"]))
     scenes = []
@@ -295,7 +312,8 @@ def evaluate_rows(
     RuntimeError.  Under the spawn and forkserver start methods the worker
     re-imports the main program, so that program must be a file (under a
     ``__main__`` guard): for a main program read from standard input this
-    call raises RuntimeError before any training or worker starts.
+    call raises RuntimeError before any training or worker starts.  The
+    re-weighting rows take ``attenuate``'s labels and build no flip trace.
     """
     # built first, so a bad seed, epoch count or rate fails even with nothing to train
     configs = {
@@ -336,11 +354,12 @@ def evaluate_rows(
         # available rasters populate the joint tensor, only the interval
         # gating at the output is toggled
         rasters = {m: scene.rasters[m] for m in available}
-        params = heads[phys_loss]
+        # the joint parts are dropped before re-weighting, as in infer
+        refined = refine(
+            heads[phys_loss], assemble_joint(scene.features, scene.coarse, rasters, graph), scene.coarse
+        )[0]
         if reweight:
-            return infer(params, scene.features, scene.coarse, rasters, graph, gating)[0]
-        z = assemble_joint(scene.features, scene.coarse, rasters, graph)
-        refined, _ = refine(params, z, scene.coarse)
+            return attenuate(refined, rasters, graph, gating)[1]
         return (refined.argmax(axis=2) + 1).astype(np.int32)
 
     rows = []

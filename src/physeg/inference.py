@@ -2,14 +2,14 @@
 
 For each available modality the per-pixel distance between the measured value
 and each class's admissible interval feeds a Gaussian attenuation
-``s = exp(-min(d, tau)^2 / sigma^2)``; class scores are multiplied by the
-product of attenuations and renormalized.  With no modalities available the
-attenuation is identically 1 and the refined probabilities are simply
-renormalized (visual-only mode).  Every pixel whose argmax label changes is
-recorded in a trace carrying distances, attenuations and the knowledge-graph
-reasoning for the classes involved.  The trace is kept as columns: int lists
+``s = exp(-min(d, tau)^2 / sigma^2)``; ``attenuate`` multiplies class scores by
+the product of attenuations and renormalizes, building no trace.  With no
+modalities available the attenuation is identically 1 and the refined
+probabilities are simply renormalized (visual-only mode).  ``reweight`` also
+traces each pixel whose argmax label changes: distances, attenuations and the
+knowledge-graph reasoning for the classes involved, kept as columns (int lists
 for pixels and labels, float64 arrays for each modality's values, distances
-and scores.  ``trace.flips`` is a view that builds each record dict when read
+and scores).  ``trace.flips`` is a view that builds each record dict when read
 and keeps none.  ``to_jsonl`` encodes the columns straight to the bytes a
 per-record ``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
 writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
@@ -20,7 +20,7 @@ Each large intermediate is held once: ``infer`` hands ``refine`` the
 scene's ``JointParts`` from ``assemble_joint``, the head's one input form,
 which it writes one pixel block at a time, so the joint tensor is never held
 whole.  ``infer`` keeps only the refined map (the correction map is dropped
-before re-weighting), and ``reweight`` holds one (H, W, C) array whatever the
+before re-weighting), and ``attenuate`` holds one (H, W, C) array whatever the
 number of modalities: the attenuation product, which it multiplies by the
 refined map and normalises in place, never writing the caller's refined map.
 A flip's scores are the attenuation of the distances its trace records, so
@@ -247,15 +247,13 @@ def _attenuation_grids(rasters, graph, config, num_classes):
     return scores
 
 
-def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
-    """Multiply refined scores by interval attenuations and renormalize.
+def attenuate(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
+    """Scale refined scores by ``config.available``'s attenuations and renormalize.
 
-    Returns (probabilities, labels, trace).  Only modalities listed in
-    ``config.available`` participate; an empty set degrades to plain
-    renormalization of the refined scores.  If attenuation wipes out every
-    class at a pixel the refined scores are used there and a warning is
-    recorded.  A non-finite or negative refined cell, or a pixel whose refined
-    scores sum below ``DENOM_FLOOR``, is a ValueError.
+    Returns (probabilities, labels, fallback) and builds no trace: ``fallback``
+    is the (ys, xs) of the pixels where attenuation wiped out every class,
+    which keep their refined scores.  A non-finite or negative refined cell, or
+    a pixel whose refined scores sum below ``DENOM_FLOOR``, is a ValueError.
     """
     refined = np.asarray(refined, dtype=np.float64)
     if refined.ndim != 3:
@@ -270,55 +268,51 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     if bad:
         raise ValueError(f"refined map has {bad} non-finite or negative cells")
     checked = check_rasters(_available(rasters, config), (h, w))
-    used = {name: checked[name] for name in config.available}
-
-    trace = RefinementTrace()
-    pre_labels = np.argmax(refined, axis=2).astype(np.int32) + 1
 
     # probs is the one (H, W, C) buffer of this call: the attenuation product,
     # then the weighted scores, then (normalised in place) the probabilities
-    if used:
-        probs = _attenuation_grids(used, graph, config, c)
+    if checked:
+        probs = _attenuation_grids(checked, graph, config, c)
         probs *= refined
     else:
         # every attenuation is 1: the weighted scores are a copy of the refined ones
         probs = refined.copy()
     denom = probs.sum(axis=2, keepdims=True)
-    dead_ys, dead_xs = np.nonzero(denom[:, :, 0] < DENOM_FLOOR)
-    if len(dead_ys):
+    fallback = np.nonzero(denom[:, :, 0] < DENOM_FLOOR)
+    if len(fallback[0]):
         # attenuations are at most 1, so a pixel whose refined scores sum
         # below the floor is always among these
-        kept = refined[dead_ys, dead_xs]
+        kept = refined[fallback]
         kept_sum = kept.sum(axis=1)
         low = np.count_nonzero(kept_sum < DENOM_FLOOR)
         if low:
             raise ValueError(f"refined map has {low} pixels whose scores sum below {DENOM_FLOOR}")
-        probs[dead_ys, dead_xs] = kept
-        denom[dead_ys, dead_xs, 0] = kept_sum
-        for y, x in zip(dead_ys.tolist(), dead_xs.tolist()):
-            trace.warnings.append(
-                f"pixel ({y}, {x}): all classes fully attenuated; kept refined probabilities"
-            )
+        probs[fallback] = kept
+        denom[fallback] = kept_sum[:, None]
     probs /= denom  # every pixel's denominator is now at least DENOM_FLOOR
     labels = np.argmax(probs, axis=2).astype(np.int32) + 1
+    return probs, labels, fallback
 
-    # Flip columns: values are gathered once, each class entry is resolved
-    # once, and each score is the attenuation of the distance recorded next
-    # to it.  Each distance stays one interval_distance_grid call, on a float,
-    # through this module's name: perfbench's traced runs patch it and check
-    # m * (C + 2 * flips) calls per re-weighting.
+
+def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
+    """``attenuate``'s (probabilities, labels), plus the trace of its flips and fallback pixels."""
+    probs, labels, fallback = attenuate(refined, rasters, graph, config)
+    pre_labels = np.argmax(refined, axis=2).astype(np.int32) + 1
+
+    # Flip columns: each class entry is resolved once, and each score is the
+    # attenuation of the distance next to it.  Each distance is one call, on a
+    # float, through this module's name: perfbench's traced runs check
+    # m * (C + 2 * flips) interval_distance_grid calls per reweight, m * C in attenuate.
     ys, xs = np.nonzero(labels != pre_labels)
     pre_ids, post_ids = pre_labels[ys, xs], labels[ys, xs]
-    trace.ys, trace.xs = ys.tolist(), xs.tolist()
-    trace.pre_labels, trace.post_labels = pre_ids.tolist(), post_ids.tolist()
     entries = {cid: graph.entry_for_id(cid) for cid in np.union1d(pre_ids, post_ids).tolist()}
-    trace.classes = {cid: (entry.category, entry.reasoning) for cid, entry in entries.items()}
-    for name, grid in used.items():
+    modalities = {}
+    for name in config.available:
         intervals = {cid: entry.interval(name) for cid, entry in entries.items()}
-        settings = np.zeros((c + 1, 2))  # (tau, sigma) by class id
+        settings = np.zeros((graph.num_classes + 1, 2))  # (tau, sigma) by class id
         for cid, iv in intervals.items():
             settings[cid] = config.params_for(iv)
-        values = grid[ys, xs]
+        values = np.asarray(rasters[name])[ys, xs].astype(np.float64)
         floats = values.tolist()  # Python floats take interval_distance_grid's float branch
         columns = {"value": values}
         for tag, ids in (("pre", pre_ids), ("post", post_ids)):
@@ -326,8 +320,12 @@ def reweight(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
             d = np.fromiter((interval_distance_grid(v, intervals[cid]) for v, cid in pairs), float)
             columns[f"distance_{tag}"] = d
             columns[f"score_{tag}"] = _attenuation(d, settings[ids, 0], settings[ids, 1])
-        trace.modalities[name] = {key: columns[key] for key in FLIP_FIELDS}
-    return probs, labels, trace
+        modalities[name] = {key: columns[key] for key in FLIP_FIELDS}
+    classes = {cid: (entry.category, entry.reasoning) for cid, entry in entries.items()}
+    warning = "pixel ({}, {}): all classes fully attenuated; kept refined probabilities"
+    warnings = [warning.format(y, x) for y, x in np.transpose(fallback).tolist()]
+    flips = (ys.tolist(), xs.tolist(), pre_ids.tolist(), post_ids.tolist())
+    return probs, labels, RefinementTrace(*flips, modalities, classes, warnings)
 
 
 def infer(

@@ -65,6 +65,12 @@ def _manifest(document):
     return build
 
 
+def _available_manifest(available):
+    # one scene that names an NDVI raster only
+    scene = {"features": "f.pgrd", "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {"NDVI": "n.pgrd"}}
+    return _manifest(json.dumps({"pckg": "pckg.json", "inference_available": available, "scenes": [scene]}))
+
+
 def _nan_first_value(source):
     def build(fx, path):
         with open(source.format_map(fx)) as fh:
@@ -125,6 +131,12 @@ SETUP = {
     "manifest_scene_path_int": _manifest(json.dumps({"pckg": "pckg.json", "scenes": [
         {"features": 1, "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {"SAR": 5}},
     ]})),
+    **{
+        f"manifest_available_{key}": _available_manifest(value)
+        for key, value in (
+            ("string", "SAR"), ("int", [1]), ("empty", []), ("unknown", ["LST"]), ("sar", ["SAR"])
+        )
+    },
 }
 
 
@@ -168,6 +180,7 @@ NO_MODALITY = (
     "refine --mode physical re-weights with at least one modality: pass --rasters, or use --mode visual"
 )
 BAD_MANIFEST = "manifest must be a JSON object with a 'scenes' list and a 'pckg' string"
+AVAILABLE_NOT_LIST = "'inference_available' must be a non-empty list of modalities"
 
 ROWS = [
     # pckg validate
@@ -370,6 +383,21 @@ ROWS = [
         f"{{manifest_scenes_int}}/manifest.json: {BAD_MANIFEST}"),
     Row("ablate-baseline-only-no-scenes", "ablate --demo-dir {manifest_no_scenes} --baseline-only",
         "{manifest_no_scenes}/manifest.json: manifest lists no scenes", never_called=LOAD_GRAPH),
+    # 'inference_available' and the scenes' rasters are checked before any grid is read
+    *(
+        Row(f"ablate-manifest-available-{key}", f"ablate --demo-dir {{manifest_available_{key}}}",
+            f"{{manifest_available_{key}}}/manifest.json: {message}", never_called=LOAD_GRAPH)
+        for key, message in (
+            ("string", AVAILABLE_NOT_LIST),
+            ("int", AVAILABLE_NOT_LIST),
+            ("empty", AVAILABLE_NOT_LIST),
+            ("unknown", "'inference_available': unknown modality 'LST'"),
+            ("sar", "scene 0 'rasters' lacks 'SAR' from 'inference_available'"),
+        )
+    ),
+    Row("train-manifest-available-sar", "train --manifest {manifest_available_sar}/manifest.json",
+        "{manifest_available_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from 'inference_available'",
+        never_called=LOAD_GRAPH),
     Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2"),
     Row("ablate-nan-raster", "ablate --demo-dir {nan_demo} --epochs 2", NAN_CELLS, error="ValueError"),
     # the baseline row trains nothing, but its provenance records each setting

@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from physeg import benchmark, cli
+from physeg import benchmark, cli, inference
 from physeg.benchmark import (
     AMBIGUOUS_PAIR,
     build_demo,
@@ -21,6 +21,7 @@ from physeg.benchmark import (
     format_table,
     load_manifest,
 )
+from physeg.priors import interval_distance_grid
 from physeg.refiner import TrainingError
 
 
@@ -138,6 +139,28 @@ def test_worker_death_is_an_error(tmp_path, monkeypatch, fork_start_method):
     with pytest.raises(RuntimeError, match="^ablation worker exited with code 3 and no result$"):
         evaluate_rows(graph, scenes, manifest, epochs=2)
     assert multiprocessing.active_children() == []
+
+
+def test_ablation_builds_no_trace(tmp_path, monkeypatch, fork_start_method):
+    def reweight(*args):
+        raise AssertionError("the ablation built a flip trace")
+
+    calls = []
+
+    def counted(values, interval):
+        calls.append(type(values))
+        return interval_distance_grid(values, interval)
+
+    monkeypatch.setattr(inference, "reweight", reweight)
+    monkeypatch.setattr(inference, "interval_distance_grid", counted)
+    build_demo(str(tmp_path / "demo"), seed=0)
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    table = evaluate_rows(graph, scenes, manifest, epochs=2)
+    assert [row["name"] for row in table["rows"]] == [entry[0] for entry in benchmark.LADDER]
+    # one call per (modality, class) per scene in each re-weighting row, none per flip
+    rows = sum(entry[2] for entry in benchmark.LADDER)
+    m = len(manifest["inference_available"])
+    assert calls == [np.ndarray] * (rows * len(scenes) * m * graph.num_classes)
 
 
 # Run as a script so that spawn and forkserver workers re-import it as a module.

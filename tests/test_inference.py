@@ -19,6 +19,7 @@ from physeg.inference import (
     AttenuationConfig,
     RefinementTrace,
     _attenuation_grids,
+    attenuate,
     infer,
     reweight,
 )
@@ -224,6 +225,15 @@ class TestReweight:
         assert np.allclose(probs.sum(axis=2), 1.0)
         assert refined.tolist() == [[[1e-6, 1e-6]]]  # re-weighting never writes its input
 
+        # attenuate's fallback pixels are the ones the trace warns about
+        rng = np.random.default_rng(7)
+        refined = rng.uniform(1e-6, 1.0, size=(4, 5, 2))
+        sar = rng.choice([0.0, -10.0, 50.0], size=(4, 5))
+        pixels = np.transpose(attenuate(refined, {"SAR": sar}, graph2, config)[2]).tolist()
+        trace = reweight(refined, {"SAR": sar}, graph2, config)[2]
+        assert len(pixels) > 1 and pixels == np.argwhere(sar == 50.0).tolist()
+        assert [w[: w.index(":")] for w in trace.warnings] == [f"pixel ({y}, {x})" for y, x in pixels]
+
     def test_trace_with_flips_and_warnings_writes_in_chunks(self, graph2, monkeypatch):
         # under this config SAR 0 keeps only metal, -10 only concrete, 50 neither
         config = AttenuationConfig(available=("SAR",), sigma_rel=0.0125, tau_rel=1000.0)
@@ -294,12 +304,21 @@ class TestReweight:
             return interval_distance_grid(values, interval)
 
         monkeypatch.setattr(inference, "interval_distance_grid", counted)
-        trace = reweight(refined, rasters, graph, AttenuationConfig(available=available))[2]
+        config = AttenuationConfig(available=available)
+        probs, labels, trace = reweight(refined, rasters, graph, config)
         m, flips = len(available), len(trace)
         assert flips > 0
         assert len(calls) == m * (graph.num_classes + 2 * flips)
         # each flip's distances take the float branch
         assert calls.count(float) == 2 * m * flips
+
+        # attenuate makes only the per-class calls, on grids, and the same probs and labels
+        calls.clear()
+        att_probs, att_labels, _ = attenuate(refined, rasters, graph, config)
+        assert len(calls) == m * graph.num_classes
+        assert float not in calls
+        assert att_probs.tobytes() == probs.tobytes()
+        assert att_labels.tobytes() == labels.tobytes() and att_labels.dtype == labels.dtype
 
     def test_zero_width_interval_uses_sigma_floor(self):
         graph = PriorGraph(
