@@ -20,7 +20,7 @@ import numpy as np
 
 from .gridio import read_grid_as, write_grid
 # infer is not called here; perfbench's traced runs patch it under this module's name
-from .inference import AttenuationConfig, attenuate, infer  # noqa: F401
+from .inference import AttenuationConfig, attenuate, available_rasters, infer  # noqa: F401
 from .losses import LossWeights
 from .metrics import confusion_counts, miou_from_confusion
 from .priors import Interval, PriorEntry, PriorGraph, load_graph, modality_order, save_graph
@@ -306,7 +306,9 @@ def evaluate_rows(
     side by side: this process trains the head without the physics loss while
     one worker process trains the head with it.  Each head is one seeded
     ``train`` call, so the table does not depend on where it ran.  With
-    ``baseline_only`` nothing trains and no worker starts.  An exception in
+    ``baseline_only`` nothing trains and no worker starts; otherwise a scene
+    without a raster of the manifest's ``inference_available`` (SAR when the
+    key is absent) is a ValueError before anything trains.  An exception in
     the worker is raised here with its class and message; an exception here
     stops the worker at once.  A worker that dies without a result is a
     RuntimeError.  Under the spawn and forkserver start methods the worker
@@ -323,6 +325,14 @@ def evaluate_rows(
     available = tuple(manifest.get("inference_available", INFERENCE_MODALITIES))
     gating = AttenuationConfig(available=available)
     ladder = LADDER[:1] if baseline_only else LADDER
+    # each scene's rasters for the refined rows, chosen as infer chooses them
+    # and before any head trains; the baseline row reads none
+    selected = []
+    for k, scene in enumerate([] if baseline_only else scenes):
+        try:
+            selected.append(available_rasters(scene.rasters, gating))
+        except ValueError as exc:
+            raise ValueError(f"scene {k}: {exc}") from None
 
     heads = {}
     if not baseline_only:
@@ -347,13 +357,14 @@ def evaluate_rows(
             worker.join()
             receiver.close()
 
-    def predict(scene, synth, reweight, phys_loss):
+    def predict(k, synth, reweight, phys_loss):
+        scene = scenes[k]
         if not synth:
             return (scene.coarse.argmax(axis=2) + 1).astype(np.int32)
         # rows without re-weighting still refine in visual-physical mode: the
         # available rasters populate the joint tensor, only the interval
         # gating at the output is toggled
-        rasters = {m: scene.rasters[m] for m in available}
+        rasters = selected[k]
         # the joint parts are dropped before re-weighting, as in infer
         refined = refine(
             heads[phys_loss], assemble_joint(scene.features, scene.coarse, rasters, graph), scene.coarse
@@ -366,7 +377,8 @@ def evaluate_rows(
     for entry in ladder:
         row = dict(zip(_LADDER_KEYS, entry))
         conf = sum(
-            confusion_counts(predict(s, *entry[1:]), s.labels, graph.num_classes) for s in scenes
+            confusion_counts(predict(k, *entry[1:]), s.labels, graph.num_classes)
+            for k, s in enumerate(scenes)
         )
         row["miou"] = miou_from_confusion(conf).miou
         row["delta"] = row["miou"] - rows[-1]["miou"] if rows else 0.0

@@ -300,9 +300,8 @@ def cmd_synth(args, argv, config):
 
 def _scenes_from_args(args):
     if args.manifest:
-        demo_dir = os.path.dirname(os.path.abspath(args.manifest))
-        graph, scenes, manifest = benchmark.load_manifest(demo_dir)
-        return graph, scenes, manifest
+        graph, scenes, _ = benchmark.load_manifest(os.path.dirname(os.path.abspath(args.manifest)))
+        return graph, scenes
     needed = ("pckg", "labels", "features", "coarse")
     if not all(getattr(args, key) for key in needed):
         raise ValueError("train needs --manifest or all of --pckg/--labels/--features/--coarse")
@@ -313,12 +312,12 @@ def _scenes_from_args(args):
         rasters=_load_rasters(_parse_rasters(args.rasters)),
         labels=read_grid_as(args.labels, "LABEL"),
     )
-    return graph, [scene], {}
+    return graph, [scene]
 
 
 def cmd_train(args, argv, config):
     _check_mode("train", args, config, "--manifest" if args.manifest else "without --manifest")
-    graph, scenes, _ = _scenes_from_args(args)
+    graph, scenes = _scenes_from_args(args)
     weights, loss_settings = _settings(LossWeights, LOSS_SETTINGS, args, config)
     train_config, resolved = _settings(TrainConfig, TRAIN_SETTINGS, args, config, weights=weights)
     params, history = train(scenes, graph, train_config)

@@ -168,9 +168,7 @@ def extract_entry(vocab: str, provider: ProviderConfig, transport=None):
     prompt = base_prompt
     raw_responses = []
     last_error = None
-    attempts = 0
-    for attempt in range(provider.max_retries + 1):
-        attempts = attempt + 1
+    for attempt in range(1, provider.max_retries + 2):
         try:
             raw = _fetch_response(vocab, prompt, provider, transport=transport)
         except TransportError as exc:
@@ -178,7 +176,7 @@ def extract_entry(vocab: str, provider: ProviderConfig, transport=None):
             continue
         raw_responses.append(raw)
         try:
-            return parse_response(vocab, raw), attempts, raw_responses
+            return parse_response(vocab, raw), attempt, raw_responses
         except PriorError as exc:
             last_error = exc
             prompt = (
@@ -188,11 +186,11 @@ def extract_entry(vocab: str, provider: ProviderConfig, transport=None):
             )
     if raw_responses:
         raise ExtractionError(
-            f"term {vocab!r}: no valid entry after {attempts} attempts: {last_error}",
+            f"term {vocab!r}: no valid entry after {attempt} attempts: {last_error}",
             raw_responses=raw_responses,
         )
     raise TransportError(
-        f"term {vocab!r}: transport failed on all {attempts} attempts: {last_error}"
+        f"term {vocab!r}: transport failed on all {attempt} attempts: {last_error}"
     )
 
 
@@ -228,29 +226,19 @@ def extract_graph(vocab_list, provider: ProviderConfig, transport=None):
 
     def attempt(term):
         try:
-            entry, attempts, raws = extract_entry(term, provider, transport=transport)
+            entry, attempts, _ = extract_entry(term, provider, transport=transport)
             return {"term": term, "status": "ok", "attempts": attempts}, entry
-        except ExtractionError as exc:
-            return (
-                {
-                    "term": term,
-                    "status": "invalid",
-                    "attempts": provider.max_retries + 1,
-                    "error": str(exc),
-                    "raw_responses": exc.raw_responses,
-                },
-                None,
-            )
-        except TransportError as exc:
-            return (
-                {
-                    "term": term,
-                    "status": "transport-error",
-                    "attempts": provider.max_retries + 1,
-                    "error": str(exc),
-                },
-                None,
-            )
+        except (ExtractionError, TransportError) as exc:
+            invalid = isinstance(exc, ExtractionError)
+            record = {
+                "term": term,
+                "status": "invalid" if invalid else "transport-error",
+                "attempts": provider.max_retries + 1,
+                "error": str(exc),
+            }
+            if invalid:
+                record["raw_responses"] = exc.raw_responses
+            return record, None
 
     from concurrent.futures import ThreadPoolExecutor  # only extraction starts threads
 

@@ -213,7 +213,7 @@ class RefinementTrace:
         )
 
 
-def _available(rasters, config):
+def available_rasters(rasters, config):
     """The rasters ``config.available`` names; a missing one is a ValueError."""
     rasters = rasters or {}
     missing = [name for name in config.available if name not in rasters]
@@ -267,7 +267,7 @@ def attenuate(refined, rasters, graph: PriorGraph, config: AttenuationConfig):
     bad = refined.size - np.count_nonzero((refined >= 0.0) & (refined < np.inf))
     if bad:
         raise ValueError(f"refined map has {bad} non-finite or negative cells")
-    checked = check_rasters(_available(rasters, config), (h, w))
+    checked = check_rasters(available_rasters(rasters, config), (h, w))
 
     # probs is the one (H, W, C) buffer of this call: the attenuation product,
     # then the weighted scores, then (normalised in place) the probabilities
@@ -342,7 +342,7 @@ def infer(
     visual-only inference (empty available set) is independent of any raster
     content supplied.  Returns (labels, probabilities, trace).
     """
-    used = _available(rasters, config)
+    used = available_rasters(rasters, config)
     # the correction map is freed before re-weighting
     y1 = refine(params, assemble_joint(features, coarse, used, graph), coarse)[0]
     probs, labels, trace = reweight(y1, used, graph, config)

@@ -354,8 +354,8 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     update's scenes.  Each step computes only the trained objective
     (``loss_step``); the hard-region hinge is in ``evaluate_losses``.  Each
     scene is checked and its loss targets prepared once, before the first
-    step.  Raises TrainingError (carrying the last finite state) if the loss
-    goes non-finite.
+    step.  Each update is checked before it is written, so a TrainingError for
+    a non-finite loss or update carries the live parameters of the last step.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -376,7 +376,6 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
     n = len(scenes)
     batch = n if config.batch_size == 0 else min(config.batch_size, n)
     history = []
-    last_good = params.copy()
     # updated in place, so these stay the live parameter arrays
     arrays = (params.w1, params.b1, params.w2, params.b2)
     # the step buffers of each distinct scene shape: one block and the (N, C) y1
@@ -394,26 +393,18 @@ def train(dataset, graph: PriorGraph, config: TrainConfig):
                 y1, buffers = _forward(params, z, work[z.shape])
                 total, comps, grad_pred = loss_step(y1, targets[idx], config.weights)
                 if not np.isfinite(total):
-                    raise TrainingError(
-                        f"loss became non-finite at epoch {epoch}",
-                        params=last_good,
-                        history=history,
-                    )
+                    raise TrainingError(f"loss became non-finite at epoch {epoch}", params, history)
                 for g, d in zip(grads, _backward(params, z, buffers, grad_pred)):
                     g += d
                 for key in comps_sum:
                     comps_sum[key] += comps[key]
             k = len(chunk)
             lr = config.learning_rate / k
-            for a, g in zip(arrays, grads):
-                a -= lr * g
-            if not all(np.all(np.isfinite(a)) for a in arrays):
-                raise TrainingError(
-                    f"parameters became non-finite at epoch {epoch}",
-                    params=last_good,
-                    history=history,
-                )
-            last_good = params.copy()
+            updated = [a - lr * g for a, g in zip(arrays, grads)]
+            if not all(np.all(np.isfinite(u)) for u in updated):
+                raise TrainingError(f"parameters became non-finite at epoch {epoch}", params, history)
+            for a, u in zip(arrays, updated):
+                a[...] = u
             record = {key: comps_sum[key] / k for key in comps_sum}
             record["step"] = len(history)
             history.append(record)

@@ -91,6 +91,17 @@ def _nan_demo(fx, path):
     _write(sar, "\n".join([head, *rows]) + "\n")
 
 
+def _demo_without_sar(fx, path):
+    # the demo with SAR dropped from every scene and no 'inference_available' key
+    shutil.copytree(fx["demo"], path)
+    with open(os.path.join(path, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    del manifest["inference_available"]
+    for names in manifest["scenes"]:
+        del names["rasters"]["SAR"]
+    _write(os.path.join(path, "manifest.json"), json.dumps(manifest))
+
+
 VALID_ENTRY = {
     "Category": "water",
     "Meaning": "open water",
@@ -118,6 +129,7 @@ SETUP = {
     "params_nan": _nan_first_value("{params}"),
     "features_nan": _nan_first_value("{demo}/scene_0.features.pgrd"),
     "nan_demo": _nan_demo,
+    "demo_without_sar": _demo_without_sar,
     "no_fixtures": lambda fx, path: os.makedirs(path),
     "manifest_list": _manifest("[]"),
     "manifest_scenes_int": _manifest('{"pckg": "pckg.json", "scenes": 3}'),
@@ -159,6 +171,7 @@ POST_CHAT = ("physeg.extraction._post_chat",)
 LOSS_STEP = ("physeg.refiner.loss_step",)
 READ_GRID = ("physeg.cli.read_grid_as",)
 LOAD_GRAPH = ("physeg.benchmark.load_graph",)
+TRAIN_HEAD = ("physeg.benchmark.train",)
 
 LIVE = "pckg extract --vocab water --live --endpoint http://127.0.0.1:9/v1 --retries 0"
 MASK = "synth --pckg {demo}/pckg.json --labels"
@@ -398,6 +411,10 @@ ROWS = [
     Row("train-manifest-available-sar", "train --manifest {manifest_available_sar}/manifest.json",
         "{manifest_available_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from 'inference_available'",
         never_called=LOAD_GRAPH),
+    # without the key the re-weighting rows read SAR; a scene without it fails before any training
+    Row("ablate-default-available-sar", "ablate --demo-dir {demo_without_sar} --epochs 2",
+        "scene 0: modalities declared available but not supplied: ['SAR']", error="ValueError",
+        never_called=TRAIN_HEAD),
     Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2"),
     Row("ablate-nan-raster", "ablate --demo-dir {nan_demo} --epochs 2", NAN_CELLS, error="ValueError"),
     # the baseline row trains nothing, but its provenance records each setting

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -161,6 +162,17 @@ def test_ablation_builds_no_trace(tmp_path, monkeypatch, fork_start_method):
     rows = sum(entry[2] for entry in benchmark.LADDER)
     m = len(manifest["inference_available"])
     assert calls == [np.ndarray] * (rows * len(scenes) * m * graph.num_classes)
+
+
+def test_baseline_only_reads_no_raster(tmp_path):
+    # the refined rows would need each scene's SAR raster; the baseline row reads none
+    build_demo(str(tmp_path), seed=0, num_scenes=2, size=16)
+    graph, scenes, _ = load_manifest(str(tmp_path))
+    bare = [dataclasses.replace(scene, rasters={}) for scene in scenes]
+    table = evaluate_rows(graph, bare, {}, baseline_only=True)
+    assert table == evaluate_rows(graph, scenes, {}, baseline_only=True)
+    with pytest.raises(ValueError, match=r"^scene 0: modalities declared available but not supplied: \['SAR'\]$"):
+        evaluate_rows(graph, bare, {}, epochs=1)
 
 
 # Run as a script so that spawn and forkserver workers re-import it as a module.

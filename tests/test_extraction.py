@@ -251,6 +251,32 @@ class TestExtractGraph:
         assert report.failures[0]["term"] == "swamp"
         assert report.failures[0]["raw_responses"]
 
+    def test_report_records(self, tmp_path, provider):
+        # one term per status: a valid one, an inverted DEM Range and no fixture at all
+        inverted = valid_obj("swamp", **{"DEM Range": [10.0, 1.0]})
+        write_fixture(tmp_path, "water", valid_obj("water"))
+        write_fixture(tmp_path, "swamp", inverted)
+        _, report = extract_graph(["water", "swamp", "road"], provider)
+        ok, invalid, transport = report.terms
+        assert list(ok.items()) == [("term", "water"), ("status", "ok"), ("attempts", 1)]
+        assert list(invalid) == ["term", "status", "attempts", "error", "raw_responses"]
+        assert (invalid["term"], invalid["status"], invalid["attempts"]) == ("swamp", "invalid", 3)
+        assert invalid["error"] == (
+            "term 'swamp': no valid entry after 3 attempts: "
+            "category 'swamp': field 'DEM Range': inverted interval [10.00, 1.00]"
+        )
+        assert invalid["raw_responses"] == [json.dumps(inverted)] * 3
+        missing = tmp_path / fixture_filename("road")
+        assert list(transport.items()) == [
+            ("term", "road"),
+            ("status", "transport-error"),
+            ("attempts", 3),
+            ("error", f"term 'road': transport failed on all 3 attempts: "
+                      f"no fixture recorded for term 'road' at {missing}"),
+        ]
+        assert report.to_json_dict()["succeeded"] == 1
+        assert report.failures == [invalid, transport]
+
     def test_all_failures_raise_empty_graph(self, tmp_path, provider):
         write_fixture(tmp_path, "a", valid_obj("a", **{"NDVI Range": [2.0, 3.0]}))
         with pytest.raises(EmptyGraphError):

@@ -290,6 +290,28 @@ class TestTrain:
         assert err.value.params.w1.tobytes() == two_steps.w1.tobytes()
         assert len(err.value.history) == 2
 
+    def test_non_finite_update_raises_training_error(self, graph3, monkeypatch):
+        # a finite loss whose gradient is infinite on the third step: the
+        # update goes non-finite, and the error carries the two-step state
+        scenes = make_dataset(graph3, seed=9, n=1)
+        backward, calls = refiner._backward, []
+
+        def inf_on_third_call(*args):
+            grads = backward(*args)
+            calls.append(None)
+            return tuple(g * np.inf for g in grads) if len(calls) == 3 else grads
+
+        monkeypatch.setattr("physeg.refiner._backward", inf_on_third_call)
+        with pytest.raises(TrainingError) as err:
+            train(scenes, graph3, TrainConfig(seed=10, epochs=5))
+        monkeypatch.undo()
+        assert str(err.value) == "parameters became non-finite at epoch 2"
+        two_steps, _ = train(scenes, graph3, TrainConfig(seed=10, epochs=2))
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(err.value.params, name).tobytes() == getattr(two_steps, name).tobytes()
+        assert err.value.params.residual_scale == two_steps.residual_scale
+        assert len(err.value.history) == 2
+
     @pytest.mark.parametrize("field", ["features", "coarse"])
     def test_non_finite_input_rejected_before_the_first_step(self, graph3, monkeypatch, field):
         scenes = make_dataset(graph3, seed=9, n=2)
