@@ -158,9 +158,15 @@ def build_demo(
     return manifest
 
 
-def load_manifest(demo_dir):
-    """Load a demo directory back into (graph, scenes, manifest)."""
-    path = os.path.join(demo_dir, MANIFEST_NAME)
+def load_manifest(path, reweights=()):
+    """Load the manifest file ``path`` into (graph, scenes, manifest).
+
+    The files it names resolve against its directory.  ``reweights`` names
+    the modalities the caller re-weights with when the manifest has no
+    ``inference_available``; every scene must name a raster for each of them,
+    checked with the rest of the manifest before any other file is read.
+    """
+    root = os.path.dirname(path)
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not (
@@ -174,8 +180,9 @@ def load_manifest(demo_dir):
     if not manifest["scenes"]:
         raise ValueError(f"{path}: manifest lists no scenes")
     # the modalities the re-weighting rows read: every scene must name a raster for each
-    available = manifest.get("inference_available", [])
+    available, source = list(reweights), "the modalities re-weighted by default"
     if "inference_available" in manifest:
+        available, source = manifest["inference_available"], "'inference_available'"
         named = isinstance(available, list) and all(isinstance(m, str) for m in available)
         if not (named and available):
             raise ValueError(f"{path}: 'inference_available' must be a non-empty list of modalities")
@@ -200,21 +207,20 @@ def load_manifest(demo_dir):
         lacking = [m for m in available if m not in names["rasters"]]
         if lacking:
             raise ValueError(
-                f"{path}: scene {k} 'rasters' lacks {', '.join(map(repr, lacking))}"
-                " from 'inference_available'"
+                f"{path}: scene {k} 'rasters' lacks {', '.join(map(repr, lacking))} from {source}"
             )
-    graph = load_graph(os.path.join(demo_dir, manifest["pckg"]))
+    graph = load_graph(os.path.join(root, manifest["pckg"]))
     scenes = []
     for names in manifest["scenes"]:
         scenes.append(
             Scene(
-                features=read_grid_as(os.path.join(demo_dir, names["features"]), "FEAT"),
-                coarse=read_grid_as(os.path.join(demo_dir, names["coarse"]), "PROB"),
+                features=read_grid_as(os.path.join(root, names["features"]), "FEAT"),
+                coarse=read_grid_as(os.path.join(root, names["coarse"]), "PROB"),
                 rasters={
-                    m: read_grid_as(os.path.join(demo_dir, path), m)
+                    m: read_grid_as(os.path.join(root, path), m)
                     for m, path in names["rasters"].items()
                 },
-                labels=read_grid_as(os.path.join(demo_dir, names["labels"]), "LABEL"),
+                labels=read_grid_as(os.path.join(root, names["labels"]), "LABEL"),
             )
         )
     return graph, scenes, manifest

@@ -300,7 +300,7 @@ def cmd_synth(args, argv, config):
 
 def _scenes_from_args(args):
     if args.manifest:
-        graph, scenes, _ = benchmark.load_manifest(os.path.dirname(os.path.abspath(args.manifest)))
+        graph, scenes, _ = benchmark.load_manifest(args.manifest)
         return graph, scenes
     needed = ("pckg", "labels", "features", "coarse")
     if not all(getattr(args, key) for key in needed):
@@ -389,7 +389,7 @@ def cmd_eval(args, argv, config):
     both = args.synthetic and args.reference
     mode = ("with" if both else "without both") + " --synthetic and --reference"
     _check_mode("eval", args, config, mode)
-    modality = (args.modality or "SAR").upper()
+    modality = "SAR" if args.modality is None else args.modality.upper()
     modality_order([modality])  # an unknown name fails before any file is read
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
@@ -438,7 +438,11 @@ def _write_eval_csv(path, payload):
 
 
 def cmd_ablate(args, argv, config):
-    graph, scenes, manifest = benchmark.load_manifest(args.demo_dir)
+    # the re-weighting rows read SAR unless the manifest names their modalities
+    reweights = () if args.baseline_only else benchmark.INFERENCE_MODALITIES
+    graph, scenes, manifest = benchmark.load_manifest(
+        os.path.join(args.demo_dir, benchmark.MANIFEST_NAME), reweights=reweights
+    )
     seed = int(_resolve(args, config, "seed", 0))
     epochs = int(_resolve(args, config, "epochs", benchmark.DEMO_EPOCHS))
     lr = float(_resolve(args, config, "lr", benchmark.DEMO_LEARNING_RATE))

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 from .priors import PriorEntry, PriorError, PriorGraph, entry_from_json_obj
 
+API_KEY_ENV = "PHYSEG_LLM_API_KEY"  # live requests send its value, if set, as a bearer token
+
 PROMPT_TEMPLATE_V1 = """\
 You are a remote-sensing analyst. For the land-cover category phrase below,
 derive physically plausible measurement ranges.
@@ -72,7 +74,6 @@ class ProviderConfig:
     request_timeout: float = 30.0
     max_retries: int = 2
     model: str = "gpt-4o"
-    api_key_env: str = "PHYSEG_LLM_API_KEY"
     parallelism: int = 1
 
     def __post_init__(self):
@@ -109,7 +110,7 @@ def _post_chat(endpoint: str, prompt: str, config: ProviderConfig) -> str:
         "temperature": 0,
     }
     headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(config.api_key_env, "")
+    api_key = os.environ.get(API_KEY_ENV, "")
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(

@@ -10,8 +10,9 @@ traces each pixel whose argmax label changes: distances, attenuations and the
 knowledge-graph reasoning for the classes involved, kept as columns (int lists
 for pixels and labels, float64 arrays for each modality's values, distances
 and scores).  ``trace.flips`` is a view that builds each record dict when read
-and keeps none.  ``to_jsonl`` encodes the columns straight to the bytes a
-per-record ``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
+and keeps none.  ``to_jsonl`` encodes each column, and each class pair's
+text, with one ``json.dumps`` call, and gives the bytes a per-record
+``json.dumps(record, sort_keys=True)`` would give.  ``write_jsonl``
 writes a trace in slices of ``JSONL_CHUNK`` flips, one ``to_jsonl`` call
 each, so only one slice's text is alive at a time and a wrapper around
 ``to_jsonl`` still sees every byte.
@@ -30,9 +31,9 @@ call on a Python float, which gives a 1x1 grid's bits without numpy's overhead.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,15 +72,11 @@ class AttenuationConfig:
 
 # Per-modality columns of a flip, in the key order of a ``flips`` record.
 FLIP_FIELDS = ("value", "distance_pre", "score_pre", "distance_post", "score_post")
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_numbers(column) -> list[str]:
-    """``json.dumps`` text of each number in a float64 column: repr, or NaN/Infinity."""
-    text = list(map(float.__repr__, column.tolist()))
-    if "nan" in text or "inf" in text or "-inf" in text:
-        text = [_JSON_NON_FINITE.get(t, t) for t in text]
-    return text
+def _json_numbers(numbers: list) -> list[str]:
+    """``json.dumps`` text of each number in a list, NaN and Infinity included."""
+    return json.dumps(numbers)[1:-1].split(", ") if numbers else []
 
 
 class FlipView(Sequence):
@@ -170,22 +167,22 @@ class RefinementTrace:
         names = sorted(self.modalities)
         keys = sorted(FLIP_FIELDS)
         columns = [
-            _json_numbers(self.modalities[name][key][rows]) for name in names for key in keys
+            _json_numbers(self.modalities[name][key][rows].tolist()) for name in names for key in keys
         ]
         block = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}"
         template = (
             '{"modalities": {'
-            + ", ".join(f"{encode_basestring_ascii(name)}: {block}" for name in names)
+            + ", ".join(f"{json.dumps(name)}: {block}" for name in names)
             + '}, %s, "x": %s, "y": %s}\n'
         )
         pairs = list(zip(self.pre_labels[rows], self.post_labels[rows]))
         pair_text = {pair: self._pair_json(*pair) for pair in set(pairs)}
         columns.append([pair_text[pair] for pair in pairs])
-        columns.append(list(map(int.__repr__, self.xs[rows])))
-        columns.append(list(map(int.__repr__, self.ys[rows])))
+        columns.append(_json_numbers(self.xs[rows]))
+        columns.append(_json_numbers(self.ys[rows]))
         lines = [template % row for row in zip(*columns)]
         if stop is None or stop >= len(self):
-            lines += ['{"warning": %s}\n' % encode_basestring_ascii(msg) for msg in self.warnings]
+            lines += [json.dumps({"warning": msg}) + "\n" for msg in self.warnings]
         return "".join(lines)
 
     def write_jsonl(self, fh) -> None:
@@ -199,18 +196,11 @@ class RefinementTrace:
 
     def _pair_json(self, pre: int, post: int) -> str:
         """The sorted record keys between ``modalities`` and ``x`` for one class pair."""
-        (pre_category, pre_reasoning), (post_category, post_reasoning) = (
-            self.classes[pre],
-            self.classes[post],
-        )
-        return (
-            f'"post_category": {encode_basestring_ascii(post_category)}, '
-            f'"post_label": {post!r}, '
-            f'"post_reasoning": {encode_basestring_ascii(post_reasoning)}, '
-            f'"pre_category": {encode_basestring_ascii(pre_category)}, '
-            f'"pre_label": {pre!r}, '
-            f'"pre_reasoning": {encode_basestring_ascii(pre_reasoning)}'
-        )
+        fields = {}
+        for tag, cid in (("pre", pre), ("post", post)):
+            fields[f"{tag}_category"], fields[f"{tag}_reasoning"] = self.classes[cid]
+            fields[f"{tag}_label"] = cid
+        return json.dumps(fields, sort_keys=True)[1:-1]
 
 
 def available_rasters(rasters, config):

@@ -76,15 +76,6 @@ class RefinerParams:
         if din < c + len(MODALITIES):
             raise ValueError(f"fused input width {din} smaller than C + M = {c + len(MODALITIES)}")
 
-    def copy(self) -> "RefinerParams":
-        return RefinerParams(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            residual_scale=self.residual_scale,
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:

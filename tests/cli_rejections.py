@@ -306,6 +306,10 @@ ROWS = [
     Row("train-manifest-scene-path-not-string", "train --manifest {manifest_scene_path_int}/manifest.json",
         "{manifest_scene_path_int}/manifest.json: scene 0 file paths are not strings: 'features', 'SAR'",
         never_called=LOAD_GRAPH),
+    # the manifest file as named, not manifest.json beside it
+    Row("train-manifest-absent", "train --manifest {demo}/absent.json",
+        "[Errno 2] No such file or directory: '{demo}/absent.json'", error="FileNotFoundError",
+        never_called=LOAD_GRAPH),
     Row("train-manifest-no-scenes", "train --manifest {manifest_no_scenes}/manifest.json",
         "{manifest_no_scenes}/manifest.json: manifest lists no scenes", never_called=LOAD_GRAPH),
     Row("train-negative-seed", f"{TRAIN} --seed -1", "seed must be >= 0, got -1"),
@@ -375,6 +379,9 @@ ROWS = [
     Row("eval-unknown-modality",
         f"{EVAL} --synthetic {{demo}}/scene_0.sar.pgrd --reference {{demo}}/scene_0.sar.pgrd --modality LST",
         "unknown modality 'LST'", never_called=READ_GRID),
+    Row("eval-empty-modality",
+        f"{EVAL} --synthetic {{demo}}/scene_0.sar.pgrd --reference {{demo}}/scene_0.sar.pgrd --modality ''",
+        "unknown modality ''", never_called=READ_GRID),
     Row("eval-repeated-raster", f"{EVAL} --rasters {SAR_TWICE}",
         f"raster argument '{SAR_TWICE}': modality 'SAR' named more than once"),
     Row("eval-zero-size", "eval --pckg {demo}/pckg.json --pred {labels_empty} --gt {labels_empty}",
@@ -411,10 +418,10 @@ ROWS = [
     Row("train-manifest-available-sar", "train --manifest {manifest_available_sar}/manifest.json",
         "{manifest_available_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from 'inference_available'",
         never_called=LOAD_GRAPH),
-    # without the key the re-weighting rows read SAR; a scene without it fails before any training
+    # without the key the re-weighting rows read SAR; a scene without it fails before any grid is read
     Row("ablate-default-available-sar", "ablate --demo-dir {demo_without_sar} --epochs 2",
-        "scene 0: modalities declared available but not supplied: ['SAR']", error="ValueError",
-        never_called=TRAIN_HEAD),
+        "{demo_without_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from the modalities re-weighted by default",
+        error="ValueError", never_called=TRAIN_HEAD + LOAD_GRAPH),
     Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2"),
     Row("ablate-nan-raster", "ablate --demo-dir {nan_demo} --epochs 2", NAN_CELLS, error="ValueError"),
     # the baseline row trains nothing, but its provenance records each setting

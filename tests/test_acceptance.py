@@ -6,6 +6,7 @@ lines alongside the pytest verdicts.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -52,7 +53,7 @@ def _report(number, description, detail=""):
 def demo(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_demo")
     benchmark.build_demo(str(root), seed=0)
-    graph, scenes, manifest = benchmark.load_manifest(str(root))
+    graph, scenes, manifest = benchmark.load_manifest(str(root / benchmark.MANIFEST_NAME))
     return {"dir": str(root), "graph": graph, "scenes": scenes, "manifest": manifest}
 
 
@@ -219,7 +220,7 @@ def test_criterion_2_gradient_checks():
         analytic = dict(zip(("w1", "b1", "w2", "b2"), grads))
 
         def loss_with(name, value):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             setattr(trial, name, value)
             y, _ = _forward(trial, z)
             return total_loss(y, labels, features, rasters, graph, weights)[0]

@@ -47,7 +47,7 @@ def test_demo_labels_cover_all_classes():
 
 def test_manifest_round_trip(tmp_path):
     build_demo(str(tmp_path), seed=4, num_scenes=2, size=16)
-    graph, scenes, manifest = load_manifest(str(tmp_path))
+    graph, scenes, manifest = load_manifest(str(tmp_path / benchmark.MANIFEST_NAME))
     assert graph.num_classes == 4
     assert len(scenes) == 2
     for scene in scenes:
@@ -96,7 +96,7 @@ def test_worker_failure_reaches_the_caller(tmp_path, monkeypatch, capsys, fork_s
 
     monkeypatch.setattr(benchmark, "train", train)
     build_demo(str(tmp_path / "demo"), seed=0)
-    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo" / benchmark.MANIFEST_NAME))
     with pytest.raises(TrainingError, match=r"^diverged in process \d+$") as caught:
         evaluate_rows(graph, scenes, manifest, epochs=2)
     # the physics-loss head trained in a worker, not here
@@ -118,7 +118,7 @@ def test_caller_failure_stops_the_worker(tmp_path, monkeypatch, fork_start_metho
 
     monkeypatch.setattr(benchmark, "train", train)
     build_demo(str(tmp_path / "demo"), seed=0)
-    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo" / benchmark.MANIFEST_NAME))
     start = time.monotonic()
     with pytest.raises(TrainingError, match="^diverged in the caller$"):
         evaluate_rows(graph, scenes, manifest, epochs=2)
@@ -136,7 +136,7 @@ def test_worker_death_is_an_error(tmp_path, monkeypatch, fork_start_method):
 
     monkeypatch.setattr(benchmark, "train", train)
     build_demo(str(tmp_path / "demo"), seed=0)
-    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo" / benchmark.MANIFEST_NAME))
     with pytest.raises(RuntimeError, match="^ablation worker exited with code 3 and no result$"):
         evaluate_rows(graph, scenes, manifest, epochs=2)
     assert multiprocessing.active_children() == []
@@ -155,7 +155,7 @@ def test_ablation_builds_no_trace(tmp_path, monkeypatch, fork_start_method):
     monkeypatch.setattr(inference, "reweight", reweight)
     monkeypatch.setattr(inference, "interval_distance_grid", counted)
     build_demo(str(tmp_path / "demo"), seed=0)
-    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo" / benchmark.MANIFEST_NAME))
     table = evaluate_rows(graph, scenes, manifest, epochs=2)
     assert [row["name"] for row in table["rows"]] == [entry[0] for entry in benchmark.LADDER]
     # one call per (modality, class) per scene in each re-weighting row, none per flip
@@ -167,7 +167,7 @@ def test_ablation_builds_no_trace(tmp_path, monkeypatch, fork_start_method):
 def test_baseline_only_reads_no_raster(tmp_path):
     # the refined rows would need each scene's SAR raster; the baseline row reads none
     build_demo(str(tmp_path), seed=0, num_scenes=2, size=16)
-    graph, scenes, _ = load_manifest(str(tmp_path))
+    graph, scenes, _ = load_manifest(str(tmp_path / benchmark.MANIFEST_NAME))
     bare = [dataclasses.replace(scene, rasters={}) for scene in scenes]
     table = evaluate_rows(graph, bare, {}, baseline_only=True)
     assert table == evaluate_rows(graph, scenes, {}, baseline_only=True)
@@ -190,17 +190,17 @@ if __name__ == "__main__":
 def test_table_is_the_same_under_every_start_method(tmp_path, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{method} start method unavailable")
-    demo = str(tmp_path / "demo")
-    build_demo(demo, seed=0)
+    build_demo(str(tmp_path / "demo"), seed=0)
+    manifest = str(tmp_path / "demo" / benchmark.MANIFEST_NAME)
     script = tmp_path / "ablate.py"
     script.write_text(START_METHOD_SCRIPT)
     src = os.path.dirname(os.path.dirname(os.path.abspath(benchmark.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, str(script), method, demo],
+        [sys.executable, str(script), method, manifest],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     ).stdout
-    expected = evaluate_rows(*load_manifest(demo), epochs=20)
+    expected = evaluate_rows(*load_manifest(manifest), epochs=20)
     assert out == json.dumps(expected, sort_keys=True) + "\n"
 
 
@@ -212,7 +212,7 @@ def test_main_program_from_stdin_is_an_error_before_any_worker(tmp_path, monkeyp
     stdin_main = types.ModuleType("__main__")
     stdin_main.__file__ = "<stdin>"
     build_demo(str(tmp_path / "demo"), seed=0)
-    graph, scenes, manifest = load_manifest(str(tmp_path / "demo"))
+    graph, scenes, manifest = load_manifest(str(tmp_path / "demo" / benchmark.MANIFEST_NAME))
 
     def fail(what):
         def call(*args, **kwargs):

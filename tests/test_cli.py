@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import tracemalloc
 
 import cli_rejections
@@ -196,6 +197,21 @@ class TestTrainRefineEval:
             int(cells[0])
             for cell in cells[1:]:  # plain parseable decimals, no repr wrappers
                 float(cell)
+
+    def test_train_reads_the_manifest_file_it_is_given(self, pipeline_dir, tmp_path, capsys):
+        # a renamed one-scene manifest beside the demo's three-scene manifest.json
+        demo = tmp_path / "demo"
+        shutil.copytree(pipeline_dir / "demo", demo)
+        manifest = json.loads((demo / "manifest.json").read_text())
+        manifest["scenes"] = manifest["scenes"][:1]
+        (demo / "one_scene.json").write_text(json.dumps(manifest))
+        losses = tmp_path / "losses.json"
+        code, _, err = run(
+            capsys, "train", "--manifest", str(demo / "one_scene.json"), "--epochs", "2",
+            "--losses", str(losses), "--out", str(tmp_path / "params.psp"),
+        )
+        assert code == 0, err
+        assert len(json.loads(losses.read_text())["phys_terms"]) == 1
 
     def test_refine_and_eval(self, pipeline_dir, capsys):
         demo = pipeline_dir / "demo"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -835,7 +836,7 @@ class TestComposedGradient:
         g_w1, g_b1, g_w2, g_b2 = _backward(params, z, buffers, grad_pred)
 
         def loss_for(theta_name, theta_value):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             setattr(trial, theta_name, theta_value)
             y, _ = _forward(trial, z)
             return total_loss(y, labels, features, rasters, graph3, weights)[0]
