@@ -23,7 +23,7 @@ from .gridio import read_grid_as, write_grid
 from .inference import AttenuationConfig, attenuate, available_rasters, infer  # noqa: F401
 from .losses import LossWeights
 from .metrics import confusion_counts, miou_from_confusion
-from .priors import Interval, PriorEntry, PriorGraph, load_graph, modality_order, save_graph
+from .priors import MODALITIES, Interval, PriorEntry, PriorGraph, load_graph, modality_order, save_graph
 from .refiner import Scene, TrainConfig, assemble_joint, mock_backbone, refine, train
 from .synth import SynthConfig, synthesize_scene
 
@@ -112,7 +112,13 @@ def demo_labels(scene_index: int, size: int = 32) -> np.ndarray:
 def build_demo(
     out_dir, seed: int = 0, num_scenes: int = DEMO_SCENES, size: int = DEMO_SIZE
 ) -> dict:
-    """Write graph, scenes and manifest under out_dir; returns the manifest dict."""
+    """Write graph, scenes and manifest under out_dir; returns the manifest dict.
+
+    Each scene's grids are written as they are made: its labels, then the
+    mock backbone's features and coarse map, which are dropped before its
+    rasters are synthesized, so the two sets are never alive together.
+    Every array has its own seed, so the files do not depend on this order.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if num_scenes < 1:
@@ -125,24 +131,24 @@ def build_demo(
 
     scenes = []
     for k in range(num_scenes):
-        labels = demo_labels(k, size=size)
-        rasters = synthesize_scene(
-            labels, graph, {"NDVI", "DEM", "SAR"}, SynthConfig(seed=seed * 1000 + k)
-        )
-        features, coarse = mock_backbone(
-            labels, graph, (AMBIGUOUS_PAIR,), seed=seed * 1000 + 500 + k
-        )
         names = {
             "labels": f"scene_{k}.labels.pgrd",
             "features": f"scene_{k}.features.pgrd",
             "coarse": f"scene_{k}.coarse.pgrd",
-            "rasters": {m: f"scene_{k}.{m.lower()}.pgrd" for m in rasters},
+            "rasters": {m: f"scene_{k}.{m.lower()}.pgrd" for m in MODALITIES},
         }
+        labels = demo_labels(k, size=size)
         write_grid(os.path.join(out_dir, names["labels"]), "LABEL", labels)
+        features, coarse = mock_backbone(
+            labels, graph, (AMBIGUOUS_PAIR,), seed=seed * 1000 + 500 + k
+        )
         write_grid(os.path.join(out_dir, names["features"]), "FEAT", features)
         write_grid(os.path.join(out_dir, names["coarse"]), "PROB", coarse)
+        del features, coarse
+        rasters = synthesize_scene(labels, graph, MODALITIES, SynthConfig(seed=seed * 1000 + k))
         for modality, grid in rasters.items():
             write_grid(os.path.join(out_dir, names["rasters"][modality]), modality, grid)
+        del rasters
         scenes.append(names)
 
     manifest = {

@@ -24,7 +24,7 @@ import warnings
 from . import __version__, benchmark
 from .extraction import ExtractionError, ProviderConfig, TransportError, extract_graph
 from .gridio import read_grid_as, read_params, write_grid, write_history_csv, write_params
-from .inference import AttenuationConfig, infer
+from .inference import AttenuationConfig, available_rasters, infer
 from .losses import COMPONENTS, LossWeights
 from .metrics import miou, plausibility_rate, reliability
 from .priors import (
@@ -355,15 +355,22 @@ def cmd_refine(args, argv, config):
                 "refine --mode physical re-weights with at least one modality: "
                 "pass --rasters, or use --mode visual"
             )
-    graph = load_graph(args.pckg)
-    params = read_params(args.params)
-    features = read_grid_as(args.features, "FEAT")
-    coarse = read_grid_as(args.coarse, "PROB")
-    rasters = _load_rasters(raster_paths)
     att_config, resolved = _settings(
         AttenuationConfig, ATTENUATION_SETTINGS, args, config, available=available
     )
-    labels, probs, trace = infer(params, features, coarse, rasters, graph, att_config)
+    available_rasters(raster_paths, att_config)  # a declared modality without a path fails here
+    graph = load_graph(args.pckg)
+    params = read_params(args.params)
+    # infer is handed the only references to the grids, so it can free them
+    # once the head has read them; every --rasters grid is read in both modes
+    labels, probs, trace = infer(
+        params,
+        read_grid_as(args.features, "FEAT"),
+        read_grid_as(args.coarse, "PROB"),
+        _load_rasters(raster_paths),
+        graph,
+        att_config,
+    )
     resolved.update(mode=mode, available=list(available))
     provenance = _provenance(argv, None, resolved)
     os.makedirs(args.out, exist_ok=True)

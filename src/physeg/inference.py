@@ -20,10 +20,11 @@ each, so only one slice's text is alive at a time and a wrapper around
 Each large intermediate is held once: ``infer`` hands ``refine`` the
 scene's ``JointParts`` from ``assemble_joint``, the head's one input form,
 which it writes one pixel block at a time, so the joint tensor is never held
-whole.  ``infer`` keeps only the refined map (the correction map is dropped
-before re-weighting), and ``attenuate`` holds one (H, W, C) array whatever the
-number of modalities: the attenuation product, which it multiplies by the
-refined map and normalises in place, never writing the caller's refined map.
+whole.  ``infer`` keeps only the refined map and the available rasters (the
+correction map, features and coarse map are dropped before re-weighting),
+and ``attenuate`` holds one (H, W, C) array whatever the number of
+modalities: the attenuation product, which it multiplies by the refined map
+and normalises in place, never writing the caller's refined map.
 A flip's scores are the attenuation of the distances its trace records, so
 no per-modality grid is kept; each distance is an ``interval_distance_grid``
 call on a Python float, which gives a 1x1 grid's bits without numpy's overhead.
@@ -331,9 +332,16 @@ def infer(
     Rasters not listed in ``config.available`` are ignored entirely, so
     visual-only inference (empty available set) is independent of any raster
     content supplied.  Returns (labels, probabilities, trace).
+
+    Once the head has run, ``infer`` drops its references to ``features``,
+    ``coarse`` and ``rasters`` (``used`` keeps the available rasters), and the
+    correction map goes with ``refine``'s result.  A caller that hands over
+    its only references, as ``physeg refine`` does, has those grids freed
+    before re-weighting.  On CPython 3.10 the caller's frame keeps its
+    arguments until the call returns, so nothing is freed early there.
     """
     used = available_rasters(rasters, config)
-    # the correction map is freed before re-weighting
     y1 = refine(params, assemble_joint(features, coarse, used, graph), coarse)[0]
+    del features, coarse, rasters
     probs, labels, trace = reweight(y1, used, graph, config)
     return labels, probs, trace

@@ -346,12 +346,14 @@ ROWS = [
     # nan would write NaN probabilities and inf would flip nothing
     *(
         Row(f"refine-{flag[2:]}-{value}", f"{REFINE} {SAR} --mode physical {flag} {value}",
-            "sigma_rel and tau_rel must be finite and > 0")
+            "sigma_rel and tau_rel must be finite and > 0", never_called=READ_GRID)
         for flag, value in (("--sigma-rel", "nan"), ("--sigma-rel", "inf"), ("--tau-rel", "nan"))
     ),
     # physical is the default mode; without a modality it would write visual results
     Row("refine-no-rasters", REFINE, NO_MODALITY, never_called=READ_GRID),
     Row("refine-none-available", f"{REFINE} {SAR} --available ''", NO_MODALITY, never_called=READ_GRID),
+    Row("refine-available-not-supplied", f"{REFINE} {SAR} --available NDVI",
+        "modalities declared available but not supplied: ['NDVI']", never_called=READ_GRID),
     Row("refine-nan-params", f"refine --params {{params_nan}} {SCENE} {SAR}",
         "{params_nan}: non-finite value where finite values are required", error="GridFormatError"),
     Row("refine-nan-features",

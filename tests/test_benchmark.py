@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -22,7 +23,7 @@ from physeg.benchmark import (
     format_table,
     load_manifest,
 )
-from physeg.priors import interval_distance_grid
+from physeg.priors import MODALITIES, interval_distance_grid
 from physeg.refiner import TrainingError
 
 
@@ -162,6 +163,30 @@ def test_ablation_builds_no_trace(tmp_path, monkeypatch, fork_start_method):
     rows = sum(entry[2] for entry in benchmark.LADDER)
     m = len(manifest["inference_available"])
     assert calls == [np.ndarray] * (rows * len(scenes) * m * graph.num_classes)
+
+
+def test_build_demo_writes_rasters_without_the_backbone_maps(tmp_path, monkeypatch):
+    # 64x64: the mock backbone's features and coarse map are (H, W, 4) float64 maps
+    map_bytes = 64 * 64 * 4 * 8
+    # a first run loads whatever build_demo imports lazily, which would count as held
+    build_demo(str(tmp_path / "first"), seed=0, num_scenes=1, size=64)
+    held = {}
+    real_write_grid = benchmark.write_grid
+
+    def write_grid(path, kind, values):
+        held[kind] = tracemalloc.get_traced_memory()[0] - base
+        real_write_grid(path, kind, values)
+
+    monkeypatch.setattr(benchmark, "write_grid", write_grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_demo(str(tmp_path / "demo"), seed=0, num_scenes=1, size=64)
+    finally:
+        tracemalloc.stop()
+    assert set(held) == {"LABEL", "FEAT", "PROB", *MODALITIES}
+    # labels and the three rasters; the backbone maps are already freed
+    assert max(held[m] for m in MODALITIES) < 1.5 * map_bytes
 
 
 def test_baseline_only_reads_no_raster(tmp_path):

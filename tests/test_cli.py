@@ -4,13 +4,14 @@ import argparse
 import json
 import os
 import shutil
+import sys
 import tracemalloc
 
 import cli_rejections
 import numpy as np
 import pytest
 
-from physeg import cli
+from physeg import cli, inference
 from physeg.cli import main
 from physeg.extraction import ProviderConfig
 from physeg.gridio import read_grid_as
@@ -334,6 +335,45 @@ class TestTrainRefineEval:
         assert (out / "trace.jsonl").read_text(encoding="utf-8") == trace.to_jsonl()
         # whole-trace text, its lines and its UTF-8 copy are never alive at once
         assert peak < text_length / 2
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller keeps infer's arguments")
+    @pytest.mark.parametrize("mode", ["physical", "visual"])
+    def test_refine_frees_its_inputs_before_reweighting(
+        self, pipeline_dir, tmp_path, capsys, monkeypatch, mode
+    ):
+        # a 64x64 scene: its features, coarse map and the refined map are (H, W, 4) float64 maps
+        demo = tmp_path / "demo"
+        assert run(capsys, "synth", "--demo", "--size", "64", "--scenes", "1", "--out", str(demo))[0] == 0
+        map_bytes = 64 * 64 * 4 * 8
+        argv = [
+            "refine",
+            "--params", str(pipeline_dir / "params.psp"),
+            "--pckg", str(demo / "pckg.json"),
+            "--features", str(demo / "scene_0.features.pgrd"),
+            "--coarse", str(demo / "scene_0.coarse.pgrd"),
+            "--rasters", f"sar={demo / 'scene_0.sar.pgrd'}",
+            "--mode", mode,
+            "--out", str(tmp_path / "out"),
+        ]
+        # a first run loads whatever the command imports lazily, which would count as held
+        assert run(capsys, *argv)[0] == 0
+        held = []
+        real_attenuate = inference.attenuate
+
+        def attenuate(*args):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return real_attenuate(*args)
+
+        monkeypatch.setattr(inference, "attenuate", attenuate)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run(capsys, *argv)
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the refined map, and in physical mode the SAR raster; features and coarse map are freed
+        assert len(held) == 1 and held[0] < 3 * map_bytes
 
     test_unknown_raster_modality_exit_1 = _runs_rows("refine-unknown-raster-modality")
     test_repeated_available_modality_exit_1 = _runs_rows("refine-repeated-available")
