@@ -164,12 +164,28 @@ def build_demo(
     return manifest
 
 
+def read_scene(names, root=""):
+    """The ``Scene`` of one manifest scene entry, each of its paths joined to ``root``.
+
+    Reads ``features`` as FEAT, ``coarse`` as PROB, each of ``rasters``
+    ({modality: path}) as its modality, then ``labels`` as LABEL.
+    """
+    return Scene(
+        features=read_grid_as(os.path.join(root, names["features"]), "FEAT"),
+        coarse=read_grid_as(os.path.join(root, names["coarse"]), "PROB"),
+        rasters={m: read_grid_as(os.path.join(root, file), m) for m, file in names["rasters"].items()},
+        labels=read_grid_as(os.path.join(root, names["labels"]), "LABEL"),
+    )
+
+
 def load_manifest(path, reweights=()):
     """Load the manifest file ``path`` into (graph, scenes, manifest).
 
-    The files it names resolve against its directory.  ``reweights`` names
-    the modalities the caller re-weights with when the manifest has no
-    ``inference_available``; every scene must name a raster for each of them,
+    Each scene entry is read by ``read_scene``, its files resolved against
+    the manifest's directory.  ``reweights`` names the modalities the caller
+    re-weights with when the manifest has no ``inference_available``; every
+    scene must name a raster for each of them, and its raster keys must be
+    modality names in exact case (``SAR``, not ``sar``).  All of this is
     checked with the rest of the manifest before any other file is read.
     """
     root = os.path.dirname(path)
@@ -210,26 +226,17 @@ def load_manifest(path, reweights=()):
             raise ValueError(
                 f"{path}: scene {k} file paths are not strings: {', '.join(map(repr, bad))}"
             )
+        try:
+            modality_order(names["rasters"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: scene {k} 'rasters': {exc}") from None
         lacking = [m for m in available if m not in names["rasters"]]
         if lacking:
             raise ValueError(
                 f"{path}: scene {k} 'rasters' lacks {', '.join(map(repr, lacking))} from {source}"
             )
     graph = load_graph(os.path.join(root, manifest["pckg"]))
-    scenes = []
-    for names in manifest["scenes"]:
-        scenes.append(
-            Scene(
-                features=read_grid_as(os.path.join(root, names["features"]), "FEAT"),
-                coarse=read_grid_as(os.path.join(root, names["coarse"]), "PROB"),
-                rasters={
-                    m: read_grid_as(os.path.join(root, path), m)
-                    for m, path in names["rasters"].items()
-                },
-                labels=read_grid_as(os.path.join(root, names["labels"]), "LABEL"),
-            )
-        )
-    return graph, scenes, manifest
+    return graph, [read_scene(names, root) for names in manifest["scenes"]], manifest
 
 
 def demo_train_config(seed, epochs, learning_rate, lambda2) -> TrainConfig:

@@ -36,7 +36,7 @@ from .priors import (
     modality_order,
     save_graph,
 )
-from .refiner import Scene, TrainConfig, TrainingError, evaluate_losses, train
+from .refiner import TrainConfig, TrainingError, evaluate_losses, train
 from .synth import SynthConfig, synthesize_scene
 
 EXIT_OK = 0
@@ -305,14 +305,9 @@ def _scenes_from_args(args):
     needed = ("pckg", "labels", "features", "coarse")
     if not all(getattr(args, key) for key in needed):
         raise ValueError("train needs --manifest or all of --pckg/--labels/--features/--coarse")
-    graph = load_graph(args.pckg)
-    scene = Scene(
-        features=read_grid_as(args.features, "FEAT"),
-        coarse=read_grid_as(args.coarse, "PROB"),
-        rasters=_load_rasters(_parse_rasters(args.rasters)),
-        labels=read_grid_as(args.labels, "LABEL"),
-    )
-    return graph, [scene]
+    names = {key: getattr(args, key) for key in ("features", "coarse", "labels")}
+    names["rasters"] = _parse_rasters(args.rasters)  # checked before anything is read
+    return load_graph(args.pckg), [benchmark.read_scene(names)]
 
 
 def cmd_train(args, argv, config):
@@ -398,6 +393,7 @@ def cmd_eval(args, argv, config):
     _check_mode("eval", args, config, mode)
     modality = "SAR" if args.modality is None else args.modality.upper()
     modality_order([modality])  # an unknown name fails before any file is read
+    raster_paths = _parse_rasters(args.rasters)  # so does a bad --rasters
     graph = load_graph(args.pckg)
     pred = read_grid_as(args.pred, "LABEL")
     gt = read_grid_as(args.gt, "LABEL")
@@ -405,7 +401,7 @@ def cmd_eval(args, argv, config):
         pred, gt, graph.num_classes, ignore_background=not args.include_background
     )
     payload = {"miou": report.miou, "per_class": {str(k): v for k, v in report.per_class.items()}}
-    rasters = _load_rasters(_parse_rasters(args.rasters))
+    rasters = _load_rasters(raster_paths)
     if rasters:
         rate, breakdown = plausibility_rate(pred, rasters, graph)
         payload["plausibility"] = {

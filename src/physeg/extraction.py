@@ -101,7 +101,12 @@ def fixture_filename(term: str) -> str:
 
 
 def _post_chat(endpoint: str, prompt: str, config: ProviderConfig) -> str:
-    """One chat-completion POST; returns the raw assistant text."""
+    """One chat-completion POST; returns the raw assistant text.
+
+    A reply without assistant text (a body that is not UTF-8 JSON, not an
+    object, without ``choices`` or with an empty list, or a ``content`` that
+    is not a string) is a TransportError, as an unreachable endpoint is.
+    """
     import urllib.request  # loads http.client, ssl and email: only live extraction needs them
 
     payload = {
@@ -117,8 +122,14 @@ def _post_chat(endpoint: str, prompt: str, config: ProviderConfig) -> str:
         endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers
     )
     with urllib.request.urlopen(request, timeout=config.request_timeout) as response:
-        body = json.loads(response.read().decode("utf-8"))
-    return body["choices"][0]["message"]["content"]
+        body = response.read()
+    try:
+        text = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):  # JSONDecodeError is a ValueError
+        text = None
+    if not isinstance(text, str):
+        raise TransportError(f"reply holds no assistant text: {body[:200]!r}")
+    return text
 
 
 def _fetch_response(term: str, prompt: str, config: ProviderConfig, transport=None) -> str:

@@ -10,9 +10,10 @@ Parameter format (PSPARAMS): header ``PSPARAMS v1 <D> <C> <M> <H>`` followed
 by the fusion matrix, fusion bias, head matrix, head bias and residual scale,
 row-major ASCII.  FEAT, PROB and PSPARAMS values must be finite; modality
 rasters may hold nan or inf.  Writers raise GridFormatError on a non-finite
-FEAT, PROB or PSPARAMS value before the file is opened, and write PROB/FEAT
-planes row by row from views of the (H, W, C) array, never from a planar
-copy.  Readers take any whitespace between values and skip blank lines.
+FEAT, PROB or PSPARAMS value, or on LABEL values of a non-integer dtype,
+before the file is opened, and write PROB/FEAT planes row by row from views
+of the (H, W, C) array, never from a planar copy.  Readers take any
+whitespace between values and skip blank lines.
 """
 
 from __future__ import annotations
@@ -78,11 +79,18 @@ def _parse_block(path, lines, width: int, dtype, finite: bool) -> np.ndarray:
 
 
 def write_grid(path, kind: str, values: np.ndarray) -> None:
-    """Write a LABEL (H,W int), modality (H,W float) or PROB/FEAT (H,W,C) grid."""
+    """Write a LABEL (H,W int), modality (H,W float) or PROB/FEAT (H,W,C) grid.
+
+    LABEL values must have an integer dtype: a float label (1.7, nan) is a
+    GridFormatError naming ``path``, raised before the file is opened.
+    """
     if kind not in GRID_KINDS:
         raise GridFormatError(f"unknown grid kind {kind!r}")
     planar = kind in _PLANAR_KINDS
-    arr = np.asarray(values, dtype=np.int64 if kind == "LABEL" else np.float64)
+    arr = np.asarray(values)
+    if kind == "LABEL" and not np.issubdtype(arr.dtype, np.integer):
+        raise GridFormatError(f"{path}: LABEL grid needs integer values, got {arr.dtype}")
+    arr = arr.astype(np.int64 if kind == "LABEL" else np.float64, copy=False)
     if arr.ndim != (3 if planar else 2):
         layout = "(H, W, C)" if planar else "(H, W)"
         raise GridFormatError(f"{kind} grids need a {layout} array, got shape {arr.shape}")

@@ -143,6 +143,13 @@ SETUP = {
     "manifest_scene_path_int": _manifest(json.dumps({"pckg": "pckg.json", "scenes": [
         {"features": 1, "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {"SAR": 5}},
     ]})),
+    # one scene whose raster key is not a modality name as physeg writes it
+    **{
+        f"manifest_raster_{key}": _manifest(json.dumps({"pckg": "pckg.json", "scenes": [
+            {"features": "f.pgrd", "coarse": "c.pgrd", "labels": "l.pgrd", "rasters": {name: "r.pgrd"}},
+        ]}))
+        for key, name in (("lower_case", "sar"), ("unknown", "LST"))
+    },
     **{
         f"manifest_available_{key}": _available_manifest(value)
         for key, value in (
@@ -171,6 +178,8 @@ POST_CHAT = ("physeg.extraction._post_chat",)
 LOSS_STEP = ("physeg.refiner.loss_step",)
 READ_GRID = ("physeg.cli.read_grid_as",)
 LOAD_GRAPH = ("physeg.benchmark.load_graph",)
+# cli's graph and grid readers, and the grid reader of benchmark.read_scene
+READ_ANY = READ_GRID + ("physeg.benchmark.read_grid_as", "physeg.cli.load_graph")
 TRAIN_HEAD = ("physeg.benchmark.train",)
 
 LIVE = "pckg extract --vocab water --live --endpoint http://127.0.0.1:9/v1 --retries 0"
@@ -306,6 +315,14 @@ ROWS = [
     Row("train-manifest-scene-path-not-string", "train --manifest {manifest_scene_path_int}/manifest.json",
         "{manifest_scene_path_int}/manifest.json: scene 0 file paths are not strings: 'features', 'SAR'",
         never_called=LOAD_GRAPH),
+    # raster keys are modality names in exact case: physeg writes them upper-case
+    *(
+        Row(f"train-manifest-raster-{key.replace('_', '-')}",
+            f"train --manifest {{manifest_raster_{key}}}/manifest.json",
+            f"{{manifest_raster_{key}}}/manifest.json: scene 0 'rasters': unknown modality '{name}'",
+            never_called=LOAD_GRAPH)
+        for key, name in (("lower_case", "sar"), ("unknown", "LST"))
+    ),
     # the manifest file as named, not manifest.json beside it
     Row("train-manifest-absent", "train --manifest {demo}/absent.json",
         "[Errno 2] No such file or directory: '{demo}/absent.json'", error="FileNotFoundError",
@@ -329,7 +346,7 @@ ROWS = [
         )
     ),
     Row("train-repeated-raster", f"train --labels {LABELS} {SCENE} --rasters {SAR_TWICE}",
-        f"raster argument '{SAR_TWICE}': modality 'SAR' named more than once"),
+        f"raster argument '{SAR_TWICE}': modality 'SAR' named more than once", never_called=READ_ANY),
     Row("train-nan-raster", f"train --labels {{nan_demo}}/scene_0.labels.pgrd {NAN_SCENE}", NAN_CELLS,
         error="ValueError"),
     # refine
@@ -385,7 +402,7 @@ ROWS = [
         f"{EVAL} --synthetic {{demo}}/scene_0.sar.pgrd --reference {{demo}}/scene_0.sar.pgrd --modality ''",
         "unknown modality ''", never_called=READ_GRID),
     Row("eval-repeated-raster", f"{EVAL} --rasters {SAR_TWICE}",
-        f"raster argument '{SAR_TWICE}': modality 'SAR' named more than once"),
+        f"raster argument '{SAR_TWICE}': modality 'SAR' named more than once", never_called=READ_ANY),
     Row("eval-zero-size", "eval --pckg {demo}/pckg.json --pred {labels_empty} --gt {labels_empty}",
         "{labels_empty}: header dimensions must be >= 1, got 0 0", error="GridFormatError"),
     Row("eval-nan-raster", f"{NAN_EVAL} --rasters sar={{nan_demo}}/scene_0.sar.pgrd", NAN_CELLS,
@@ -417,6 +434,10 @@ ROWS = [
             ("sar", "scene 0 'rasters' lacks 'SAR' from 'inference_available'"),
         )
     ),
+    # checked before the default SAR, which the scene would otherwise lack
+    Row("ablate-manifest-raster-lower-case", "ablate --demo-dir {manifest_raster_lower_case}",
+        "{manifest_raster_lower_case}/manifest.json: scene 0 'rasters': unknown modality 'sar'",
+        never_called=LOAD_GRAPH),
     Row("train-manifest-available-sar", "train --manifest {manifest_available_sar}/manifest.json",
         "{manifest_available_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from 'inference_available'",
         never_called=LOAD_GRAPH),

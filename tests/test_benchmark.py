@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from physeg.benchmark import (
     evaluate_rows,
     format_table,
     load_manifest,
+    read_scene,
 )
 from physeg.priors import MODALITIES, interval_distance_grid
 from physeg.refiner import TrainingError
@@ -56,6 +58,41 @@ def test_manifest_round_trip(tmp_path):
         assert scene.coarse.shape == (16, 16, 4)
         assert set(scene.rasters) == {"NDVI", "DEM", "SAR"}
     assert manifest["seed"] == 4
+
+
+def test_read_scene_reads_each_grid_once_in_entry_order(tmp_path, monkeypatch):
+    names = build_demo(str(tmp_path), seed=4, num_scenes=2, size=16)["scenes"][1]
+    # a path given whole stays whole: os.path.join drops the root before it
+    names = dict(names, labels=str(tmp_path / names["labels"]))
+    reads, read = [], benchmark.read_grid_as
+
+    def spy(path, kind):
+        reads.append((path, kind))
+        return read(path, kind)
+
+    monkeypatch.setattr(benchmark, "read_grid_as", spy)
+    scene = read_scene(names, str(tmp_path))
+    expected = [(names["features"], "FEAT"), (names["coarse"], "PROB")]
+    expected += [(names["rasters"][m], m) for m in MODALITIES] + [(names["labels"], "LABEL")]
+    assert reads == [(os.path.join(str(tmp_path), path), kind) for path, kind in expected]
+    assert list(scene.rasters) == list(MODALITIES)
+    assert scene.labels.dtype == np.int32 and np.array_equal(scene.labels, demo_labels(1, size=16))
+
+
+def test_perfbench_patches_resolve():
+    # perfbench times physeg by patching these names: a rename would zero a metric silently
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, attr, _ in spans.PATCHES:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def test_format_table_mentions_rows():

@@ -214,6 +214,45 @@ class TestUrllibTransport:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "TransportError"
 
+    # replies that hold no assistant text: no choice, a body that is no object, a null content
+    BAD_REPLIES = {
+        "empty-choices": {"choices": []},
+        "not-an-object": ["choices"],
+        "null-content": {"choices": [{"message": {"role": "assistant", "content": None}}]},
+    }
+
+    def _extract(self, monkeypatch, tmp_path, capsys, bad_terms, reply):
+        def urlopen(request, timeout):
+            prompt = json.loads(request.data)["messages"][0]["content"]
+            term = next(t for t in ("water", "forest") if f'phrase: "{t}"' in prompt)
+            body = reply if term in bad_terms else {
+                "choices": [{"message": {"content": json.dumps(valid_obj(term))}}]
+            }
+            return _CannedResponse(json.dumps(body).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        code = main([
+            "pckg", "extract", "--vocab", "water,forest", "--live",
+            "--endpoint", "https://llm.example/v1/chat", "--retries", "0",
+            "--out", str(tmp_path / "graph.json"), "--report", str(tmp_path / "report.json"),
+        ])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES)
+    def test_reply_without_text_is_one_terms_transport_error(self, monkeypatch, tmp_path, capsys, reply):
+        code, _ = self._extract(monkeypatch, tmp_path, capsys, {"forest"}, reply)
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [rec["status"] for rec in report["terms"]] == ["ok", "transport-error"]
+        assert "reply holds no assistant text" in report["terms"][1]["error"]
+
+    @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES)
+    def test_replies_without_text_for_every_term_exit_3(self, monkeypatch, tmp_path, capsys, reply):
+        code, captured = self._extract(monkeypatch, tmp_path, capsys, {"water", "forest"}, reply)
+        assert code == 3
+        assert json.loads(captured.err)["error"] == "TransportError"
+        assert not (tmp_path / "graph.json").exists()
+
 
 def test_cli_import_leaves_network_and_thread_pool_modules_unloaded():
     # refine, eval and synth processes should not pay for http.client, ssl or email

@@ -83,6 +83,19 @@ def test_planar_writer_refuses_non_finite_values(tmp_path, kind, bad):
     assert path.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("bad", [1.7, np.nan, 2.0])
+def test_label_writer_refuses_values_that_are_not_integers(tmp_path, bad):
+    # a cast would write 1.7 as 1 and nan as -2**63; even a whole float is refused
+    values = np.ones((2, 3))
+    values[1, 2] = bad
+    path = tmp_path / "labels.pgrd"
+    path.write_text("old\n")
+    with pytest.raises(GridFormatError, match="LABEL grid needs integer values, got float64") as info:
+        write_grid(path, "LABEL", values)
+    assert str(path) in str(info.value)
+    assert path.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2", "residual_scale"])
 def test_params_writer_refuses_non_finite_values(tmp_path, field):
     params = init_params(4, 3, TrainConfig(seed=9, hidden=6))
