@@ -441,14 +441,16 @@ def _write_eval_csv(path, payload):
 
 
 def cmd_ablate(args, argv, config):
+    seed = int(_resolve(args, config, "seed", 0))
+    epochs = int(_resolve(args, config, "epochs", benchmark.DEMO_EPOCHS))
+    lr = float(_resolve(args, config, "lr", benchmark.DEMO_LEARNING_RATE))
+    # a bad setting fails before the manifest is read, even when nothing trains
+    benchmark.demo_train_config(seed, epochs, lr, 0.0)
     # the re-weighting rows read SAR unless the manifest names their modalities
     reweights = () if args.baseline_only else benchmark.INFERENCE_MODALITIES
     graph, scenes, manifest = benchmark.load_manifest(
         os.path.join(args.demo_dir, benchmark.MANIFEST_NAME), reweights=reweights
     )
-    seed = int(_resolve(args, config, "seed", 0))
-    epochs = int(_resolve(args, config, "epochs", benchmark.DEMO_EPOCHS))
-    lr = float(_resolve(args, config, "lr", benchmark.DEMO_LEARNING_RATE))
     table = benchmark.evaluate_rows(
         graph,
         scenes,

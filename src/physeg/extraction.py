@@ -222,7 +222,7 @@ class ExtractionReport:
         }
 
 
-def extract_graph(vocab_list, provider: ProviderConfig, transport=None):
+def extract_graph(vocab_list, provider: ProviderConfig):
     """Extract a graph from a vocabulary; returns (graph, report).
 
     Partial graphs are valid: failed terms are reported (with raw responses)
@@ -238,7 +238,7 @@ def extract_graph(vocab_list, provider: ProviderConfig, transport=None):
 
     def attempt(term):
         try:
-            entry, attempts, _ = extract_entry(term, provider, transport=transport)
+            entry, attempts, _ = extract_entry(term, provider)
             return {"term": term, "status": "ok", "attempts": attempts}, entry
         except (ExtractionError, TransportError) as exc:
             invalid = isinstance(exc, ExtractionError)

@@ -12,8 +12,9 @@ row-major ASCII.  FEAT, PROB and PSPARAMS values must be finite; modality
 rasters may hold nan or inf.  Writers raise GridFormatError on a non-finite
 FEAT, PROB or PSPARAMS value, or on LABEL values of a non-integer dtype,
 before the file is opened, and write PROB/FEAT planes row by row from views
-of the (H, W, C) array, never from a planar copy.  Readers take any
-whitespace between values and skip blank lines.
+of the (H, W, C) array, never from a planar copy.  Readers end a row only at
+a newline (text mode folds \r\n and \r into it), take any other whitespace
+between values and skip blank lines.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .priors import MODALITIES
 
 GRID_KINDS = MODALITIES + ("LABEL", "PROB", "FEAT")
 _PLANAR_KINDS = ("PROB", "FEAT")
-# str.splitlines() ends a line at these; np.loadtxt reads them as spaces
-_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 class GridFormatError(ValueError):
@@ -47,13 +46,17 @@ def _write_lines(path, header: str, rows) -> None:
 
 
 def _read_lines(path, magic: str) -> tuple[list[str], list[str]]:
-    """Header tokens and the non-blank value lines of a file whose line 1 starts with magic."""
+    """Header tokens and non-blank value lines of a file whose line 1 starts with magic.
+
+    A line ends only at a newline, as in file iteration; splitlines() would
+    also end one at \\v, \\f or \\x1c-\\x1e, which separate values here.
+    """
     try:
         with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise GridFormatError(f"{path}: not an ASCII file: {exc}") from exc
-    if not lines or not lines[0].startswith(magic):
+    if not lines[0].startswith(magic):
         raise GridFormatError(f"{path}: missing {magic.strip()} header")
     return lines[0].split(), [ln for ln in lines[1:] if ln.strip()]
 
@@ -121,31 +124,23 @@ def _grid_layout(path, head: list[str]) -> tuple[str, int, int, int]:
     return kind, dims[0], dims[1], dims[2] if planar else 1
 
 
-def _plain_lines(fh):
-    """The lines of fh, failing on any that str.splitlines() would split further."""
-    for line in fh:
-        if any(ch in line for ch in _SPLITLINES_ONLY_BREAKS):
-            raise ValueError("line break other than a newline")
-        yield line
-
-
 def _read_grid_fast(path):
     """(kind, H, W, C, block) from one np.loadtxt pass over the file, or None.
 
     None on any failure, warnings included; read_grid then runs the checked
-    parse, which alone decides what is accepted and what an error says.
-    Where both accept a file they give the same values bit for bit.
+    parse, which alone decides what is accepted and what an error says.  Both
+    end a row only at a newline, so where both accept a file they give the
+    same values bit for bit.
     """
     try:
         with open(path, encoding="ascii") as fh:
-            lines = _plain_lines(fh)
-            head = next(lines)
+            head = fh.readline()
             if not head.startswith("PGRD "):
                 return None
             kind, h, w, c = _grid_layout(path, head.split())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                block = np.loadtxt(lines, dtype=_grid_dtype(kind), comments=None, ndmin=2)
+                block = np.loadtxt(fh, dtype=_grid_dtype(kind), comments=None, ndmin=2)
     except Exception:  # the checked parse reports the failure, or accepts the file
         return None
     if block.shape != (h * c, w) or (kind in _PLANAR_KINDS and not np.isfinite(block).all()):

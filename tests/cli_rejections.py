@@ -181,6 +181,8 @@ LOAD_GRAPH = ("physeg.benchmark.load_graph",)
 # cli's graph and grid readers, and the grid reader of benchmark.read_scene
 READ_ANY = READ_GRID + ("physeg.benchmark.read_grid_as", "physeg.cli.load_graph")
 TRAIN_HEAD = ("physeg.benchmark.train",)
+# the graph and grid readers of benchmark.load_manifest
+LOAD_DEMO = LOAD_GRAPH + ("physeg.benchmark.read_grid_as",)
 
 LIVE = "pckg extract --vocab water --live --endpoint http://127.0.0.1:9/v1 --retries 0"
 MASK = "synth --pckg {demo}/pckg.json --labels"
@@ -445,12 +447,20 @@ ROWS = [
     Row("ablate-default-available-sar", "ablate --demo-dir {demo_without_sar} --epochs 2",
         "{demo_without_sar}/manifest.json: scene 0 'rasters' lacks 'SAR' from the modalities re-weighted by default",
         error="ValueError", never_called=TRAIN_HEAD + LOAD_GRAPH),
-    Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2"),
     Row("ablate-nan-raster", "ablate --demo-dir {nan_demo} --epochs 2", NAN_CELLS, error="ValueError"),
+    # each setting is checked before the manifest's graph or any grid is read
+    Row("ablate-negative-seed", "ablate --demo-dir {demo} --seed -2", "seed must be >= 0, got -2",
+        never_called=LOAD_DEMO),
+    Row("ablate-epochs-0", "ablate --demo-dir {demo} --epochs 0", "epochs and hidden width must be >= 1",
+        never_called=LOAD_DEMO),
+    Row("ablate-lr-nan", "ablate --demo-dir {demo} --lr nan", "learning_rate must be finite and > 0",
+        never_called=LOAD_DEMO),
+    Row("ablate-config-epochs-0", "ablate --demo-dir {demo} --config config.json",
+        "epochs and hidden width must be >= 1", config={"epochs": 0}, never_called=LOAD_DEMO),
     # the baseline row trains nothing, but its provenance records each setting
     *(
         Row(f"baseline-only-{flag[2:]}-{value}", f"ablate --demo-dir {{demo}} --baseline-only {flag} {value}",
-            message)
+            message, never_called=LOAD_DEMO)
         for flag, value, message in (
             ("--seed", "-2", "seed must be >= 0, got -2"),
             ("--epochs", "-1", "epochs and hidden width must be >= 1"),

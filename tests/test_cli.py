@@ -14,8 +14,9 @@ import pytest
 from physeg import cli, inference
 from physeg.cli import main
 from physeg.extraction import ProviderConfig
-from physeg.gridio import read_grid_as
+from physeg.gridio import read_grid_as, write_grid
 from physeg.inference import FLIP_FIELDS, AttenuationConfig, RefinementTrace
+from physeg.metrics import reliability
 from physeg.priors import load_graph
 from physeg.refiner import TrainConfig
 from physeg.synth import SynthConfig
@@ -74,14 +75,46 @@ class TestPckgCommands:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
-    def test_extract_fixture_mode(self, tmp_path, capsys):
-        fixtures = tmp_path / "fx"
+    def test_validate_writes_its_report(self, pipeline_dir, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        pckg = str(pipeline_dir / "demo" / "pckg.json")
+        code, _, _ = run(capsys, "pckg", "validate", "--pckg", pckg, "--out", str(report))
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert set(payload) == {"valid", "classes", "categories", "warnings", "provenance"}
+        assert payload["valid"] is True
+        assert payload["classes"] == 4
+        assert payload["categories"] == list(load_graph(pckg).categories)
+        assert payload["warnings"] == []
+
+    @staticmethod
+    def fixture_dir(root, terms):
+        fixtures = root / "fx"
         fixtures.mkdir()
-        terms = ["water", "bare soil", "urban park", "forest", "road"]
         for term in terms:
             obj = dict(cli_rejections.VALID_ENTRY, Category=term)
             name = term.replace(" ", "%20") + ".json"
             (fixtures / name).write_text(json.dumps(obj))
+        return fixtures
+
+    def test_extract_vocab_file_strips_terms_and_skips_blank_lines(self, tmp_path, capsys):
+        fixtures = self.fixture_dir(tmp_path, ["water", "bare soil", "road"])
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("water\n\n  bare soil \n \t\nroad")
+        graphs = []
+        for flag, value in (("--vocab-file", str(vocab)), ("--vocab", "water,bare soil,road")):
+            graphs.append(tmp_path / f"graph{len(graphs)}.json")
+            code, out, _ = run(
+                capsys, "pckg", "extract", flag, value, "--fixtures", str(fixtures), "--out", str(graphs[-1])
+            )
+            assert code == 0
+            assert json.loads(out) == {"classes": 3, "failed": 0}
+        assert graphs[0].read_bytes() == graphs[1].read_bytes()
+        assert load_graph(graphs[0]).categories == ("water", "bare soil", "road")
+
+    def test_extract_fixture_mode(self, tmp_path, capsys):
+        terms = ["water", "bare soil", "urban park", "forest", "road"]
+        fixtures = self.fixture_dir(tmp_path, terms)
         out_graph = tmp_path / "graph.json"
         report = tmp_path / "report.json"
         code, out, _ = run(
@@ -243,6 +276,48 @@ class TestTrainRefineEval:
         payload = json.loads(report.read_text())
         assert payload["miou"] > 0.9
         assert "plausibility" in payload
+
+    def test_eval_csv_lists_each_class_then_miou(self, pipeline_dir, tmp_path, capsys):
+        demo = pipeline_dir / "demo"
+        gt = read_grid_as(demo / "scene_0.labels.pgrd", "LABEL")
+        assert (gt == 4).any()
+        # class 4 in neither mask, so its IoU is undefined; class 1 predicted as 2
+        truth = np.where(gt == 4, 3, gt)
+        write_grid(tmp_path / "gt.pgrd", "LABEL", truth)
+        write_grid(tmp_path / "pred.pgrd", "LABEL", np.where(truth == 1, 2, truth))
+        base = ["eval", "--pckg", str(demo / "pckg.json"),
+                "--pred", str(tmp_path / "pred.pgrd"), "--gt", str(tmp_path / "gt.pgrd")]
+        sar = ["--rasters", f"sar={demo / 'scene_0.sar.pgrd'}"]
+        for name, extra in (("plain", []), ("rasters", sar)):
+            report, table = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            code, _, _ = run(capsys, *base, *extra, "--out", str(report), "--csv", str(table))
+            assert code == 0
+            payload = json.loads(report.read_text())
+            per_class = payload["per_class"]
+            assert per_class["4"] is None
+            want = ["metric,class,value", *(f"iou,{c},{per_class[c]!r}" for c in "123"), "iou,4,"]
+            want.append(f"miou,,{payload['miou']!r}")
+            if extra:
+                want.append(f"plausibility,,{payload['plausibility']['rate']!r}")
+            assert table.read_text() == "\n".join(want) + "\n"
+
+    def test_eval_reliability_of_a_synthetic_raster(self, pipeline_dir, tmp_path, capsys):
+        demo = pipeline_dir / "demo"
+        labels = str(demo / "scene_0.labels.pgrd")
+        synthetic, reference = (str(demo / f"scene_{k}.sar.pgrd") for k in (0, 1))
+        report = tmp_path / "eval.json"
+        code, _, _ = run(
+            capsys, "eval", "--pckg", str(demo / "pckg.json"), "--pred", labels, "--gt", labels,
+            "--synthetic", synthetic, "--reference", reference, "--out", str(report),
+        )
+        assert code == 0
+        block = json.loads(report.read_text())["reliability"]
+        gt = read_grid_as(labels, "LABEL")
+        assert block["modality"] == "SAR"
+        assert sorted(block["per_class"]) == [str(c) for c in np.unique(gt) if c != 0]
+        graph = load_graph(str(demo / "pckg.json"))
+        want = reliability(read_grid_as(synthetic, "SAR"), read_grid_as(reference, "SAR"), gt, graph, "SAR")
+        assert block == json.loads(json.dumps(want.to_json_dict()))
 
     def test_visual_mode_ignores_raster_args(self, pipeline_dir, capsys):
         demo = pipeline_dir / "demo"

@@ -136,6 +136,13 @@ def test_header_dimension_below_1_rejected_with_path(tmp_path, header):
     assert str(path) in str(info.value)
 
 
+def test_single_plane_writer_refuses_a_3d_array(tmp_path):
+    path = tmp_path / "sar.pgrd"
+    with pytest.raises(GridFormatError, match=r"SAR grids need a \(H, W\) array, got shape \(2, 2, 1\)"):
+        write_grid(path, "SAR", np.zeros((2, 2, 1)))
+    assert not path.exists()
+
+
 def test_kind_mismatch(tmp_path):
     path = tmp_path / "grid.pgrd"
     write_grid(path, "NDVI", np.zeros((2, 2)))
@@ -171,6 +178,17 @@ def test_params_header_checked(tmp_path):
         read_params(path)
 
 
+def test_params_writer_refuses_a_fused_width_below_classes_and_modalities(tmp_path):
+    # C=2 classes and M=3 modalities need w1 at least 5 wide
+    params = RefinerParams(
+        w1=np.zeros((2, 4)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2), residual_scale=1.0
+    )
+    path = tmp_path / "weights.psp"
+    with pytest.raises(GridFormatError, match=r"fused width 4 < C\+M"):
+        write_params(path, params)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -179,6 +197,8 @@ def test_params_header_checked(tmp_path):
         ("PGRD SAR 1 2\n-3.5 -4.0 1.0\n", "expected 2 values per row, got 3"),
         ("PGRD FEAT 1 2 1\n0.5 nan\n", "non-finite"),
         ("PGRD PROB 1 1 2\n0.5\ninf\n", "non-finite"),
+        ("PGRD XYZ 1 2\n1 2\n", "unknown grid kind 'XYZ'"),
+        ("PGRD SAR a 2\n1 2\n", "non-integer dimension in header"),
     ],
 )
 def test_malformed_grid_values_rejected_with_path(tmp_path, text, match):
@@ -205,6 +225,9 @@ def test_modality_grids_keep_non_finite_values(tmp_path, kind):
         (1, "0.5 0.25", "expected 6 values per row, got 2"),  # ragged w1 row
         (3, "0.0 nan", "non-finite"),  # b1
         (-1, "inf", "non-finite"),  # residual scale
+        (-1, "", "expected 7 value rows, got 6"),  # a blank line is skipped
+        (0, "PSPARAMS v1 1 2 3", "malformed header"),
+        (0, "PSPARAMS v1 1 x 3 2", "malformed header"),
     ],
 )
 def test_malformed_params_rejected_with_path(tmp_path, line, text, match):
@@ -252,6 +275,41 @@ def test_written_grids_take_the_loadtxt_path(tmp_path, kind, values):
     assert read_grid_as(path, kind).tobytes() == values.astype(gridio._grid_dtype(kind)).tobytes()
 
 
+_SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+# str.splitlines() ends a line at each of these; both PGRD parsers and the
+# .psp reader take them as spaces, as np.loadtxt and file iteration do
+@pytest.mark.parametrize("char", _SPLITLINES_BREAKS, ids=repr)
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("PGRD SAR 1 4\n1 2{char}3 4\n", [[1.0, 2.0, 3.0, 4.0]]),
+        ("PGRD SAR 2 2\n1 2{char}3 4\n", "expected 2 value rows, got 1"),
+        ("PGRD SAR 1 4{char}1 2 3 4\n", "header needs 4 tokens, got 8"),
+    ],
+    ids=["one-row", "two-rows", "header"],
+)
+def test_grid_rows_end_only_at_a_newline(tmp_path, char, text, want):
+    path = tmp_path / "grid.pgrd"
+    path.write_text(text.format(char=char))
+    if isinstance(want, str):
+        with pytest.raises(GridFormatError, match=want):
+            read_grid(path)
+    else:
+        assert read_grid_as(path, "SAR").tolist() == want
+
+
+@pytest.mark.parametrize("char", _SPLITLINES_BREAKS, ids=repr)
+def test_params_rows_end_only_at_a_newline(tmp_path, char):
+    params = init_params(1, 2, TrainConfig(seed=1, hidden=2))
+    path = tmp_path / "weights.psp"
+    write_params(path, params)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header + "\n" + body.replace(" ", char, 1))  # inside the first w1 row
+    assert read_params(path).w1.tobytes() == params.w1.tobytes()
+
+
 # Tokens either parser may meet: every special float, integers written as
 # floats, signs, underscores and junk, so both the loadtxt pass and its
 # fallback are exercised.
@@ -260,13 +318,14 @@ _SPECIAL_TOKENS = (
     "2.2250738585072014e-308", "1e300", "-1e300", "1e400", "+1", "-1", "1_0", "1.0",
     "0010", "2147483647", "2147483648", "1e", "x", "#", "1,5", "0x10",
 )
-_PLAIN_SPACE = (" ", "  ", "\t", " \t ", "\x1f")  # whitespace inside one line for both parsers
-_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")  # end a line for str.splitlines() only
+# whitespace inside one line for both parsers, including the characters that
+# str.splitlines() would take as line breaks
+_PLAIN_SPACE = (" ", "  ", "\t", " \t ", "\x1f", *_SPLITLINES_BREAKS)
 
 
 @st.composite
 def _grid_texts(draw):
-    """PGRD text for any kind: half well-formed, half with ragged rows, junk and odd breaks."""
+    """PGRD text for any kind: half well-formed, half with ragged rows, junk and odd spaces."""
     kind = draw(st.sampled_from(GRID_KINDS))
     planar = kind in ("PROB", "FEAT")
     h, w = draw(st.integers(0, 3)), draw(st.integers(1, 4))
@@ -283,7 +342,6 @@ def _grid_texts(draw):
             st.floats(allow_nan=True, allow_infinity=True).map(repr),
             st.sampled_from(_SPECIAL_TOKENS),
         )
-        space = st.sampled_from(_PLAIN_SPACE + _LINE_BREAKS)
     dims = [h, w, c] if planar else [h, w]
     if messy and draw(st.integers(0, 9)) == 0:
         dims = dims[:-1]  # a short header

@@ -161,6 +161,12 @@ class TestPlausibility:
         expected = plausibility_rate(labels.astype(np.int32), rasters, graph2)
         assert plausibility_rate(labels.astype(dtype), rasters, graph2) == expected
 
+    def test_no_labeled_region_or_no_raster_is_fully_plausible(self, graph2):
+        rasters = {"SAR": np.random.default_rng(8).uniform(-30, 0, size=(4, 4))}
+        assert plausibility_rate(np.zeros((4, 4), dtype=np.int32), rasters, graph2) == (1.0, {})
+        labels = np.full((4, 4), 2, dtype=np.int32)
+        assert plausibility_rate(labels, {}, graph2) == (1.0, {2: {}})
+
     def test_unknown_label_raises(self, graph2):
         labels = np.full((4, 4), 7, dtype=np.int32)
         with pytest.raises(ValueError, match=re.escape("mask label 7 outside 0..2")):

@@ -449,6 +449,17 @@ def test_history_records_hold_step_and_components():
     assert [set(rec) for rec in history] == [{"step", *COMPONENTS}] * len(history)
 
 
+def test_train_on_an_unlabeled_scene_keeps_every_loss_finite():
+    # no labeled pixel: seg_loss is 0, not the mean of an empty array (nan)
+    graph, scenes = demo_dataset()
+    scene = scenes[0]
+    unlabeled = Scene(scene.features, scene.coarse, scene.rasters, np.zeros_like(scene.labels))
+    _, history = train([unlabeled], graph, TrainConfig(epochs=3))
+    assert len(history) == 3
+    assert all(np.isfinite(rec[key]) for rec in history for key in COMPONENTS)
+    assert [rec["seg"] for rec in history] == [0.0] * 3
+
+
 def test_train_steps_skip_the_hard_hinge_and_raster_means(monkeypatch):
     # a step runs each trained term through its public name, once per scene;
     # phys_loss, the hard hinge over hard-region raster means, never runs
